@@ -7,6 +7,7 @@ from .hierarchy import (
     HierarchySpec,
     NodeId,
     SummingMatrix,
+    aggregate,
     aggregate_to_level,
     build_hierarchy,
     build_summing_matrix,
@@ -31,6 +32,7 @@ from .reconcile import (
     check_coherence,
     fixed_weights,
     reconcile,
+    reconcile_tensor,
     weights_from_levels,
     weights_from_nodes,
     wls_weights,
@@ -61,13 +63,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HierarchySpec", "NodeId", "SummingMatrix", "build_hierarchy",
-    "build_summing_matrix", "aggregate_to_level", "to_common_units",
+    "build_summing_matrix", "aggregate", "aggregate_to_level", "to_common_units",
     "from_common_units",
     "SCHEMES", "LevelSample", "JointSample", "OriginData", "stack", "rank",
     "permute", "assemble",
     "FIXED_METHODS", "WeightMatrix", "ReconciledSample", "CoherenceCheck",
     "fixed_weights", "wls_weights", "weights_from_levels", "weights_from_nodes",
-    "reconcile", "check_coherence",
+    "reconcile", "reconcile_tensor", "check_coherence",
     "ScoreTable", "crps_sample", "median_point", "score_hierarchy",
     "assemble_origins", "cv_criterion", "cv_objective",
     "REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights",

@@ -39,23 +39,35 @@ The ``cv`` method expands to one report row per configured regime, labelled
 ``none``) is always included.
 
 Input CSV schema: header ``timestamp,value``; ISO-8601 UTC timestamps at
-bottom-period (hourly) resolution, strictly increasing, gap-free; values in
-native units. Output files: ``crps.csv`` and ``mae.csv`` (one row per
+bottom-period (hourly) resolution, whole-hour steps, strictly increasing,
+gap-free; finite values in native units. Output files: ``crps.csv`` and ``mae.csv`` (one row per
 scheme/method, per-level columns coarse to fine plus the mean),
 ``cv_weights.csv``, ``origin_scores.csv`` (tidy per-origin per-level
 scores), ``diagnostics.csv`` (per-origin coherence violations), and
 ``manifest.txt``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+failure. Every package error maps to one of them by its family
+(``EXIT_CODES``):
+
+    2  ConfigError, HierarchyError (bad frequencies), SimkitError (a
+       synthetic scenario or training window that cannot be fitted, e.g.
+       ``train_cycles = 1``)
+    3  DataError (unreadable, malformed, non-finite, non-hourly-step,
+       gapped or too short CSV input), PartialCycle (a series that is not
+       whole cycles)
+    4  NumericalError, SamplingError, ReconcileError, ScoringError, and
+       LAPACK failures (``numpy.linalg.LinAlgError``)
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -67,24 +79,57 @@ from .errors import (
     ConfigError,
     DataError,
     GapError,
+    HierarchyError,
     NonMonotoneTimestamps,
     NumericalError,
+    PartialCycle,
+    ReconcileError,
+    SamplingError,
     SchemaError,
+    ScoringError,
+    SimkitError,
     TemporecError,
 )
 from .hierarchy import HierarchySpec, build_hierarchy, build_summing_matrix
-from .reconcile import check_coherence, fixed_weights, weights_from_levels, wls_weights
+from .reconcile import (
+    check_coherence,
+    fixed_weights,
+    reconcile_tensor,
+    weights_from_levels,
+    wls_weights,
+)
 from .sampling import SCHEMES
 from .scoring import assemble_origins, score_hierarchy
 from .simkit import SyntheticScenario, build_dataset, dataset_from_series
 
-__all__ = ["RunConfig", "ReportRow", "load_config", "ingest_csv", "run_experiment", "main"]
+__all__ = [
+    "RunConfig", "ReportRow", "load_config", "ingest_csv", "run_experiment", "exit_code", "main",
+]
 
 ENV_PREFIX = "TEMPOREC_"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Exit code of each error family; the most derived listed class wins.
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    HierarchyError: EXIT_CONFIG,
+    SimkitError: EXIT_CONFIG,
+    DataError: EXIT_DATA,
+    PartialCycle: EXIT_DATA,
+    NumericalError: EXIT_NUMERIC,
+    SamplingError: EXIT_NUMERIC,
+    ReconcileError: EXIT_NUMERIC,
+    ScoringError: EXIT_NUMERIC,
+    np.linalg.LinAlgError: EXIT_NUMERIC,
+}
+EXIT_LABELS = {
+    EXIT_CONFIG: "configuration error",
+    EXIT_DATA: "data error",
+    EXIT_NUMERIC: "numerical failure",
+}
 
 FIXED_METHOD_TOKENS = ("bu", "ba", "ga", "la", "wls")
 
@@ -172,11 +217,9 @@ def _parse_value(name: str, raw: str, kind):
             return float(raw)
         if kind is str:
             return raw
-        # tuple-valued fields: comma separated
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if name == "frequencies":
-            return tuple(int(p) for p in parts)
-        return tuple(parts)
+        # tuple-valued fields: comma separated, items of the annotated type
+        item = typing.get_args(kind)[0]
+        return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from exc
 
@@ -205,15 +248,7 @@ def load_config(
 ) -> RunConfig:
     """Resolve a run configuration from file, environment, and overrides."""
     env = os.environ if env is None else env
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {
-        "frequencies": tuple, "data": str, "synthetic": bool, "phi": float,
-        "sigma": float, "mu": float, "clip_at_zero": bool, "train_cycles": int,
-        "val_cycles": int, "test_cycles": int, "n_paths": int, "schemes": tuple,
-        "methods": tuple, "cv_regimes": tuple, "cv_starts": int,
-        "cv_maxiter": int, "seed": int, "out": str, "coherence_tol": float,
-    }
-    assert set(kinds) == set(field_types)
+    kinds = typing.get_type_hints(RunConfig)
 
     raw: dict = {}
     if config_path:
@@ -245,7 +280,9 @@ def ingest_csv(path: str) -> np.ndarray:
     strictly increasing and gap-free.
 
     Raises:
-        SchemaError: wrong header, unparsable timestamp or value.
+        SchemaError: wrong header, unparsable timestamp, unparsable or
+            non-finite value, or a step that is not a whole number of hours
+            (the message names the line).
         NonMonotoneTimestamps: duplicated or out-of-order rows.
         GapError: missing periods (the message names them).
     """
@@ -259,6 +296,7 @@ def ingest_csv(path: str) -> np.ndarray:
         if header is None or [c.strip().lower() for c in header] != ["timestamp", "value"]:
             raise SchemaError(f"{path}: expected header 'timestamp,value', got {header}")
         stamps: list[datetime] = []
+        linenos: list[int] = []
         values: list[float] = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -266,20 +304,29 @@ def ingest_csv(path: str) -> np.ndarray:
             if len(row) != 2:
                 raise SchemaError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
             stamps.append(_parse_timestamp(row[0], path, lineno))
+            linenos.append(lineno)
             try:
-                values.append(float(row[1]))
+                value = float(row[1])
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}:{lineno}: value {row[1]!r} is not finite")
+            values.append(value)
     if not values:
         raise SchemaError(f"{path}: no data rows")
     step = timedelta(hours=1)
     gaps = []
-    for prev, cur in zip(stamps, stamps[1:]):
+    for prev, cur, lineno in zip(stamps, stamps[1:], linenos[1:]):
         if cur <= prev:
             raise NonMonotoneTimestamps(
                 f"{path}: timestamp {cur.isoformat()} does not follow {prev.isoformat()}"
             )
-        missing = int((cur - prev) / step) - 1
+        if (cur - prev) % step:
+            raise SchemaError(
+                f"{path}:{lineno}: step {cur - prev} from the previous row is not "
+                "a whole number of hours"
+            )
+        missing = (cur - prev) // step - 1
         if missing:
             gaps.append(f"{(prev + step).isoformat()} .. {(cur - step).isoformat()}" if missing > 1 else (prev + step).isoformat())
     if gaps:
@@ -365,35 +412,28 @@ def run_experiment(cfg: RunConfig):
     origin_rows: list[tuple] = []
     diag_rows: list[tuple] = []
 
-    def add_rows(scheme: str, method: str, per_origin: list[np.ndarray], actuals: np.ndarray):
-        acts = list(actuals)
-        crps = score_hierarchy(per_origin, acts, h, metric="crps")
-        mae = score_hierarchy(per_origin, acts, h, metric="mae")
+    def add_rows(scheme: str, method: str, tensor: np.ndarray, actuals: np.ndarray):
+        crps = score_hierarchy(tensor, actuals, h, metric="crps")
+        mae = score_hierarchy(tensor, actuals, h, metric="mae")
         crps_rows.append(ReportRow(scheme, method, crps.level_scores, crps.overall))
         mae_rows.append(ReportRow(scheme, method, mae.level_scores, mae.overall))
-        for idx, (mat, act) in enumerate(zip(per_origin, acts)):
-            origin = dataset.test_origins[idx].origin
-            oc = score_hierarchy([mat], [act], h, metric="crps")
-            om = score_hierarchy([mat], [act], h, metric="mae")
+        for origin, oc, om in zip(dataset.test_origins, crps.origin_scores, mae.origin_scores):
             for lev in range(h.L):
                 origin_rows.append(
-                    (scheme, method, origin, f"{h.f[lev]}h",
-                     oc.level_scores[lev], om.level_scores[lev])
+                    (scheme, method, origin.origin, f"{h.f[lev]}h", oc[lev], om[lev])
                 )
 
     try:
         # no-reconciliation baseline: the raw stacked sample, scored directly
         base_tensor, base_actuals = assemble_origins(dataset.test_origins, h, "stacked", seed=cfg.seed)
-        add_rows("none", "none", list(base_tensor), base_actuals)
+        add_rows("none", "none", base_tensor, base_actuals)
 
         for scheme in cfg.schemes:
             tensor, actuals = assemble_origins(dataset.test_origins, h, scheme, seed=cfg.seed)
             cv_for_scheme = {lab: res for (sch, lab), res in cv_results.items() if sch == scheme}
             for lab in labels:
-                P = _build_weight_matrix(lab, h, cv_for_scheme)
-                reconciled = np.einsum("im,tmn->tin", S.entries @ P.entries, tensor)
-                per_origin = list(reconciled)
-                for idx, mat in enumerate(per_origin):
+                reconciled = reconcile_tensor(_build_weight_matrix(lab, h, cv_for_scheme), tensor)
+                for idx, mat in enumerate(reconciled):
                     ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
                     diag_rows.append((scheme, lab, dataset.test_origins[idx].origin, violation))
                     if not ok:
@@ -402,7 +442,7 @@ def run_experiment(cfg: RunConfig):
                             f"method={lab} origin={dataset.test_origins[idx].origin} "
                             f"violation={violation:.3e} tol={cfg.coherence_tol:.3e}"
                         )
-                add_rows(scheme, lab, per_origin, actuals)
+                add_rows(scheme, lab, reconciled, actuals)
     except Exception as exc:
         _flush_reports(outdir, h, crps_rows, mae_rows, origin_rows, diag_rows)
         (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
@@ -466,6 +506,14 @@ def _write_manifest(path: Path, cfg: RunConfig) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def exit_code(exc: BaseException) -> int | None:
+    """The documented exit code of an error, or None if its family is unmapped."""
+    for cls in type(exc).__mro__:
+        if cls in EXIT_CODES:
+            return EXIT_CODES[cls]
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="temporec",
@@ -495,21 +543,13 @@ def main(argv=None) -> int:
                 "cv_regimes": args.cv_regimes,
             },
         )
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         rows = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (TemporecError, np.linalg.LinAlgError) as exc:
+        code = exit_code(exc)
+        if code is None:
+            raise
+        print(f"{EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
     h = build_hierarchy(cfg.frequencies)
     print("CRPS (native units per level; lower is better)")

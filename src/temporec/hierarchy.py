@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingBottom, NonDivisor, NotDecreasing, PartialCycle
+from .errors import DimensionMismatch, MissingBottom, NonDivisor, NotDecreasing, PartialCycle
 
 __all__ = [
     "HierarchySpec",
@@ -27,6 +27,7 @@ __all__ = [
     "SummingMatrix",
     "build_hierarchy",
     "build_summing_matrix",
+    "aggregate",
     "aggregate_to_level",
     "to_common_units",
     "from_common_units",
@@ -166,11 +167,6 @@ class SummingMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
 
 def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
     """Build the summing matrix for a hierarchy."""
@@ -181,6 +177,24 @@ def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
     entries = np.vstack(blocks)
     entries.setflags(write=False)
     return SummingMatrix(entries=entries, hierarchy=h)
+
+
+def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """Apply the summing matrix without building it: (..., m, N) -> (..., M, N).
+
+    The rows of level l are means over consecutive windows of f_l bottom
+    rows, so the result equals ``build_summing_matrix(h).entries @ bottom``
+    up to rounding, in common units. Leading axes are batch axes.
+    """
+    values = np.asarray(bottom, dtype=float)
+    if values.ndim < 2 or values.shape[-2] != h.m:
+        raise DimensionMismatch(f"expected {h.m} bottom rows, got shape {values.shape}")
+    batch, n = values.shape[:-2], values.shape[-1]
+    out = np.empty(batch + (h.M, n))
+    for level, fl in enumerate(h.f, start=1):
+        windows = values.reshape(batch + (h.m // fl, fl, n))
+        np.mean(windows, axis=-2, out=out[..., h.level_slice(level), :])
+    return out
 
 
 def aggregate_to_level(bottom: np.ndarray, h: HierarchySpec, level: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A reconciliation method is an m x M matrix P mapping base forecasts of all
 nodes to bottom-level values; premultiplying a joint sample by S @ P yields
-a sample whose every column satisfies the aggregation constraints. Fixed
+a sample whose every column satisfies the aggregation constraints. That
+product has one implementation, ``reconcile_tensor``: one matrix product
+P @ Y, then the window-mean aggregation that stands for S. Fixed
 methods (bottom-up, bottom average, global average, lineal average, weighted
 least squares) are built here alongside the two sparse data-driven layouts
 whose weights are chosen by cross-validation: one weight per node, or one
@@ -29,7 +31,7 @@ from .errors import (
     ReconcileError,
     SingularSystem,
 )
-from .hierarchy import HierarchySpec, SummingMatrix, build_summing_matrix
+from .hierarchy import HierarchySpec, SummingMatrix, aggregate, build_summing_matrix
 from .sampling import JointSample
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "weights_from_levels",
     "weights_from_nodes",
     "reconcile",
+    "reconcile_tensor",
     "check_coherence",
 ]
 
@@ -65,11 +68,6 @@ class WeightMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
     elif method == "GA":
         entries = np.full((m, M), 1.0 / M)
     elif method == "LA":
-        entries = _lineage_pattern(np.full(L, 1.0 / L), h)
+        entries = _lineage_matrix(np.full((L, m), 1.0 / L), h)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
     return WeightMatrix(entries=entries, method=method, hierarchy=h)
@@ -148,7 +146,8 @@ def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
         raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise LengthMismatch("level weights must be finite")
-    return WeightMatrix(entries=_lineage_pattern(vec, h), method="CVR", hierarchy=h)
+    entries = _lineage_matrix(np.broadcast_to(vec[:, None], (h.L, h.m)), h)
+    return WeightMatrix(entries=entries, method="CVR", hierarchy=h)
 
 
 def weights_from_nodes(v: Mapping[tuple[int, int], float], h: HierarchySpec) -> WeightMatrix:
@@ -161,40 +160,56 @@ def weights_from_nodes(v: Mapping[tuple[int, int], float], h: HierarchySpec) -> 
     Raises:
         MissingWeight: a required (level, position) key is absent.
     """
-    entries = np.zeros((h.m, h.M))
-    for r in range(1, h.m + 1):
-        for lev in range(1, h.L + 1):
-            pos = h.ancestor_position(lev, r)
-            try:
-                weight = v[(lev, pos)]
-            except KeyError:
-                raise MissingWeight(f"no weight for node (level={lev}, position={pos})")
-            entries[r - 1, h.flat_index(lev, pos) - 1] = weight
-    if not np.isfinite(entries).all():
+    keys = [
+        (lev, pos) for lev in range(1, h.L + 1) for pos in range(1, h.nodes_at(lev) + 1)
+    ]
+    for lev, pos in keys:
+        if (lev, pos) not in v:
+            raise MissingWeight(f"no weight for node (level={lev}, position={pos})")
+    per_node = np.array([v[key] for key in keys], dtype=float)
+    if not np.isfinite(per_node).all():
         raise MissingWeight("node weights must be finite")
+    entries = _lineage_matrix(per_node[_ancestor_columns(h)], h)
     return WeightMatrix(entries=entries, method="CV-full", hierarchy=h)
 
 
-def _lineage_pattern(per_level: np.ndarray, h: HierarchySpec) -> np.ndarray:
+def _ancestor_columns(h: HierarchySpec) -> np.ndarray:
+    """(L, m) flat column (0-based) of the level-l node containing bottom node r."""
+    bottom = np.arange(h.m)
+    return np.stack(
+        [h.level_offset(lev) + bottom // fl for lev, fl in enumerate(h.f, start=1)]
+    )
+
+
+def _lineage_matrix(values: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """m x M matrix holding ``values[l, r]`` in row r at the column of bottom
+    node r's level-l ancestor, and zeros elsewhere."""
     entries = np.zeros((h.m, h.M))
-    for r in range(1, h.m + 1):
-        for lev in range(1, h.L + 1):
-            pos = h.ancestor_position(lev, r)
-            entries[r - 1, h.flat_index(lev, pos) - 1] = per_level[lev - 1]
+    entries[np.arange(h.m), _ancestor_columns(h)] = values
     return entries
+
+
+def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:
+    """S @ P @ Y for one M x N joint sample or a (T, M, N) stack of them.
+
+    One matrix product P @ Y gives the reconciled bottom level; ``aggregate``
+    then fills every coarser level with window means, so the dense M x m
+    summing matrix is never formed.
+    """
+    h = P.hierarchy
+    Y = np.asarray(tensor, dtype=float)
+    if Y.ndim < 2 or Y.shape[-2] != h.M:
+        raise DimensionMismatch(f"P has {h.M} columns, sample has shape {Y.shape}")
+    return aggregate(np.matmul(P.entries, Y), h)
 
 
 def reconcile(S: SummingMatrix, P: WeightMatrix, Y: JointSample) -> ReconciledSample:
     """Project a joint sample onto the coherent subspace: S @ (P @ Y)."""
     if S.hierarchy != P.hierarchy or S.hierarchy != Y.hierarchy:
         raise DimensionMismatch("summing matrix, weights and sample hierarchies differ")
-    if P.entries.shape[1] != Y.matrix.shape[0]:
-        raise DimensionMismatch(
-            f"P has {P.entries.shape[1]} columns, sample has {Y.matrix.shape[0]} rows"
-        )
-    matrix = S.entries @ (P.entries @ Y.matrix)
     return ReconciledSample(
-        matrix=matrix, method=P.method, scheme=Y.scheme, hierarchy=Y.hierarchy
+        matrix=reconcile_tensor(P, Y.matrix), method=P.method, scheme=Y.scheme,
+        hierarchy=Y.hierarchy,
     )
 
 

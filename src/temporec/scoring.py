@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, EmptySample, ScoringError
-from .hierarchy import HierarchySpec, build_summing_matrix
-from .reconcile import WeightMatrix, weights_from_levels
+from .hierarchy import HierarchySpec
+from .reconcile import WeightMatrix, reconcile_tensor, weights_from_levels
 from .sampling import OriginData, assemble
 
 __all__ = [
@@ -39,11 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-level mean scores (coarse to fine) and their overall mean."""
+    """Per-level mean scores (coarse to fine) and their overall mean.
+
+    ``origin_scores[t][l]`` is the level-l mean score of origin t alone, the
+    value ``score_hierarchy`` returns for that origin on its own.
+    """
 
     level_scores: tuple[float, ...]
     overall: float
     metric: str
+    origin_scores: tuple[tuple[float, ...], ...]
 
 
 def crps_sample(sample, z: float) -> float:
@@ -88,7 +93,7 @@ def _node_scores(
     metric: str,
     units: str,
 ) -> np.ndarray:
-    """Per-node scores averaged over origins.
+    """Per-origin node scores, shape (T, M).
 
     ``tensor`` holds one M x N sample per origin, shape (T, M, N);
     ``actuals`` the realized common-unit node values, shape (T, M).
@@ -101,22 +106,17 @@ def _node_scores(
         raise ScoringError(f"units must be 'native' or 'common', got {units!r}")
 
     if metric == "crps":
-        scores = _crps_rows(tensor, actuals)
-    elif metric == "mae":
-        scores = np.abs(np.median(tensor, axis=-1) - actuals)
-    else:
-        raise ScoringError(f"metric must be 'crps' or 'mae', got {metric!r}")
-    return scores.mean(axis=0)
+        return _crps_rows(tensor, actuals)
+    if metric == "mae":
+        return np.abs(np.median(tensor, axis=-1) - actuals)
+    raise ScoringError(f"metric must be 'crps' or 'mae', got {metric!r}")
 
 
-def _table_from_nodes(node_scores: np.ndarray, h: HierarchySpec, metric: str) -> ScoreTable:
-    level_scores = tuple(
-        float(node_scores[h.level_slice(lev)].mean()) for lev in range(1, h.L + 1)
-    )
-    return ScoreTable(
-        level_scores=level_scores,
-        overall=float(np.mean(level_scores)),
-        metric=metric.upper(),
+def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """Mean over the nodes of each level: (..., M) -> (..., L)."""
+    return np.stack(
+        [node_scores[..., h.level_slice(lev)].mean(axis=-1) for lev in range(1, h.L + 1)],
+        axis=-1,
     )
 
 
@@ -131,7 +131,8 @@ def score_hierarchy(
 
     Args:
         samples: one M x N sample per origin - reconciled or raw; anything
-            with a ``matrix`` attribute or array-like.
+            with a ``matrix`` attribute or array-like - or a (T, M, N) array
+            holding them all, which is scored without a copy.
         actuals: realized node values per origin, length-M vectors in
             common units.
         h: the hierarchy.
@@ -143,12 +144,18 @@ def score_hierarchy(
 
     Raises:
         AlignmentError: origin counts or shapes do not line up.
+
+    The returned table also carries every origin's own level scores, equal
+    to scoring that origin alone.
     """
-    mats = [np.asarray(getattr(s, "matrix", s), dtype=float) for s in samples]
+    if isinstance(samples, np.ndarray):
+        mats = np.asarray(samples, dtype=float)  # a (T, M, N) stack, scored in place
+    else:
+        mats = [np.asarray(getattr(s, "matrix", s), dtype=float) for s in samples]
     acts = [np.asarray(a, dtype=float).ravel() for a in actuals]
     if len(mats) != len(acts):
         raise AlignmentError(f"{len(mats)} samples but {len(acts)} actual vectors")
-    if not mats:
+    if not len(mats):
         raise AlignmentError("no forecast origins to score")
     for mat, act in zip(mats, acts):
         if mat.ndim != 2 or mat.shape[0] != h.M:
@@ -158,10 +165,18 @@ def score_hierarchy(
     if len({mat.shape[1] for mat in mats}) != 1:
         raise AlignmentError("origins disagree on the number of sample paths")
 
-    tensor = np.stack(mats)
-    actual_mat = np.stack(acts)
+    tensor = mats if isinstance(mats, np.ndarray) else np.stack(mats)
     metric = metric.lower()
-    return _table_from_nodes(_node_scores(tensor, actual_mat, h, metric, units), h, metric)
+    node_scores = _node_scores(tensor, np.stack(acts), h, metric, units)
+    level_scores = tuple(float(s) for s in _level_means(node_scores.mean(axis=0), h))
+    return ScoreTable(
+        level_scores=level_scores,
+        overall=float(np.mean(level_scores)),
+        metric=metric.upper(),
+        origin_scores=tuple(
+            tuple(float(s) for s in row) for row in _level_means(node_scores, h)
+        ),
+    )
 
 
 def assemble_origins(
@@ -200,18 +215,16 @@ def cv_criterion(
 ) -> float:
     """Level-averaged CRPS of the reconciled samples in common units.
 
-    For each origin the joint sample is projected through S @ P, each node
+    Every origin's joint sample is projected through S @ P by
+    ``reconcile_tensor``, each node
     scored against its realized value, node scores averaged over origins,
     then over nodes within a level, then over levels. Origin averaging (in
     place of summing) is a monotone rescaling that keeps objective values
     comparable across validation lengths without moving the minimizer.
     """
-    S = build_summing_matrix(h).entries
-    base = np.tensordot(P.entries, joint_tensor, axes=([1], [1]))  # (m, T, N)
-    reconciled = np.tensordot(S, base, axes=([1], [0]))  # (M, T, N)
-    reconciled = np.moveaxis(reconciled, 0, 1)  # (T, M, N)
+    reconciled = reconcile_tensor(P, joint_tensor)
     node_scores = _node_scores(reconciled, actuals, h, metric="crps", units="common")
-    return _table_from_nodes(node_scores, h, "crps").overall
+    return float(np.mean(_level_means(node_scores.mean(axis=0), h)))
 
 
 def cv_objective(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SimkitError, TooShort
-from .hierarchy import HierarchySpec, aggregate_to_level, build_summing_matrix
+from .hierarchy import HierarchySpec, aggregate, aggregate_to_level
 from .sampling import LevelSample, OriginData
 
 __all__ = [
@@ -233,7 +233,6 @@ def dataset_from_series(
     )
     # native-unit series per level over the full span, for origin states
     level_series = [aggregate_to_level(values, h, lev) for lev in range(1, h.L + 1)]
-    S = build_summing_matrix(h).entries
 
     def make_origin(cycle: int) -> OriginData:
         samples = []
@@ -244,7 +243,7 @@ def dataset_from_series(
             samples.append(
                 sample_paths(fc, state, nodes, n_paths, path_seed, origin=cycle)
             )
-        actual = S @ values[cycle * f1 : (cycle + 1) * f1]
+        actual = aggregate(values[cycle * f1 : (cycle + 1) * f1, None], h)[:, 0]
         return OriginData(levels=tuple(samples), actual=actual, origin=cycle)
 
     val_origins = tuple(

@@ -14,6 +14,7 @@ from temporec.reconcile import (
     check_coherence,
     fixed_weights,
     reconcile,
+    reconcile_tensor,
     weights_from_levels,
     weights_from_nodes,
     wls_weights,
@@ -207,14 +208,12 @@ def test_qualitative_replication():
                                 train_cycles=12, val_cycles=12, test_cycles=30,
                                 seed=2)
         ds = build_dataset(scn, h, n_paths=1000)
-        S = build_summing_matrix(h)
 
         res = optimize_weights(ds.val_origins, "ranked", "simplex", h, seed=2,
                                maxiter=150)
         tensor, actuals = assemble_origins(ds.test_origins, h, "ranked", seed=2)
-        P = weights_from_levels(res.v, h)
-        reconciled = np.einsum("im,tmn->tin", S.entries @ P.entries, tensor)
-        cv_table = score_hierarchy(list(reconciled), list(actuals), h, metric="crps")
+        reconciled = reconcile_tensor(weights_from_levels(res.v, h), tensor)
+        cv_table = score_hierarchy(reconciled, actuals, h, metric="crps")
 
         base_tensor, base_actuals = assemble_origins(ds.test_origins, h, "stacked", seed=2)
         base_table = score_hierarchy(list(base_tensor), list(base_actuals), h, metric="crps")

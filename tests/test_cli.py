@@ -3,10 +3,13 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from temporec import errors
 from temporec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     RunConfig,
+    exit_code,
     ingest_csv,
     load_config,
     main,
@@ -215,3 +218,68 @@ def test_main_exit_codes(tmp_path):
 def test_method_label_expansion():
     cfg = RunConfig(methods=("bu", "cv"), cv_regimes=("simplex", "affine"))
     assert cfg.method_labels() == ("bu", "cv-simplex", "cv-affine")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_ingest_non_finite_value_names_line(tmp_path, bad):
+    path = write_csv(tmp_path / "nf.csv", ["1.0", "2.0", bad, "4.0"])
+    with pytest.raises(SchemaError, match=r"nf\.csv:4: .*not finite"):
+        ingest_csv(path)
+
+
+def test_main_non_finite_data_exits_3_without_lapack_noise(tmp_path, capfd):
+    values = [str(1.0 + 0.1 * i) for i in range(4 * 16)]
+    values[5] = "nan"
+    data = write_csv(tmp_path / "nan.csv", values)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        f"data = {data}\nfrequencies = 4,2,1\ntrain_cycles = 12\nval_cycles = 2\n"
+        "test_cycles = 2\nn_paths = 8\nmethods = bu,wls\n"
+    )
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capfd.readouterr().err
+    assert "DLASCL" not in err
+    assert "nan.csv:7:" in err
+
+
+@pytest.mark.parametrize(
+    "stamps, line",
+    [
+        # half-hourly
+        (["2026-01-01T00:00:00Z", "2026-01-01T00:30:00Z", "2026-01-01T01:00:00Z"], 3),
+        # off the hourly step after a regular start
+        (["2026-01-01T00:00:00Z", "2026-01-01T01:00:00Z", "2026-01-01T02:15:00Z"], 4),
+    ],
+)
+def test_ingest_non_hourly_step_names_line(tmp_path, stamps, line):
+    path = write_csv(tmp_path / "step.csv", [1.0] * len(stamps), stamps=stamps)
+    with pytest.raises(SchemaError, match=rf"step\.csv:{line}: .*whole number of hours"):
+        ingest_csv(path)
+
+
+def _error_classes(cls=errors.TemporecError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_package_error_has_an_exit_code():
+    classes = list(_error_classes())
+    assert len(classes) > 20
+    for cls in classes:
+        assert exit_code(cls("x")) in (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), cls.__name__
+    assert exit_code(errors.TooShort("x")) == EXIT_CONFIG
+    assert exit_code(errors.GapError("x")) == EXIT_DATA
+    assert exit_code(errors.PartialCycle("x")) == EXIT_DATA
+    assert exit_code(errors.NonFinite("x")) == EXIT_NUMERIC
+    assert exit_code(errors.MissingLevel("x")) == EXIT_NUMERIC
+    assert exit_code(errors.TemporecError("x")) is None
+
+
+def test_main_too_short_training_exits_2(tmp_path, capfd):
+    args = ["--synthetic", "--out", str(tmp_path / "out"), "--methods", "bu"]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("train_cycles = 1\nval_cycles = 1\ntest_cycles = 1\nn_paths = 8\n")
+    assert main(["--config", str(cfg_file)] + args) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err

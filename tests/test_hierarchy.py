@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from temporec.errors import MissingBottom, NonDivisor, NotDecreasing, PartialCycle
+from temporec.errors import (
+    DimensionMismatch,
+    MissingBottom,
+    NonDivisor,
+    NotDecreasing,
+    PartialCycle,
+)
 from temporec.hierarchy import (
+    aggregate,
     aggregate_to_level,
     build_hierarchy,
     build_summing_matrix,
@@ -153,3 +160,30 @@ def test_node_id_bijection():
             h.node_id(h.M + 1)
         with pytest.raises(IndexError):
             h.flat_index(1, h.nodes_at(1) + 1)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [(4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1), (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1)],
+)
+def test_aggregate_matches_summing_matrix(f):
+    h = build_hierarchy(f)
+    S = build_summing_matrix(h).entries
+    rng = np.random.default_rng(len(f))
+    single = rng.normal(size=(h.m, 7))
+    out = aggregate(single, h)
+    assert out.shape == (h.M, 7)
+    np.testing.assert_allclose(out, S @ single, rtol=0, atol=1e-12)
+    batch = rng.normal(size=(3, h.m, 5))
+    out = aggregate(batch, h)
+    assert out.shape == (3, h.M, 5)
+    np.testing.assert_allclose(out, np.matmul(S, batch), rtol=0, atol=1e-12)
+    # the bottom block is the input itself
+    np.testing.assert_array_equal(out[:, h.M - h.m :, :], batch)
+
+
+def test_aggregate_rejects_wrong_row_count(small_hierarchy):
+    with pytest.raises(DimensionMismatch):
+        aggregate(np.zeros((small_hierarchy.M, 3)), small_hierarchy)
+    with pytest.raises(DimensionMismatch):
+        aggregate(np.zeros(small_hierarchy.m), small_hierarchy)

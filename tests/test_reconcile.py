@@ -9,6 +9,7 @@ from temporec.reconcile import (
     check_coherence,
     fixed_weights,
     reconcile,
+    reconcile_tensor,
     weights_from_levels,
     weights_from_nodes,
     wls_weights,
@@ -276,3 +277,59 @@ def test_bu_of_ranked_sorts_bottom_block():
     np.testing.assert_allclose(
         rec.matrix[h.M - h.m :], np.sort(bottom, axis=1), atol=1e-12
     )
+
+
+def _lineage_loop(per_node_weight, h):
+    """Reference: row r holds the weight of its level-l ancestor, one loop per entry."""
+    entries = np.zeros((h.m, h.M))
+    for r in range(1, h.m + 1):
+        for lev in range(1, h.L + 1):
+            pos = h.ancestor_position(lev, r)
+            entries[r - 1, h.flat_index(lev, pos) - 1] = per_node_weight(lev, pos)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "f", [(4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1), (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1)]
+)
+def test_lineage_weights_match_loop_reference(f):
+    h = build_hierarchy(f)
+    rng = np.random.default_rng(h.M)
+    v = rng.normal(size=h.L)
+    np.testing.assert_array_equal(
+        weights_from_levels(v, h).entries, _lineage_loop(lambda lev, pos: v[lev - 1], h)
+    )
+    np.testing.assert_array_equal(
+        fixed_weights("LA", h).entries, _lineage_loop(lambda lev, pos: 1.0 / h.L, h)
+    )
+    nodes = {
+        (lev, pos): float(rng.normal())
+        for lev in range(1, h.L + 1)
+        for pos in range(1, h.nodes_at(lev) + 1)
+    }
+    np.testing.assert_array_equal(
+        weights_from_nodes(nodes, h).entries, _lineage_loop(lambda lev, pos: nodes[(lev, pos)], h)
+    )
+
+
+def test_reconcile_tensor_is_coherent_and_matches_dense():
+    rng = np.random.default_rng(8)
+    for f in [(4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1), (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1)]:
+        h = build_hierarchy(f)
+        S = build_summing_matrix(h)
+        tensor = rng.normal(size=(3, h.M, 6))
+        for P in (weights_from_levels(rng.normal(size=h.L), h), wls_weights(h)):
+            out = reconcile_tensor(P, tensor)
+            assert out.shape == tensor.shape
+            np.testing.assert_allclose(
+                out, np.matmul(S.entries @ P.entries, tensor), rtol=0, atol=1e-12
+            )
+            for mat in out:
+                assert check_coherence(mat, S, tol=1e-12).ok
+            np.testing.assert_array_equal(reconcile_tensor(P, tensor[1]), out[1])
+
+
+def test_reconcile_tensor_dimension_mismatch(small_hierarchy):
+    P = fixed_weights("BU", small_hierarchy)
+    with pytest.raises(DimensionMismatch):
+        reconcile_tensor(P, np.zeros((2, small_hierarchy.m, 3)))

@@ -219,3 +219,20 @@ def test_cv_objective_matches_naive_oracle():
         fast = cv_objective(np.array(v), "ranked", origins, h)
         naive = cv_objective_naive(np.array(v), "ranked", origins, h)
         assert fast == pytest.approx(naive, abs=1e-10)
+
+
+@pytest.mark.parametrize("metric", ["crps", "mae"])
+@pytest.mark.parametrize("units", ["native", "common"])
+def test_origin_scores_equal_single_origin_scoring(metric, units):
+    h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
+    rng = np.random.default_rng(31)
+    tensor = rng.normal(size=(6, h.M, 41))
+    actuals = rng.normal(size=(6, h.M))
+    table = score_hierarchy(tensor, actuals, h, metric=metric, units=units)
+    assert len(table.origin_scores) == 6
+    for mat, act, row in zip(tensor, actuals, table.origin_scores):
+        alone = score_hierarchy([mat], [act], h, metric=metric, units=units)
+        assert row == alone.level_scores  # bit for bit
+        assert alone.origin_scores == (alone.level_scores,)
+    listed = score_hierarchy(list(tensor), list(actuals), h, metric=metric, units=units)
+    assert listed == table
