@@ -24,11 +24,15 @@ Keys, with defaults:
     schemes         = ranked              any of stacked,ranked,permuted
     methods         = bu,ba,ga,la,wls,cv  reconciliation methods
     cv_regimes      = simplex             any of simplex,affine,free
-    cv_starts       = 6                   optimizer starts
+    cv_starts       = 6                   optimizer starts (at least 1)
     cv_maxiter      = 0                   iteration cap per start (0 = default)
-    seed            = 0
+    seed            = 0                   nonnegative
     out             = temporec-out        output directory
-    coherence_tol   = 1e-9
+    coherence_tol   = 1e-9                positive
+
+Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
+least 2, each cycle count at least 1 and cv_maxiter nonnegative. A value
+out of bounds is a configuration error that names the key.
 
 Every key can also be set by an environment variable with the ``TEMPOREC_``
 prefix (e.g. ``TEMPOREC_SEED=7``); command-line flags win over environment
@@ -132,6 +136,11 @@ EXIT_LABELS = {
 }
 
 FIXED_METHOD_TOKENS = ("bu", "ba", "ga", "la", "wls")
+# Smallest accepted value of each bounded integer setting.
+MINIMA = {
+    "n_paths": 2, "train_cycles": 1, "val_cycles": 1, "test_cycles": 1,
+    "cv_starts": 1, "cv_maxiter": 0, "seed": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,12 @@ class RunConfig:
             raise ConfigError(f"cv regimes must be drawn from {REGIMES}, got {self.cv_regimes}")
         if "cv" in self.methods and not self.cv_regimes:
             raise ConfigError("method 'cv' requested but no cv_regimes configured")
-        if self.n_paths < 2:
-            raise ConfigError(f"n_paths must be at least 2, got {self.n_paths}")
-        if min(self.train_cycles, self.val_cycles, self.test_cycles) < 1:
-            raise ConfigError("train/val/test cycle counts must all be at least 1")
+        for name, kind in typing.get_type_hints(RunConfig).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, low in MINIMA.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.coherence_tol <= 0:
             raise ConfigError("coherence_tol must be positive")
 

@@ -11,17 +11,20 @@ folded into an unconstrained search by reparameterization:
   taking up the slack.
 * ``free``    - unconstrained.
 
-The empirical-CRPS objective is piecewise smooth and has no useful
-gradient, so each start runs a Nelder-Mead simplex search; starts always
-include the bottom-up and equal-weight vectors, whose objectives the
-returned point therefore never exceeds.
+A second layout, ``optimize_node_weights``, has one unconstrained weight
+per node. Both layouts run through one multi-start search (``_search``) with
+fixed tolerances (``XATOL`` on the point, ``FATOL`` on the objective). The
+empirical-CRPS objective is piecewise smooth and has no useful gradient,
+so each start runs a Nelder-Mead simplex search; starts always include the
+bottom-up and equal-weight vectors, whose objectives the returned point
+therefore never exceeds.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,6 +38,8 @@ from .scoring import assemble_origins, cv_criterion
 __all__ = ["REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights"]
 
 REGIMES = ("simplex", "affine", "free")
+XATOL = 1e-4  # Nelder-Mead tolerance on the search point
+FATOL = 1e-7  # Nelder-Mead tolerance on the objective
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,10 @@ def _softmax(u: np.ndarray) -> np.ndarray:
 class _Regime:
     """Maps between the L-vector of weights and the unconstrained search space."""
 
-    def __init__(self, tag: str, L: int):
+    def __init__(self, tag: str):
         if tag not in REGIMES:
             raise ValueError(f"unknown regime {tag!r}, expected one of {REGIMES}")
         self.tag = tag
-        self.L = L
-        self.dim = {"simplex": L, "affine": L - 1, "free": L}[tag]
 
     def to_weights(self, u: np.ndarray) -> np.ndarray:
         if self.tag == "simplex":
@@ -94,7 +97,7 @@ class _Regime:
 
 
 def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
-    """Weight-space start points: bottom-up, equal weights, 1/M, then random."""
+    """Search-space start points: bottom-up, equal weights, 1/M, then random."""
     L = h.L
     starts = [
         np.eye(L)[-1],            # bottom-up
@@ -107,7 +110,54 @@ def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
             starts.append(rng.dirichlet(np.ones(L)))
         else:
             starts.append(rng.normal(loc=1.0 / L, scale=0.5, size=L))
-    return starts
+    return [regime.from_weights(v0) for v0 in starts]
+
+
+def _search(
+    objective: Callable[[np.ndarray], float], starts: list[np.ndarray], maxiter: int | None
+):
+    """Run Nelder-Mead from every start; return (best u, its objective, iterations).
+
+    Each start is evaluated first and skipped if its objective is not
+    finite; a search whose final objective is not finite falls back to its
+    start. ``maxiter`` is the cap per start (``None``: 80 per search
+    dimension). An empty search space returns the start, converged, after
+    0 iterations.
+
+    Raises:
+        NonFinite: the objective is NaN or infinite at every start.
+
+    Warns:
+        DidNotConverge: no start met the tolerances within ``maxiter``.
+    """
+    if maxiter is None:
+        maxiter = 80 * len(starts[0])
+    best_u, best_obj, total_iters, converged = None, np.inf, 0, False
+    for u in starts:
+        f = objective(u)
+        if not np.isfinite(f):
+            continue
+        if len(u):
+            res = minimize(
+                objective, u, method="Nelder-Mead",
+                options={"maxiter": maxiter, "xatol": XATOL, "fatol": FATOL},
+            )
+            total_iters += int(res.nit)
+            converged = converged or bool(res.success)
+            if np.isfinite(res.fun):
+                u, f = res.x, res.fun
+        else:
+            converged = True
+        if f < best_obj:
+            best_u, best_obj = u, f
+    if best_u is None:
+        raise NonFinite("objective was NaN or infinite at every start vector")
+    if not converged:
+        warnings.warn(
+            f"no start converged within {maxiter} iterations; returning best point",
+            DidNotConverge,
+        )
+    return np.asarray(best_u, dtype=float), float(best_obj), total_iters
 
 
 def optimize_weights(
@@ -118,8 +168,6 @@ def optimize_weights(
     seed: int = 0,
     n_starts: int = 6,
     maxiter: int | None = None,
-    xatol: float = 1e-4,
-    fatol: float = 1e-7,
 ) -> CvResult:
     """Minimize the validation CRPS objective over per-level weights.
 
@@ -134,7 +182,6 @@ def optimize_weights(
             equal weights, and a 1/M vector).
         maxiter: Nelder-Mead iteration cap per start; defaults to 80 per
             search dimension.
-        xatol, fatol: Nelder-Mead termination tolerances.
 
     Raises:
         NonFinite: the objective is NaN or infinite at every start.
@@ -144,68 +191,17 @@ def optimize_weights(
         best point found is still returned.
     """
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    reg = _Regime(regime, h.L)
+    reg = _Regime(regime)
 
     def objective(u: np.ndarray) -> float:
         return cv_criterion(weights_from_levels(reg.to_weights(u), h), joint_tensor, actuals, h)
 
-    if reg.dim == 0:
-        # single-level hierarchy under the affine regime: v is forced to (1,)
-        v = np.array([1.0])
-        return CvResult(
-            v=v,
-            objective=cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h),
-            iterations=0,
-            regime=regime,
-            scheme=scheme,
-        )
-
-    if maxiter is None:
-        maxiter = 80 * reg.dim
-
-    best_u = None
-    best_obj = np.inf
-    total_iters = 0
-    any_converged = False
-    any_finite = False
-    for v0 in _start_vectors(h, reg, n_starts, seed):
-        u0 = reg.from_weights(v0)
-        f0 = objective(u0)
-        if not np.isfinite(f0):
-            continue
-        any_finite = True
-        res = minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
-        )
-        total_iters += int(res.nit)
-        any_converged = any_converged or bool(res.success)
-        candidate = res.fun if np.isfinite(res.fun) else f0
-        cand_u = res.x if np.isfinite(res.fun) else u0
-        if candidate < best_obj:
-            best_obj = candidate
-            best_u = cand_u
-
-    if not any_finite or best_u is None:
-        raise NonFinite("objective was NaN or infinite at every start vector")
-    if not any_converged:
-        warnings.warn(
-            f"no start converged within {maxiter} iterations; returning best point",
-            DidNotConverge,
-        )
-
-    # objective(u) evaluates through to_weights, so best_obj is exactly the
+    starts = _start_vectors(h, reg, n_starts, seed)
+    u, obj, iterations = _search(objective, starts, maxiter)
+    # objective(u) evaluates through to_weights, so obj is exactly the
     # criterion at the returned v
-    v = reg.to_weights(np.asarray(best_u, dtype=float))
-    return CvResult(
-        v=v,
-        objective=float(best_obj),
-        iterations=total_iters,
-        regime=regime,
-        scheme=scheme,
-    )
+    return CvResult(v=reg.to_weights(u), objective=obj, iterations=iterations,
+                    regime=regime, scheme=scheme)
 
 
 def optimize_node_weights(
@@ -220,7 +216,7 @@ def optimize_node_weights(
 
     The search space has M dimensions, so this is only practical for small
     hierarchies; the row-sum constraint regimes apply to the per-level form
-    and are not offered here.
+    and are not offered here. Raises and warns as ``optimize_weights``.
     """
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     keys = [
@@ -229,11 +225,8 @@ def optimize_node_weights(
         for pos in range(1, h.nodes_at(lev) + 1)
     ]
 
-    def to_mapping(u: np.ndarray) -> dict:
-        return dict(zip(keys, u))
-
     def objective(u: np.ndarray) -> float:
-        return cv_criterion(weights_from_nodes(to_mapping(u), h), joint_tensor, actuals, h)
+        return cv_criterion(weights_from_nodes(dict(zip(keys, u)), h), joint_tensor, actuals, h)
 
     bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
     starts = [bu, np.full(h.M, 1.0 / h.L), np.full(h.M, 1.0 / h.M)]
@@ -241,23 +234,6 @@ def optimize_node_weights(
     while len(starts) < max(n_starts, 3):
         starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.M))
 
-    if maxiter is None:
-        maxiter = 80 * h.M
-
-    best_u, best_obj, total_iters = None, np.inf, 0
-    for u0 in starts:
-        f0 = objective(u0)
-        if not np.isfinite(f0):
-            continue
-        res = minimize(objective, u0, method="Nelder-Mead", options={"maxiter": maxiter})
-        total_iters += int(res.nit)
-        if np.isfinite(res.fun) and res.fun < best_obj:
-            best_obj, best_u = res.fun, res.x
-    if best_u is None:
-        raise NonFinite("objective was NaN or infinite at every start vector")
-    return NodeCvResult(
-        weights=to_mapping(np.asarray(best_u, dtype=float)),
-        objective=float(best_obj),
-        iterations=total_iters,
-        scheme=scheme,
-    )
+    u, obj, iterations = _search(objective, starts, maxiter)
+    return NodeCvResult(weights=dict(zip(keys, u)), objective=obj,
+                        iterations=iterations, scheme=scheme)

@@ -93,6 +93,16 @@ def test_config_validation():
         RunConfig(n_paths=1).validate()
     with pytest.raises(ConfigError):
         RunConfig(frequencies=(4, 3, 1)).validate()
+    # out-of-bounds run settings name their key
+    for key, value in [
+        ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_maxiter", -3),
+        ("val_cycles", 0), ("coherence_tol", float("nan")), ("sigma", float("nan")),
+        ("mu", float("inf")), ("phi", float("-inf")),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            RunConfig(**{key: value}).validate()
+    # the bounds are inclusive
+    RunConfig(seed=0, cv_starts=1, cv_maxiter=0, n_paths=2, train_cycles=1).validate()
 
 
 def _quick_config(out, **kw):
@@ -283,3 +293,10 @@ def test_main_too_short_training_exits_2(tmp_path, capfd):
     assert main(["--config", str(cfg_file)] + args) == EXIT_CONFIG
     err = capfd.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+def test_main_negative_seed_exits_2(tmp_path, capfd):
+    assert main(["--seed", "-1", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: seed must be at least 0")
+    assert "Traceback" not in err

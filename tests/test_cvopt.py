@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from temporec.cvopt import optimize_node_weights, optimize_weights
-from temporec.errors import NonFinite
+from temporec.errors import DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.sampling import LevelSample, OriginData
 from temporec.scoring import cv_objective
@@ -126,6 +128,8 @@ def test_non_finite_objective_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFinite):
             optimize_weights(origins, "ranked", "free", h, seed=0)
+        with pytest.raises(NonFinite):
+            optimize_node_weights(origins, "ranked", h, seed=0)
 
 
 def test_single_level_hierarchy():
@@ -138,10 +142,14 @@ def test_single_level_hierarchy():
         )
         for _ in range(3)
     ]
-    for regime in ("simplex", "affine"):
-        res = optimize_weights(origins, "stacked", regime, h, seed=0)
-        assert res.v.shape == (1,)
-        assert res.v[0] == pytest.approx(1.0, abs=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DidNotConverge)
+        for regime in ("simplex", "affine"):
+            res = optimize_weights(origins, "stacked", regime, h, seed=0)
+            assert res.v.shape == (1,)
+            assert res.v[0] == pytest.approx(1.0, abs=1e-8)
+    # affine leaves nothing to search: the start is returned as converged
+    assert res.iterations == 0
 
 
 def test_node_weights_toy():
@@ -151,3 +159,10 @@ def test_node_weights_toy():
     level_res = optimize_weights(origins, "ranked", "free", h, seed=0)
     # per-node weights subsume per-level ones, so the optimum is at least as good
     assert res.objective <= level_res.objective + 1e-6
+
+
+def test_node_weights_warn_when_capped():
+    h, origins = bottom_only_instance(n_origins=4, n_paths=25)
+    with pytest.warns(DidNotConverge, match="within 1 iterations"):
+        res = optimize_node_weights(origins, "ranked", h, seed=0, maxiter=1)
+    assert res.iterations == 6  # one iteration from each of the six starts
