@@ -1,7 +1,8 @@
 """Reconciliation of sample-based probabilistic forecasts over temporal
 aggregation hierarchies: joint-sample assembly schemes, projection-matrix
 reconciliation methods, cross-validated weight selection, and CRPS/MAE
-evaluation."""
+evaluation. The experiment driver lives in ``temporec.cli``, which is not
+imported here, so ``python -m temporec.cli`` runs it without a warning."""
 
 from .hierarchy import (
     HierarchySpec,
@@ -57,7 +58,6 @@ from .simkit import (
     sample_paths,
     simulate_truth,
 )
-from .cli import ReportRow, RunConfig, ingest_csv, load_config, run_experiment
 
 __version__ = "0.1.0"
 
@@ -75,6 +75,5 @@ __all__ = [
     "REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights",
     "SyntheticScenario", "LevelForecaster", "Dataset", "simulate_truth",
     "fit_level", "sample_paths", "build_dataset", "dataset_from_series",
-    "RunConfig", "ReportRow", "load_config", "ingest_csv", "run_experiment",
     "__version__",
 ]

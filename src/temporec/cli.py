@@ -44,11 +44,13 @@ The ``cv`` method expands to one report row per configured regime, labelled
 
 Input CSV schema: header ``timestamp,value``; ISO-8601 UTC timestamps at
 bottom-period (hourly) resolution, whole-hour steps, strictly increasing,
-gap-free; finite values in native units. Output files: ``crps.csv`` and ``mae.csv`` (one row per
-scheme/method, per-level columns coarse to fine plus the mean),
-``cv_weights.csv``, ``origin_scores.csv`` (tidy per-origin per-level
-scores), ``diagnostics.csv`` (per-origin coherence violations), and
-``manifest.txt``.
+gap-free; finite values in native units. Output files: ``crps.csv`` and
+``mae.csv`` (one row per scheme/method, per-level columns coarse to fine
+plus the mean), ``cv_weights.csv``, ``origin_scores.csv`` (tidy per-origin
+per-level scores), ``diagnostics.csv`` (per-origin coherence violations),
+and ``manifest.txt``. Every run whose configuration validates rewrites all
+six with the rows it finished; a failed run also writes ``failure.txt``
+naming the error, which the next successful run removes.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Every package error maps to one of them by its family
@@ -94,7 +96,7 @@ from .errors import (
     SimkitError,
     TemporecError,
 )
-from .hierarchy import HierarchySpec, build_hierarchy, build_summing_matrix
+from .hierarchy import build_hierarchy, build_summing_matrix
 from .reconcile import (
     check_coherence,
     fixed_weights,
@@ -103,7 +105,7 @@ from .reconcile import (
     wls_weights,
 )
 from .sampling import SCHEMES
-from .scoring import assemble_origins, score_hierarchy
+from .scoring import ScoreTable, assemble_origins, score_hierarchy
 from .simkit import SyntheticScenario, build_dataset, dataset_from_series
 
 __all__ = [
@@ -358,163 +360,145 @@ def _parse_timestamp(raw: str, path: str, lineno: int) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-def _build_weight_matrix(label: str, h: HierarchySpec, cv_for_scheme: dict):
-    if label in FIXED_METHOD_TOKENS:
-        if label == "wls":
-            return wls_weights(h)
-        return fixed_weights(label.upper(), h)
-    return weights_from_levels(cv_for_scheme[label].v, h)
-
-
 def run_experiment(cfg: RunConfig):
     """Run the full pipeline and write all artifacts under ``cfg.out``.
 
-    Returns the list of CRPS report rows (the MAE rows are written to disk
-    alongside). On an unexpected failure the rows finished so far are still
-    flushed, together with a ``failure.txt`` naming the error.
+    Returns the CRPS report rows, the no-reconciliation baseline first (the
+    MAE rows are written to disk alongside). Every run that passes
+    validation rewrites all six report files with the rows it finished; a
+    run that fails after that also writes a ``failure.txt`` naming the error.
     """
     cfg.validate()
     h = build_hierarchy(cfg.frequencies)
+    S = build_summing_matrix(h)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    if cfg.synthetic or not cfg.data:
-        scn = SyntheticScenario(
-            phi=cfg.phi,
-            sigma=cfg.sigma,
-            mu=cfg.mu,
-            cycle_length=h.cycle_length,
-            train_cycles=cfg.train_cycles,
-            val_cycles=cfg.val_cycles,
-            test_cycles=cfg.test_cycles,
-            seed=cfg.seed,
-            clip_at_zero=cfg.clip_at_zero,
-        )
-        dataset = build_dataset(scn, h, cfg.n_paths)
-    else:
-        bottom = ingest_csv(cfg.data)
-        dataset = dataset_from_series(
-            bottom, h, cfg.train_cycles, cfg.val_cycles, cfg.test_cycles,
-            cfg.n_paths, seed=cfg.seed,
-        )
-
-    S = build_summing_matrix(h)
     labels = cfg.method_labels()
-    cv_labels = [lab for lab in labels if lab.startswith("cv-")]
-
-    # weight selection sees only validation origins
     cv_results: dict[tuple[str, str], CvResult] = {}
-    for scheme in cfg.schemes:
-        for lab in cv_labels:
-            regime = lab.removeprefix("cv-")
-            cv_results[(scheme, lab)] = optimize_weights(
-                dataset.val_origins,
-                scheme,
-                regime,
-                h,
-                seed=cfg.seed,
-                n_starts=cfg.cv_starts,
-                maxiter=cfg.cv_maxiter or None,
-            )
-    _write_cv_weights(outdir / "cv_weights.csv", cv_results, h)
+    results: list[tuple[str, str, ScoreTable, ScoreTable]] = []  # scheme, method, CRPS, MAE
+    diagnostics: list[tuple[str, str, int, float]] = []
+    origins: tuple[int, ...] = ()
 
-    crps_rows: list[ReportRow] = []
-    mae_rows: list[ReportRow] = []
-    origin_rows: list[tuple] = []
-    diag_rows: list[tuple] = []
-
-    def add_rows(scheme: str, method: str, tensor: np.ndarray, actuals: np.ndarray):
+    def add_result(scheme: str, method: str, tensor: np.ndarray, actuals: np.ndarray):
         crps = score_hierarchy(tensor, actuals, h, metric="crps")
         mae = score_hierarchy(tensor, actuals, h, metric="mae")
-        crps_rows.append(ReportRow(scheme, method, crps.level_scores, crps.overall))
-        mae_rows.append(ReportRow(scheme, method, mae.level_scores, mae.overall))
-        for origin, oc, om in zip(dataset.test_origins, crps.origin_scores, mae.origin_scores):
-            for lev in range(h.L):
-                origin_rows.append(
-                    (scheme, method, origin.origin, f"{h.f[lev]}h", oc[lev], om[lev])
-                )
+        results.append((scheme, method, crps, mae))
 
     try:
+        if cfg.synthetic or not cfg.data:
+            scn = SyntheticScenario(
+                phi=cfg.phi,
+                sigma=cfg.sigma,
+                mu=cfg.mu,
+                cycle_length=h.cycle_length,
+                train_cycles=cfg.train_cycles,
+                val_cycles=cfg.val_cycles,
+                test_cycles=cfg.test_cycles,
+                seed=cfg.seed,
+                clip_at_zero=cfg.clip_at_zero,
+            )
+            dataset = build_dataset(scn, h, cfg.n_paths)
+        else:
+            bottom = ingest_csv(cfg.data)
+            dataset = dataset_from_series(
+                bottom, h, cfg.train_cycles, cfg.val_cycles, cfg.test_cycles,
+                cfg.n_paths, seed=cfg.seed,
+            )
+        origins = tuple(origin.origin for origin in dataset.test_origins)
+
+        # weight selection sees only validation origins
+        for scheme in cfg.schemes:
+            for regime in cfg.cv_regimes if "cv" in cfg.methods else ():
+                cv_results[(scheme, regime)] = optimize_weights(
+                    dataset.val_origins,
+                    scheme,
+                    regime,
+                    h,
+                    seed=cfg.seed,
+                    n_starts=cfg.cv_starts,
+                    maxiter=cfg.cv_maxiter or None,
+                )
+
         # no-reconciliation baseline: the raw stacked sample, scored directly
-        base_tensor, base_actuals = assemble_origins(dataset.test_origins, h, "stacked", seed=cfg.seed)
-        add_rows("none", "none", base_tensor, base_actuals)
+        base_tensor, base_actuals = assemble_origins(
+            dataset.test_origins, h, "stacked", seed=cfg.seed
+        )
+        add_result("none", "none", base_tensor, base_actuals)
 
         for scheme in cfg.schemes:
             tensor, actuals = assemble_origins(dataset.test_origins, h, scheme, seed=cfg.seed)
-            cv_for_scheme = {lab: res for (sch, lab), res in cv_results.items() if sch == scheme}
             for lab in labels:
-                reconciled = reconcile_tensor(_build_weight_matrix(lab, h, cv_for_scheme), tensor)
-                for idx, mat in enumerate(reconciled):
+                if lab == "wls":
+                    P = wls_weights(h)
+                elif lab in FIXED_METHOD_TOKENS:
+                    P = fixed_weights(lab.upper(), h)
+                else:
+                    P = weights_from_levels(cv_results[(scheme, lab.removeprefix("cv-"))].v, h)
+                reconciled = reconcile_tensor(P, tensor)
+                for origin, mat in zip(origins, reconciled):
                     ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
-                    diag_rows.append((scheme, lab, dataset.test_origins[idx].origin, violation))
+                    diagnostics.append((scheme, lab, origin, violation))
                     if not ok:
                         raise NumericalError(
                             f"reconciled sample violates coherence: scheme={scheme} "
-                            f"method={lab} origin={dataset.test_origins[idx].origin} "
+                            f"method={lab} origin={origin} "
                             f"violation={violation:.3e} tol={cfg.coherence_tol:.3e}"
                         )
-                add_rows(scheme, lab, reconciled, actuals)
+                add_result(scheme, lab, reconciled, actuals)
     except Exception as exc:
-        _flush_reports(outdir, h, crps_rows, mae_rows, origin_rows, diag_rows)
+        _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
         (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
 
-    _flush_reports(outdir, h, crps_rows, mae_rows, origin_rows, diag_rows)
-    _write_manifest(outdir / "manifest.txt", cfg)
+    _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
     (outdir / "failure.txt").unlink(missing_ok=True)
-    return crps_rows
+    return [
+        ReportRow(scheme, method, crps.level_scores, crps.overall)
+        for scheme, method, crps, _ in results
+    ]
 
 
-def _level_labels(h: HierarchySpec) -> list[str]:
-    return [f"{fl}h" for fl in h.f]
+def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, cv_results):
+    """Render the six report files of one run, each written atomically.
 
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="")
-    os.replace(tmp, path)
-
-
-def _format_report(rows: list[ReportRow], h: HierarchySpec) -> str:
-    lines = ["scheme,method," + ",".join(_level_labels(h)) + ",mean"]
-    for row in rows:
-        scores = ",".join(f"{s:.4f}" for s in row.level_scores)
-        lines.append(f"{row.scheme},{row.method},{scores},{row.overall:.4f}")
-    return "\n".join(lines) + "\n"
-
-
-def _flush_reports(outdir: Path, h, crps_rows, mae_rows, origin_rows, diag_rows) -> None:
-    _atomic_write(outdir / "crps.csv", _format_report(crps_rows, h))
-    _atomic_write(outdir / "mae.csv", _format_report(mae_rows, h))
-    lines = ["scheme,method,origin,level,crps,mae"]
-    for scheme, method, origin, level, crps, mae in origin_rows:
-        lines.append(f"{scheme},{method},{origin},{level},{crps:.4f},{mae:.4f}")
-    _atomic_write(outdir / "origin_scores.csv", "\n".join(lines) + "\n")
-    lines = ["scheme,method,origin,coherence_violation"]
-    for scheme, method, origin, violation in diag_rows:
-        lines.append(f"{scheme},{method},{origin},{violation:.3e}")
-    _atomic_write(outdir / "diagnostics.csv", "\n".join(lines) + "\n")
-
-
-def _write_cv_weights(path: Path, cv_results: dict, h: HierarchySpec) -> None:
-    lines = ["scheme,regime," + ",".join(_level_labels(h)) + ",sum,objective,iterations"]
-    for (scheme, lab), res in cv_results.items():
+    ``results`` holds (scheme, method, CRPS table, MAE table) records and
+    ``origins`` the test origin labels their per-origin scores belong to.
+    """
+    levels = [f"{fl}h" for fl in cfg.frequencies]
+    score_header = ",".join(["scheme", "method", *levels, "mean"])
+    reports = {
+        "crps.csv": [score_header],
+        "mae.csv": [score_header],
+        "origin_scores.csv": ["scheme,method,origin,level,crps,mae"],
+        "diagnostics.csv": ["scheme,method,origin,coherence_violation"],
+        "cv_weights.csv": [",".join(["scheme", "regime", *levels, "sum,objective,iterations"])],
+        "manifest.txt": [],
+    }
+    for scheme, method, crps, mae in results:
+        for name, table in (("crps.csv", crps), ("mae.csv", mae)):
+            scores = ",".join(f"{s:.4f}" for s in table.level_scores)
+            reports[name].append(f"{scheme},{method},{scores},{table.overall:.4f}")
+        for origin, oc, om in zip(origins, crps.origin_scores, mae.origin_scores):
+            for level, c, m in zip(levels, oc, om):
+                reports["origin_scores.csv"].append(
+                    f"{scheme},{method},{origin},{level},{c:.4f},{m:.4f}"
+                )
+    for scheme, method, origin, violation in diagnostics:
+        reports["diagnostics.csv"].append(f"{scheme},{method},{origin},{violation:.3e}")
+    for (scheme, regime), res in cv_results.items():
         weights = ",".join(f"{w:.4f}" for w in res.v)
-        lines.append(
-            f"{scheme},{res.regime},{weights},{res.v.sum():.4f},"
-            f"{res.objective:.6f},{res.iterations}"
+        reports["cv_weights.csv"].append(
+            f"{scheme},{regime},{weights},{res.v.sum():.4f},{res.objective:.6f},{res.iterations}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_manifest(path: Path, cfg: RunConfig) -> None:
-    lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+        reports["manifest.txt"].append(f"{f.name} = {value}")
+    for name, lines in reports.items():
+        tmp = outdir / (name + ".tmp")
+        tmp.write_text("\n".join(lines) + "\n", newline="")
+        os.replace(tmp, outdir / name)
 
 
 def exit_code(exc: BaseException) -> int | None:
@@ -562,9 +546,8 @@ def main(argv=None) -> int:
         print(f"{EXIT_LABELS[code]}: {exc}", file=sys.stderr)
         return code
 
-    h = build_hierarchy(cfg.frequencies)
     print("CRPS (native units per level; lower is better)")
-    print(f"{'scheme':>10} {'method':>12} " + " ".join(f"{lab:>8}" for lab in _level_labels(h)) + f" {'mean':>8}")
+    print(f"{'scheme':>10} {'method':>12} " + " ".join(f"{fl:>7}h" for fl in cfg.frequencies) + f" {'mean':>8}")
     for row in rows:
         scores = " ".join(f"{s:8.4f}" for s in row.level_scores)
         print(f"{row.scheme:>10} {row.method:>12} {scores} {row.overall:8.4f}")

@@ -15,6 +15,7 @@ levels top to bottom, nodes left to right within a level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +58,8 @@ class HierarchySpec:
         L: number of levels.
         M: total number of nodes, sum over levels of f_1/f_l.
         m: number of bottom-level nodes, equal to the cycle length f_1.
+        node_windows: f_l of each node's level in enumeration order (length
+            M, read-only): the per-node factor from common to native units.
     """
 
     f: tuple[int, ...]
@@ -76,6 +79,12 @@ class HierarchySpec:
     @property
     def cycle_length(self) -> int:
         return self.f[0]
+
+    @cached_property
+    def node_windows(self) -> np.ndarray:
+        windows = np.repeat(np.array(self.f, dtype=float), [self.f[0] // fl for fl in self.f])
+        windows.setflags(write=False)
+        return windows
 
     def nodes_at(self, level: int) -> int:
         """Number of nodes at a level (1-based)."""

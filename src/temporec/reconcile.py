@@ -119,9 +119,7 @@ def wls_weights(h: HierarchySpec) -> WeightMatrix:
     ordinary least squares on the rescaled data. Satisfies P @ S = I.
     """
     S = build_summing_matrix(h).entries
-    w_inv = np.concatenate(
-        [np.full(h.nodes_at(lev), 1.0 / h.f[lev - 1] ** 2) for lev in range(1, h.L + 1)]
-    )
+    w_inv = 1.0 / h.node_windows**2
     # Solve (S' W^-1 S) P = S' W^-1 via Cholesky rather than inverting.
     gram = (S.T * w_inv) @ S
     rhs = S.T * w_inv

@@ -96,7 +96,10 @@ class JointSample:
 @dataclass(frozen=True)
 class OriginData:
     """Everything one forecast origin contributes to evaluation: the
-    per-level base samples and the realized node values in common units."""
+    per-level base samples and the realized node values in common units.
+    ``origin`` labels it (its cycle index); the permuted scheme keys the
+    row permutations on it, so origins assembled together need distinct
+    labels."""
 
     levels: tuple[LevelSample, ...]
     actual: np.ndarray

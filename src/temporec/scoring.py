@@ -9,13 +9,15 @@ computed in O(N log N) by sorting (the double sum of a sorted vector
 telescopes into a weighted single sum). Scores for a hierarchy are averaged
 per node over forecast origins, then per level over nodes, then over levels;
 that triple average is both the reported table layout and the objective the
-cross-validated weights minimize. Evaluation tables rescale each node back
-to its level's native units first; the cross-validation criterion stays in
-common units, where the realizations it scores against live.
+cross-validated weights minimize. Evaluation tables report each node in its
+level's native units, its common-unit score times the window f_l; the
+cross-validation criterion stays in common units, where the realizations it
+scores against live.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,12 +82,6 @@ def _crps_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return term1 - term2
 
 
-def _native_scale(h: HierarchySpec) -> np.ndarray:
-    return np.concatenate(
-        [np.full(h.nodes_at(lev), float(h.f[lev - 1])) for lev in range(1, h.L + 1)]
-    )
-
-
 def _node_scores(
     tensor: np.ndarray,
     actuals: np.ndarray,
@@ -96,20 +92,19 @@ def _node_scores(
     """Per-origin node scores, shape (T, M).
 
     ``tensor`` holds one M x N sample per origin, shape (T, M, N);
-    ``actuals`` the realized common-unit node values, shape (T, M).
+    ``actuals`` the realized common-unit node values, shape (T, M). Both
+    metrics are positively homogeneous, score(c x, c z) = c score(x, z), so
+    native units are the common-unit scores times each node's window f_l.
     """
-    if units == "native":
-        scale = _native_scale(h)
-        tensor = tensor * scale[None, :, None]
-        actuals = actuals * scale[None, :]
-    elif units != "common":
+    if units not in ("native", "common"):
         raise ScoringError(f"units must be 'native' or 'common', got {units!r}")
-
     if metric == "crps":
-        return _crps_rows(tensor, actuals)
-    if metric == "mae":
-        return np.abs(np.median(tensor, axis=-1) - actuals)
-    raise ScoringError(f"metric must be 'crps' or 'mae', got {metric!r}")
+        scores = _crps_rows(tensor, actuals)
+    elif metric == "mae":
+        scores = np.abs(np.median(tensor, axis=-1) - actuals)
+    else:
+        raise ScoringError(f"metric must be 'crps' or 'mae', got {metric!r}")
+    return scores * h.node_windows if units == "native" else scores
 
 
 def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -138,9 +133,9 @@ def score_hierarchy(
         h: the hierarchy.
         metric: ``"crps"`` for the ensemble score, ``"mae"`` for the
             absolute error of the ensemble median.
-        units: ``"native"`` rescales each node to its level's own units
-            before scoring (the reporting convention); ``"common"`` scores
-            the bottom-level-unit values directly.
+        units: ``"native"`` reports each node in its level's own units,
+            its score times the window f_l (the reporting convention);
+            ``"common"`` scores the bottom-level-unit values directly.
 
     Raises:
         AlignmentError: origin counts or shapes do not line up.
@@ -189,22 +184,29 @@ def assemble_origins(
 
     Returns the (T, M, N) tensor of joint samples and the (T, M) matrix of
     common-unit actuals. For the permuted scheme each origin shuffles under
-    its own substream derived from (seed, origin position), so the output
-    is deterministic and independent of any weights applied afterwards.
+    its own substream derived from (seed, ``origin.origin``), so its rows
+    depend neither on its position in the list nor on other origins, and
+    validation and test origins (different cycles) never share a
+    permutation; a label that repeats raises ``AlignmentError``.
     """
-    joints = []
-    actuals = []
-    for idx, origin in enumerate(origins):
-        joint = assemble(origin.levels, h, scheme, seed=_origin_seed(seed, idx))
-        joints.append(joint.matrix)
-        actuals.append(origin.actual)
-    if not joints:
+    if not origins:
         raise AlignmentError("no validation origins supplied")
-    return np.stack(joints), np.stack(actuals)
+    if scheme == "permuted":
+        repeated = [label for label, n in Counter(o.origin for o in origins).items() if n > 1]
+        if repeated:
+            raise AlignmentError(
+                f"origin label {repeated[0]} appears more than once; the permuted "
+                "scheme needs a distinct label per origin"
+            )
+    joints = [
+        assemble(origin.levels, h, scheme, seed=_origin_seed(seed, origin.origin)).matrix
+        for origin in origins
+    ]
+    return np.stack(joints), np.stack([origin.actual for origin in origins])
 
 
-def _origin_seed(base: int, idx: int) -> int:
-    return int(np.random.SeedSequence([base % 2**64, idx]).generate_state(1)[0])
+def _origin_seed(base: int, label: int) -> int:
+    return int(np.random.SeedSequence([base % 2**64, label % 2**64]).generate_state(1)[0])
 
 
 def cv_criterion(

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temporec import errors
+import temporec
+from temporec import cli, errors
 from temporec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -300,3 +305,67 @@ def test_main_negative_seed_exits_2(tmp_path, capfd):
     err = capfd.readouterr().err
     assert err.startswith("configuration error: seed must be at least 0")
     assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = Path(temporec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "temporec.cli", "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+
+
+REPORTS = ["crps.csv", "mae.csv", "origin_scores.csv", "diagnostics.csv", "cv_weights.csv",
+           "manifest.txt"]
+
+
+def test_failed_data_step_rewrites_stale_reports(tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_quick_config(out))
+    missing = tmp_path / "missing.csv"
+    cfg_file = tmp_path / "bad_data.cfg"
+    cfg_file.write_text(
+        f"data = {missing}\nfrequencies = 4,2,1\n"
+        "train_cycles = 12\nval_cycles = 2\ntest_cycles = 2\nn_paths = 8\n"
+    )
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == EXIT_DATA
+    failure = (out / "failure.txt").read_text()
+    assert failure.startswith("SchemaError: cannot open") and "missing.csv" in failure
+    # the previous run's reports are replaced by header-only ones
+    assert (out / "crps.csv").read_text() == "scheme,method,4h,2h,1h,mean\n"
+    for name in REPORTS[1:5]:
+        assert len((out / name).read_text().splitlines()) == 1, name
+    assert f"data = {missing}" in (out / "manifest.txt").read_text().splitlines()
+    # the next successful run clears the failure
+    run_experiment(_quick_config(out))
+    assert not (out / "failure.txt").exists()
+
+
+def test_mid_run_failure_keeps_finished_rows(tmp_path, monkeypatch):
+    real = cli.reconcile_tensor
+
+    def incoherent_for_la(P, tensor):
+        reconciled = real(P, tensor)
+        if P.method == "LA":
+            reconciled[:, 0, :] += 1.0
+        return reconciled
+
+    monkeypatch.setattr(cli, "reconcile_tensor", incoherent_for_la)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "frequencies = 4,2,1\nsynthetic = true\ntrain_cycles = 15\nval_cycles = 4\n"
+        "test_cycles = 4\nn_paths = 12\nschemes = stacked\nmethods = bu,la,wls\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == EXIT_NUMERIC
+    assert (out / "failure.txt").read_text().startswith("NumericalError: ")
+    assert "method=la" in (out / "failure.txt").read_text()
+    rows = [line.split(",")[:2] for line in (out / "crps.csv").read_text().splitlines()[1:]]
+    assert rows == [["none", "none"], ["stacked", "bu"]]
+    assert len((out / "mae.csv").read_text().splitlines()) == 3
+    # every bottom-up origin plus the first la origin, which failed the check
+    diagnostics = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in diagnostics] == ["bu"] * 4 + ["la"]
+    assert all((out / name).exists() for name in REPORTS)

@@ -124,6 +124,16 @@ def test_unit_conversion_examples(small_hierarchy):
     )
 
 
+def test_node_windows():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        h = random_hierarchy(rng)
+        assert h.node_windows.shape == (h.M,)
+        assert not h.node_windows.flags.writeable
+        for lev in range(1, h.L + 1):
+            np.testing.assert_array_equal(h.node_windows[h.level_slice(lev)], h.f[lev - 1])
+
+
 def test_unit_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(20):

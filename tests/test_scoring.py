@@ -6,6 +6,7 @@ from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import fixed_weights, reconcile
 from temporec.sampling import LevelSample, OriginData, assemble
 from temporec.scoring import (
+    assemble_origins,
     crps_sample,
     cv_objective,
     median_point,
@@ -121,6 +122,22 @@ def test_native_units_scale_levels():
     native = score_hierarchy(samples, actuals, h, units="native")
     assert native.level_scores[0] == pytest.approx(2 * common.level_scores[0], abs=1e-12)
     assert native.level_scores[1] == pytest.approx(common.level_scores[1], abs=1e-12)
+    # on random hierarchies both metrics equal scoring an explicitly rescaled sample
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        h = random_hierarchy(rng)
+        scale = np.concatenate(
+            [np.full(h.nodes_at(lev), float(h.f[lev - 1])) for lev in range(1, h.L + 1)]
+        )
+        tensor = rng.normal(size=(3, h.M, 8))
+        actuals = rng.normal(size=(3, h.M))
+        for metric in ("crps", "mae"):
+            native = score_hierarchy(tensor, actuals, h, metric=metric, units="native")
+            oracle = score_hierarchy(
+                tensor * scale[:, None], actuals * scale, h, metric=metric, units="common"
+            )
+            np.testing.assert_allclose(native.level_scores, oracle.level_scores, rtol=1e-12)
+            np.testing.assert_allclose(native.origin_scores, oracle.origin_scores, rtol=1e-12)
 
 
 def test_score_alignment_errors(small_hierarchy):
@@ -150,6 +167,36 @@ def _make_origins(h, rng, n_origins=3, n_paths=6):
             OriginData(levels=levels, actual=S.entries @ rng.normal(size=h.m), origin=t)
         )
     return origins
+
+
+def test_permuted_seed_keyed_on_origin_label(small_hierarchy):
+    # an origin's permutation does not depend on its position in the list
+    h = small_hierarchy
+    a, b = _make_origins(h, np.random.default_rng(41), n_origins=2, n_paths=8)
+    pair, _ = assemble_origins([a, b], h, "permuted", seed=5)
+    alone, _ = assemble_origins([b], h, "permuted", seed=5)
+    np.testing.assert_array_equal(pair[1], alone[0])
+
+
+def test_permuted_seed_differs_between_labels(small_hierarchy):
+    # validation and test origins at the same list position must not share rows
+    h = small_hierarchy
+    (a,) = _make_origins(h, np.random.default_rng(43), n_origins=1, n_paths=8)
+    relabelled = OriginData(levels=a.levels, actual=a.actual, origin=7)
+    first, _ = assemble_origins([a], h, "permuted", seed=5)
+    second, _ = assemble_origins([relabelled], h, "permuted", seed=5)
+    np.testing.assert_array_equal(np.sort(first, axis=-1), np.sort(second, axis=-1))
+    assert not np.array_equal(first, second)
+
+
+def test_permuted_rejects_repeated_origin_labels(small_hierarchy):
+    h = small_hierarchy
+    a, b = _make_origins(h, np.random.default_rng(47), n_origins=2, n_paths=8)
+    twin = OriginData(levels=b.levels, actual=b.actual, origin=a.origin)
+    with pytest.raises(AlignmentError, match=rf"origin label {a.origin} appears more than once"):
+        assemble_origins([a, twin], h, "permuted", seed=5)
+    # the other schemes draw no randomness, so labels need not be distinct
+    assemble_origins([a, twin], h, "ranked", seed=5)
 
 
 def test_cv_objective_zero_for_perfect_forecasts():
