@@ -9,11 +9,8 @@ from .hierarchy import (
     NodeId,
     SummingMatrix,
     aggregate,
-    aggregate_to_level,
     build_hierarchy,
     build_summing_matrix,
-    from_common_units,
-    to_common_units,
 )
 from .sampling import (
     SCHEMES,
@@ -63,8 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HierarchySpec", "NodeId", "SummingMatrix", "build_hierarchy",
-    "build_summing_matrix", "aggregate", "aggregate_to_level", "to_common_units",
-    "from_common_units",
+    "build_summing_matrix", "aggregate",
     "SCHEMES", "LevelSample", "JointSample", "OriginData", "stack", "rank",
     "permute", "assemble",
     "FIXED_METHODS", "WeightMatrix", "ReconciledSample", "CoherenceCheck",

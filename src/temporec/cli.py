@@ -4,8 +4,10 @@ A run ingests a bottom-level series (CSV) or simulates one, splits it into
 train/validation/test by whole cycles, fits one forecaster per level on the
 training window, selects cross-validated weights on the validation origins,
 then reconciles and scores every test origin for each requested scheme and
-method. Outputs are plain CSV files plus a manifest of the resolved
-configuration; identical configurations produce byte-identical files.
+method. Everything up to scoring is in common units (window means); the
+reported scores are in each level's native units (window sums). Outputs
+are plain CSV files plus a manifest of the resolved configuration;
+identical configurations produce byte-identical files.
 
 Configuration is a flat ``key = value`` text file ('#' starts a comment).
 Keys, with defaults:
@@ -60,8 +62,7 @@ failure. Every package error maps to one of them by its family
        synthetic scenario or training window that cannot be fitted, e.g.
        ``train_cycles = 1``)
     3  DataError (unreadable, malformed, non-finite, non-hourly-step,
-       gapped or too short CSV input), PartialCycle (a series that is not
-       whole cycles)
+       gapped or too short CSV input)
     4  NumericalError, SamplingError, ReconcileError, ScoringError, and
        LAPACK failures (``numpy.linalg.LinAlgError``)
 """
@@ -88,7 +89,6 @@ from .errors import (
     HierarchyError,
     NonMonotoneTimestamps,
     NumericalError,
-    PartialCycle,
     ReconcileError,
     SamplingError,
     SchemaError,
@@ -124,7 +124,6 @@ EXIT_CODES = {
     HierarchyError: EXIT_CONFIG,
     SimkitError: EXIT_CONFIG,
     DataError: EXIT_DATA,
-    PartialCycle: EXIT_DATA,
     NumericalError: EXIT_NUMERIC,
     SamplingError: EXIT_NUMERIC,
     ReconcileError: EXIT_NUMERIC,

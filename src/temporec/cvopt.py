@@ -6,7 +6,7 @@ of forecast origins. Three constraint regimes are supported and each is
 folded into an unconstrained search by reparameterization:
 
 * ``simplex`` - weights sum to one and are nonnegative; searched through a
-  softmax of L free variables.
+  softmax of L free variables (none when L = 1: the only weight is 1).
 * ``affine``  - weights sum to one; L-1 free variables with the last weight
   taking up the slack.
 * ``free``    - unconstrained.
@@ -83,14 +83,15 @@ class _Regime:
 
     def to_weights(self, u: np.ndarray) -> np.ndarray:
         if self.tag == "simplex":
-            return _softmax(u)
+            return _softmax(u) if len(u) else np.ones(1)
         if self.tag == "affine":
             return np.append(u, 1.0 - u.sum())
         return np.asarray(u, dtype=float)
 
     def from_weights(self, v: np.ndarray) -> np.ndarray:
         if self.tag == "simplex":
-            return np.log(np.clip(v, 1e-8, None))
+            # a single level has one feasible weight, so nothing to search
+            return np.log(np.clip(v, 1e-8, None)) if len(v) > 1 else np.empty(0)
         if self.tag == "affine":
             return np.asarray(v[:-1], dtype=float)
         return np.asarray(v, dtype=float)

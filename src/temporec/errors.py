@@ -10,7 +10,7 @@ class TemporecError(ValueError):
     """Base class for all package-specific errors."""
 
 
-# --- hierarchy construction and unit handling ---
+# --- hierarchy construction ---
 
 class HierarchyError(TemporecError):
     pass
@@ -26,10 +26,6 @@ class NonDivisor(HierarchyError):
 
 class MissingBottom(HierarchyError):
     """Frequency vector does not end at interval 1."""
-
-
-class PartialCycle(HierarchyError):
-    """Series length is not a whole number of cycles."""
 
 
 # --- joint-sample assembly ---

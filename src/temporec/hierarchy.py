@@ -1,4 +1,4 @@
-"""Temporal hierarchy structure, summing matrix, and unit conversions.
+"""Temporal hierarchy structure and the summing matrix.
 
 A hierarchy is described by a frequency vector ``f = (f_1, ..., f_L)`` giving
 the number of bottom periods covered by one node at each level, ordered
@@ -10,6 +10,12 @@ bottom level directly.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
+
+Every node value inside the package is in common (bottom-level) units: a
+level-l node holds the mean of the f_l bottom periods it covers, which is
+what ``aggregate`` computes. A level's native value (the window sum) is the
+common-unit value times f_l; ``HierarchySpec.node_windows`` holds that factor
+and is applied only when reports are scored.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingBottom, NonDivisor, NotDecreasing, PartialCycle
+from .errors import DimensionMismatch, MissingBottom, NonDivisor, NotDecreasing
 
 __all__ = [
     "HierarchySpec",
@@ -29,9 +35,6 @@ __all__ = [
     "build_hierarchy",
     "build_summing_matrix",
     "aggregate",
-    "aggregate_to_level",
-    "to_common_units",
-    "from_common_units",
 ]
 
 
@@ -204,37 +207,3 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
         windows = values.reshape(batch + (h.m // fl, fl, n))
         np.mean(windows, axis=-2, out=out[..., h.level_slice(level), :])
     return out
-
-
-def aggregate_to_level(bottom: np.ndarray, h: HierarchySpec, level: int) -> np.ndarray:
-    """Sum a bottom-level series over consecutive windows of one level.
-
-    Values stay in native units: the level-1 aggregate of a daily cycle of
-    hourly energy is the total energy for the day.
-
-    Raises:
-        PartialCycle: series length is not a whole number of cycles.
-    """
-    h._check_level(level)
-    values = np.asarray(bottom, dtype=float)
-    if values.ndim != 1:
-        raise PartialCycle("bottom series must be one-dimensional")
-    if values.size % h.cycle_length != 0:
-        raise PartialCycle(
-            f"series length {values.size} is not a multiple of the cycle "
-            f"length {h.cycle_length}"
-        )
-    fl = h.f[level - 1]
-    return values.reshape(-1, fl).sum(axis=1)
-
-
-def to_common_units(values: np.ndarray, h: HierarchySpec, level: int) -> np.ndarray:
-    """Rescale native level values to bottom-level units (divide by f_l)."""
-    h._check_level(level)
-    return np.asarray(values, dtype=float) / h.f[level - 1]
-
-
-def from_common_units(values: np.ndarray, h: HierarchySpec, level: int) -> np.ndarray:
-    """Rescale bottom-level units back to a level's native units."""
-    h._check_level(level)
-    return np.asarray(values, dtype=float) * h.f[level - 1]

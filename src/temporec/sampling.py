@@ -43,13 +43,11 @@ class LevelSample:
     """Sample paths for one hierarchy level at one forecast origin.
 
     ``matrix`` has one row per node of the level (f_1/f_l rows) and one
-    column per sample path, in common (bottom-level) units. ``origin``
-    labels the forecast origin (the cycle index the paths were issued from).
+    column per sample path, in common (bottom-level) units.
     """
 
     level: int
     matrix: np.ndarray
-    origin: int = 0
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -163,21 +161,18 @@ def rank(stacked: JointSample) -> JointSample:
 def permute(stacked: JointSample, seed: int) -> JointSample:
     """Shuffle each row of a stacked sample independently.
 
-    Rows are shuffled with the Philox 4x64 counter-based generator keyed by
-    ``(seed, row_index)``, so the result is reproducible across platforms
-    and independent of the order rows are processed in.
+    One Philox 4x64 counter-based generator keyed by ``seed`` shuffles every
+    row, so the result is reproducible across platforms.
     """
     _require_stacked(stacked, "permute")
     if seed is None:
         raise SamplingError("permute requires a seed")
-    out = np.empty_like(stacked.matrix)
-    n = stacked.n_paths
-    for i, row in enumerate(stacked.matrix):
-        key = np.array([seed % 2**64, i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[i] = row[gen.permutation(n)]
+    gen = np.random.Generator(np.random.Philox(key=seed % 2**64))
     return JointSample(
-        matrix=out, scheme="permuted", hierarchy=stacked.hierarchy, seed=seed
+        matrix=gen.permuted(stacked.matrix, axis=1),
+        scheme="permuted",
+        hierarchy=stacked.hierarchy,
+        seed=seed,
     )
 
 

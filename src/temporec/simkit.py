@@ -2,12 +2,18 @@
 
 The bottom-level truth is a stationary AR(1) path. Each hierarchy level is
 then modelled independently: an AR(1)-plus-intercept fit on the level's own
-(native-unit) training aggregate, with multi-step sample paths generated
-recursively and innovations drawn by bootstrapping the fit residuals. That
-keeps the within-level temporal dependence of the paths while making no
+training aggregate, with multi-step sample paths generated recursively and
+innovations drawn by bootstrapping the fit residuals. That keeps the
+within-level temporal dependence of the paths while making no
 distributional assumption, and it gives the reconciliation layer the same
 shape of input a production forecasting model would: one (f_1/f_l) x N
 matrix per level per forecast origin.
+
+Levels are fitted and simulated in common units (window means, the values
+``aggregate`` gives), not in native window sums. The least-squares fit and
+the residual bootstrap are scale-equivariant: dividing a series by f_l
+leaves phi unchanged and divides the intercept and the residuals by f_l,
+so the paths equal native-unit paths divided by f_l up to rounding.
 
 Forecast origins advance one whole cycle at a time and model parameters are
 fitted once, on the training window only.
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SimkitError, TooShort
-from .hierarchy import HierarchySpec, aggregate, aggregate_to_level
+from .hierarchy import HierarchySpec, aggregate
 from .sampling import LevelSample, OriginData
 
 __all__ = [
@@ -76,14 +82,9 @@ class SyntheticScenario:
 
 @dataclass(frozen=True)
 class LevelForecaster:
-    """AR(1)+intercept fit for one level, with its residual pool.
-
-    ``window`` is the level's sampling interval in bottom periods, kept so
-    sampled paths can be converted to common units.
-    """
+    """AR(1)+intercept fit for one level, with its residual pool."""
 
     level: int
-    window: int
     phi: float
     intercept: float
     residuals: np.ndarray
@@ -121,7 +122,7 @@ def simulate_truth(scn: SyntheticScenario) -> np.ndarray:
     return out
 
 
-def fit_level(series: np.ndarray, level: int, h: HierarchySpec) -> LevelForecaster:
+def fit_level(series: np.ndarray, level: int) -> LevelForecaster:
     """Least-squares AR(1)+intercept fit on one level's training series.
 
     Falls back to an intercept-only model (phi = 0) when the series is
@@ -139,17 +140,10 @@ def fit_level(series: np.ndarray, level: int, h: HierarchySpec) -> LevelForecast
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 2:
         mean = float(values.mean())
-        return LevelForecaster(
-            level=level,
-            window=h.f[level - 1],
-            phi=0.0,
-            intercept=mean,
-            residuals=values - mean,
-        )
+        return LevelForecaster(level=level, phi=0.0, intercept=mean, residuals=values - mean)
     intercept, phi = coef
     return LevelForecaster(
         level=level,
-        window=h.f[level - 1],
         phi=float(phi),
         intercept=float(intercept),
         residuals=target - design @ coef,
@@ -162,14 +156,12 @@ def sample_paths(
     horizon: int,
     n_paths: int,
     seed,
-    origin: int = 0,
 ) -> LevelSample:
     """Generate recursive multi-step sample paths from one forecast origin.
 
     Innovations are drawn by residual bootstrap, so each column is one
     dependent path of the fitted recursion started at ``origin_state`` (the
-    last observed native-unit value at this level). The returned matrix is
-    in common units.
+    last observed value at this level), in the units of the fitted series.
     """
     if horizon < 1:
         raise SimkitError(f"horizon must be at least 1, got {horizon}")
@@ -182,7 +174,7 @@ def sample_paths(
     for t in range(horizon):
         prev = fc.intercept + fc.phi * prev + draws[t]
         paths[t] = prev
-    return LevelSample(level=fc.level, matrix=paths / fc.window, origin=origin)
+    return LevelSample(level=fc.level, matrix=paths)
 
 
 @dataclass(frozen=True)
@@ -216,6 +208,10 @@ def dataset_from_series(
     validation origins, the following ``test_cycles`` are test origins.
     Per-origin sample paths use independent substreams of ``seed``, so a
     given origin's samples do not depend on how many origins follow it.
+
+    One ``aggregate`` call turns the cycles into an (M, cycles) table of
+    common-unit node values; each level's training series, each origin's
+    starting state and the actuals are read from it.
     """
     values = np.asarray(bottom, dtype=float).ravel()
     f1 = h.cycle_length
@@ -227,24 +223,21 @@ def dataset_from_series(
         )
     values = values[: total * f1]
 
-    train = values[: train_cycles * f1]
+    nodes = aggregate(values.reshape(total, f1).T, h)
+    # a level's series runs through its nodes cycle by cycle
     forecasters = tuple(
-        fit_level(aggregate_to_level(train, h, lev), lev, h) for lev in range(1, h.L + 1)
+        fit_level(nodes[h.level_slice(lev), :train_cycles].T.ravel(), lev)
+        for lev in range(1, h.L + 1)
     )
-    # native-unit series per level over the full span, for origin states
-    level_series = [aggregate_to_level(values, h, lev) for lev in range(1, h.L + 1)]
 
     def make_origin(cycle: int) -> OriginData:
         samples = []
         for fc in forecasters:
-            nodes = h.nodes_at(fc.level)
-            state = level_series[fc.level - 1][cycle * nodes - 1]
+            rows = h.level_slice(fc.level)
+            state = nodes[rows.stop - 1, cycle - 1]  # the level's last node one cycle back
             path_seed = np.random.SeedSequence([seed % 2**64, cycle, fc.level])
-            samples.append(
-                sample_paths(fc, state, nodes, n_paths, path_seed, origin=cycle)
-            )
-        actual = aggregate(values[cycle * f1 : (cycle + 1) * f1, None], h)[:, 0]
-        return OriginData(levels=tuple(samples), actual=actual, origin=cycle)
+            samples.append(sample_paths(fc, state, h.nodes_at(fc.level), n_paths, path_seed))
+        return OriginData(levels=tuple(samples), actual=nodes[:, cycle], origin=cycle)
 
     val_origins = tuple(
         make_origin(c) for c in range(train_cycles, train_cycles + val_cycles)

@@ -285,7 +285,6 @@ def test_every_package_error_has_an_exit_code():
         assert exit_code(cls("x")) in (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), cls.__name__
     assert exit_code(errors.TooShort("x")) == EXIT_CONFIG
     assert exit_code(errors.GapError("x")) == EXIT_DATA
-    assert exit_code(errors.PartialCycle("x")) == EXIT_DATA
     assert exit_code(errors.NonFinite("x")) == EXIT_NUMERIC
     assert exit_code(errors.MissingLevel("x")) == EXIT_NUMERIC
     assert exit_code(errors.TemporecError("x")) is None

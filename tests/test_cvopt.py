@@ -19,11 +19,10 @@ def bottom_only_instance(n_origins=6, n_paths=40, seed=100):
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
         actual = S.entries @ bottom_truth
-        top = LevelSample(level=1, matrix=rng.normal(5.0, 3.0, size=(1, n_paths)), origin=t)
+        top = LevelSample(level=1, matrix=rng.normal(5.0, 3.0, size=(1, n_paths)))
         bot = LevelSample(
             level=2,
             matrix=bottom_truth[:, None] + rng.normal(0, 0.1, size=(2, n_paths)),
-            origin=t,
         )
         origins.append(OriginData(levels=(top, bot), actual=actual, origin=t))
     return h, origins
@@ -38,13 +37,10 @@ def balanced_instance(n_origins=8, n_paths=50, seed=200):
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
         actual = S.entries @ bottom_truth
-        top = LevelSample(
-            level=1, matrix=actual[0] + rng.normal(0, 0.4, size=(1, n_paths)), origin=t
-        )
+        top = LevelSample(level=1, matrix=actual[0] + rng.normal(0, 0.4, size=(1, n_paths)))
         bot = LevelSample(
             level=2,
             matrix=bottom_truth[:, None] + rng.normal(0, 0.8, size=(2, n_paths)),
-            origin=t,
         )
         origins.append(OriginData(levels=(top, bot), actual=actual, origin=t))
     return h, origins
@@ -148,8 +144,9 @@ def test_single_level_hierarchy():
             res = optimize_weights(origins, "stacked", regime, h, seed=0)
             assert res.v.shape == (1,)
             assert res.v[0] == pytest.approx(1.0, abs=1e-8)
-    # affine leaves nothing to search: the start is returned as converged
-    assert res.iterations == 0
+            # one feasible weight leaves nothing to search: the start is
+            # returned as converged
+            assert res.iterations == 0
 
 
 def test_node_weights_toy():

@@ -6,16 +6,8 @@ from temporec.errors import (
     MissingBottom,
     NonDivisor,
     NotDecreasing,
-    PartialCycle,
 )
-from temporec.hierarchy import (
-    aggregate,
-    aggregate_to_level,
-    build_hierarchy,
-    build_summing_matrix,
-    from_common_units,
-    to_common_units,
-)
+from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 
 from conftest import random_hierarchy
 
@@ -104,24 +96,13 @@ def test_row_sums_are_one():
 
 
 def test_aggregate_examples(small_hierarchy):
-    bottom = [1.0, 2.0, 3.0, 4.0]
-    np.testing.assert_array_equal(aggregate_to_level(bottom, small_hierarchy, 1), [10.0])
-    np.testing.assert_array_equal(aggregate_to_level(bottom, small_hierarchy, 2), [3.0, 7.0])
-    np.testing.assert_array_equal(aggregate_to_level(bottom, small_hierarchy, 3), bottom)
-
-
-def test_aggregate_partial_cycle(small_hierarchy):
-    with pytest.raises(PartialCycle):
-        aggregate_to_level([1.0, 2.0, 3.0], small_hierarchy, 1)
-
-
-def test_unit_conversion_examples(small_hierarchy):
     # (1/4) * 10 and (1/2) * (3, 7), worked by hand
-    np.testing.assert_allclose(to_common_units([10.0], small_hierarchy, 1), [2.5])
-    np.testing.assert_allclose(to_common_units([3.0, 7.0], small_hierarchy, 2), [1.5, 3.5])
-    np.testing.assert_array_equal(
-        to_common_units([1.0, 2.0], small_hierarchy, 3), [1.0, 2.0]
-    )
+    h = small_hierarchy
+    bottom = np.array([1.0, 2.0, 3.0, 4.0])
+    nodes = aggregate(bottom[:, None], h)[:, 0]
+    np.testing.assert_array_equal(nodes[h.level_slice(1)], [2.5])
+    np.testing.assert_array_equal(nodes[h.level_slice(2)], [1.5, 3.5])
+    np.testing.assert_array_equal(nodes[h.level_slice(3)], bottom)
 
 
 def test_node_windows():
@@ -134,27 +115,19 @@ def test_node_windows():
             np.testing.assert_array_equal(h.node_windows[h.level_slice(lev)], h.f[lev - 1])
 
 
-def test_unit_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        h = random_hierarchy(rng)
-        for lev in range(1, h.L + 1):
-            native = rng.normal(size=h.nodes_at(lev)) * 10
-            back = from_common_units(to_common_units(native, h, lev), h, lev)
-            np.testing.assert_allclose(back, native, rtol=1e-12)
-
-
 def test_scaled_vector_matches_aggregation():
+    # common-unit node values times node_windows are the native window sums
     rng = np.random.default_rng(11)
     for _ in range(20):
         h = random_hierarchy(rng)
         S = build_summing_matrix(h)
         bottom = rng.normal(size=h.m)
-        y = S.entries @ bottom
+        native = (S.entries @ bottom) * h.node_windows
         for lev in range(1, h.L + 1):
-            native = from_common_units(y[h.level_slice(lev)], h, lev)
             np.testing.assert_allclose(
-                native, aggregate_to_level(bottom, h, lev), rtol=1e-10, atol=1e-12
+                native[h.level_slice(lev)],
+                bottom.reshape(-1, h.f[lev - 1]).sum(axis=1),
+                rtol=1e-10, atol=1e-12,
             )
 
 

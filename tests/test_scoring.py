@@ -159,7 +159,6 @@ def _make_origins(h, rng, n_origins=3, n_paths=6):
             LevelSample(
                 level=lev,
                 matrix=rng.normal(size=(h.nodes_at(lev), n_paths)),
-                origin=t,
             )
             for lev in range(1, h.L + 1)
         )
@@ -210,7 +209,6 @@ def test_cv_objective_zero_for_perfect_forecasts():
             LevelSample(
                 level=lev,
                 matrix=np.repeat(actual[h.level_slice(lev)][:, None], 4, axis=1),
-                origin=t,
             )
             for lev in range(1, h.L + 1)
         )

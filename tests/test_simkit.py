@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from temporec.errors import SimkitError, TooShort
-from temporec.hierarchy import aggregate_to_level, build_hierarchy
+from temporec.hierarchy import aggregate, build_hierarchy
 from temporec.simkit import (
     SyntheticScenario,
     build_dataset,
@@ -57,52 +57,45 @@ def test_scenario_validation():
 
 
 def test_fit_recovers_noiseless_decay():
-    h = build_hierarchy([1])
     phi, intercept = 0.8, 0.5
     series = np.empty(50)
     series[0] = 10.0  # away from the fixed point so the slope is identified
     for t in range(1, 50):
         series[t] = intercept + phi * series[t - 1]
-    fc = fit_level(series, 1, h)
+    fc = fit_level(series, 1)
     assert fc.phi == pytest.approx(phi, abs=1e-8)
     assert fc.intercept == pytest.approx(intercept, abs=1e-8)
 
 
 def test_fit_white_noise_phi_near_zero():
-    h = build_hierarchy([1])
     rng = np.random.default_rng(3)
-    fc = fit_level(rng.normal(size=10_000), 1, h)
+    fc = fit_level(rng.normal(size=10_000), 1)
     assert abs(fc.phi) <= 0.1
 
 
 def test_fit_constant_series_falls_back():
-    h = build_hierarchy([1])
-    fc = fit_level(np.full(20, 7.0), 1, h)
+    fc = fit_level(np.full(20, 7.0), 1)
     assert fc.phi == 0.0
     assert fc.intercept == 7.0
     np.testing.assert_array_equal(fc.residuals, np.zeros(20))
 
 
 def test_fit_too_short():
-    h = build_hierarchy([1])
     with pytest.raises(TooShort):
-        fit_level(np.arange(9.0), 1, h)
+        fit_level(np.arange(9.0), 1)
 
 
 def test_paths_degenerate_when_residuals_zero():
-    h = build_hierarchy([2, 1])
-    fc = fit_level(np.full(20, 4.0), 1, h)
+    fc = fit_level(np.full(20, 4.0), 1)
     ls = sample_paths(fc, origin_state=4.0, horizon=3, n_paths=5, seed=0)
-    # intercept-only model from a constant series reproduces the constant,
-    # rescaled to common units by the level's window of 2
-    np.testing.assert_allclose(ls.matrix, 2.0)
+    # intercept-only model from a constant series reproduces the constant
+    np.testing.assert_allclose(ls.matrix, 4.0)
     assert ls.level == 1
 
 
 def test_paths_shape_and_determinism():
-    h = build_hierarchy([2, 1])
     rng = np.random.default_rng(1)
-    fc = fit_level(rng.normal(size=100), 2, h)
+    fc = fit_level(rng.normal(size=100), 2)
     one = sample_paths(fc, 0.3, horizon=1, n_paths=6, seed=9)
     assert one.matrix.shape == (1, 6)
     again = sample_paths(fc, 0.3, horizon=1, n_paths=6, seed=9)
@@ -110,12 +103,11 @@ def test_paths_shape_and_determinism():
 
 
 def test_paths_one_step_mean():
-    h = build_hierarchy([1])
     rng = np.random.default_rng(8)
     series = simulate_truth(SyntheticScenario(phi=0.7, sigma=1.0, mu=0.5,
                                               cycle_length=100, train_cycles=8,
                                               val_cycles=1, test_cycles=1, seed=4))
-    fc = fit_level(series, 1, h)
+    fc = fit_level(series, 1)
     state = 2.0
     ls = sample_paths(fc, state, horizon=1, n_paths=10_000, seed=5)
     expected = fc.intercept + fc.phi * state
@@ -124,15 +116,25 @@ def test_paths_one_step_mean():
 
 
 def test_paths_lag_one_autocorrelation():
-    h = build_hierarchy([1])
     series = simulate_truth(SyntheticScenario(phi=0.7, sigma=1.0, mu=0.5,
                                               cycle_length=100, train_cycles=48,
                                               val_cycles=1, test_cycles=1, seed=6))
-    fc = fit_level(series, 1, h)
+    fc = fit_level(series, 1)
     ls = sample_paths(fc, series[-1], horizon=60, n_paths=1000, seed=7)
     x = ls.matrix[10:]  # drop the start-up transient
     rho = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
     assert abs(rho - fc.phi) <= 0.1
+
+
+def test_paths_scale_equivariant():
+    # fitting and sampling x / f gives the paths of x divided by f, so levels
+    # can be modelled in common units instead of native window sums
+    series = simulate_truth(SyntheticScenario(phi=0.6, sigma=1.0, mu=2.0, cycle_length=10,
+                                              train_cycles=8, val_cycles=1, test_cycles=1, seed=3))
+    native = sample_paths(fit_level(series, 1), series[-1], horizon=12, n_paths=50, seed=4)
+    for f in (2, 24, 288):
+        common = sample_paths(fit_level(series / f, 1), series[-1] / f, horizon=12, n_paths=50, seed=4)
+        np.testing.assert_allclose(common.matrix, native.matrix / f, rtol=1e-12)
 
 
 def test_dataset_consistency():
@@ -142,22 +144,19 @@ def test_dataset_consistency():
     ds = build_dataset(scn, h, n_paths=10)
     assert len(ds.val_origins) == 5
     assert len(ds.test_origins) == 5
-    # per-level training series is exactly the aggregate of the bottom truth
-    train = ds.bottom[: 20 * 4]
+    # each level is fitted on its common-unit node values, cycle by cycle
+    nodes = aggregate(ds.bottom[: 20 * 4].reshape(20, 4).T, h)
     for fc in ds.forecasters:
-        refit = fit_level(aggregate_to_level(train, h, fc.level), fc.level, h)
+        refit = fit_level(nodes[h.level_slice(fc.level)].T.ravel(), fc.level)
         assert refit.phi == fc.phi
         assert refit.intercept == fc.intercept
-    # actuals are the scaled node values of the origin's cycle
-    origin = ds.val_origins[0]
-    cycle = ds.bottom[origin.origin * 4 : (origin.origin + 1) * 4]
-    for lev in range(1, h.L + 1):
-        native = aggregate_to_level(cycle, h, lev)
-        np.testing.assert_allclose(
-            origin.actual[h.level_slice(lev)] * h.f[lev - 1], native, atol=1e-12
-        )
-    # level samples carry the right shapes, in common units
-    for ls in origin.levels:
+        np.testing.assert_array_equal(refit.residuals, fc.residuals)
+    # actuals are the common-unit node values of the origin's cycle
+    for origin in ds.val_origins + ds.test_origins:
+        cycle = ds.bottom[origin.origin * 4 : (origin.origin + 1) * 4]
+        np.testing.assert_array_equal(origin.actual, aggregate(cycle[:, None], h)[:, 0])
+    # level samples carry the right shapes
+    for ls in ds.val_origins[0].levels:
         assert ls.matrix.shape == (h.nodes_at(ls.level), 10)
 
 
