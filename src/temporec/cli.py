@@ -26,8 +26,8 @@ Keys, with defaults:
     schemes         = ranked              any of stacked,ranked,permuted
     methods         = bu,ba,ga,la,wls,cv  reconciliation methods
     cv_regimes      = simplex             any of simplex,affine,free
-    cv_starts       = 6                   optimizer starts (at least 1)
-    cv_maxiter      = 0                   iteration cap per start (0 = default)
+    cv_starts       = 6                   Nelder-Mead starts (at least 1)
+    cv_maxiter      = 0                   iteration / LP-solve cap (0 = default)
     seed            = 0                   nonnegative
     out             = temporec-out        output directory
     coherence_tol   = 1e-9                positive
@@ -35,6 +35,11 @@ Keys, with defaults:
 Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
 least 2, each cycle count at least 1 and cv_maxiter nonnegative. A value
 out of bounds is a configuration error that names the key.
+
+A search under ``simplex`` on sorted samples (the ``ranked`` scheme) is the
+certified cutting-plane search: cv_starts does not apply to it, and
+cv_maxiter caps its LP solves instead of the Nelder-Mead iterations of
+each start.
 
 Every key can also be set by an environment variable with the ``TEMPOREC_``
 prefix (e.g. ``TEMPOREC_SEED=7``); command-line flags win over environment
@@ -48,9 +53,11 @@ Input CSV schema: header ``timestamp,value``; ISO-8601 UTC timestamps at
 bottom-period (hourly) resolution, whole-hour steps, strictly increasing,
 gap-free; finite values in native units. Output files: ``crps.csv`` and
 ``mae.csv`` (one row per scheme/method, per-level columns coarse to fine
-plus the mean), ``cv_weights.csv``, ``origin_scores.csv`` (tidy per-origin
-per-level scores), ``diagnostics.csv`` (per-origin coherence violations),
-and ``manifest.txt``. Every run whose configuration validates rewrites all
+plus the mean), ``cv_weights.csv`` (weights, row sum, optimality ``gap``
+of a certified search or empty, objective, iterations),
+``origin_scores.csv`` (tidy per-origin per-level scores),
+``diagnostics.csv`` (per-origin coherence violations), and
+``manifest.txt``. Every run whose configuration validates rewrites all
 six with the rows it finished; a failed run also writes ``failure.txt``
 naming the error, which the next successful run removes.
 
@@ -470,7 +477,7 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
         "mae.csv": [score_header],
         "origin_scores.csv": ["scheme,method,origin,level,crps,mae"],
         "diagnostics.csv": ["scheme,method,origin,coherence_violation"],
-        "cv_weights.csv": [",".join(["scheme", "regime", *levels, "sum,objective,iterations"])],
+        "cv_weights.csv": [",".join(["scheme", "regime", *levels, "sum,gap,objective,iterations"])],
         "manifest.txt": [],
     }
     for scheme, method, crps, mae in results:
@@ -486,8 +493,10 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
         reports["diagnostics.csv"].append(f"{scheme},{method},{origin},{violation:.3e}")
     for (scheme, regime), res in cv_results.items():
         weights = ",".join(f"{w:.4f}" for w in res.v)
+        gap = "" if res.gap is None else f"{res.gap:.3e}"
         reports["cv_weights.csv"].append(
-            f"{scheme},{regime},{weights},{res.v.sum():.4f},{res.objective:.6f},{res.iterations}"
+            f"{scheme},{regime},{weights},{res.v.sum():.4f},{gap},{res.objective:.6f},"
+            f"{res.iterations}"
         )
     for f in fields(cfg):
         value = getattr(cfg, f.name)

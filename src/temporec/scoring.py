@@ -76,7 +76,8 @@ def _crps_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     n = x.shape[-1]
     xs = np.sort(x, axis=-1)
-    term1 = np.abs(x - z[..., None]).mean(axis=-1)
+    dev = x - z[..., None]
+    term1 = np.abs(dev, out=dev).mean(axis=-1)
     weights = 2.0 * np.arange(n) - n + 1.0
     term2 = (xs * weights).sum(axis=-1) / (n * n)
     return term1 - term2

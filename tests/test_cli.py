@@ -193,6 +193,22 @@ def test_cli_determinism(tmp_path):
     assert first == second
 
 
+def test_default_run_reports_certified_gap(tmp_path):
+    # the default configuration (ranked samples, simplex weights) takes the
+    # cutting-plane search, whose row carries its optimality gap
+    run_experiment(RunConfig(out=str(tmp_path / "run")))
+    header, row = (tmp_path / "run" / "cv_weights.csv").read_text().splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert (record["scheme"], record["regime"]) == ("ranked", "simplex")
+    assert 0.0 <= float(record["gap"]) <= 1e-7
+
+
+def test_nelder_mead_rows_leave_the_gap_empty(tmp_path):
+    run_experiment(_quick_config(tmp_path / "run", methods=("cv",), cv_regimes=("affine",)))
+    header, row = (tmp_path / "run" / "cv_weights.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["gap"] == ""
+
+
 def test_leakage_guard(tmp_path):
     # perturbing only the test period must leave the CV weights unchanged
     h_cycle = 4

@@ -2,12 +2,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from temporec.cvopt import optimize_node_weights, optimize_weights
+from temporec.cvopt import (
+    CUT_GAP,
+    _Regime,
+    _search,
+    _sorted_crps,
+    _start_vectors,
+    optimize_node_weights,
+    optimize_weights,
+)
 from temporec.errors import DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
+from temporec.reconcile import weights_from_levels
 from temporec.sampling import LevelSample, OriginData
-from temporec.scoring import cv_objective
+from temporec.scoring import assemble_origins, cv_criterion, cv_objective
+
+from conftest import random_hierarchy
 
 
 def bottom_only_instance(n_origins=6, n_paths=40, seed=100):
@@ -163,3 +176,83 @@ def test_node_weights_warn_when_capped():
     with pytest.warns(DidNotConverge, match="within 1 iterations"):
         res = optimize_node_weights(origins, "ranked", h, seed=0, maxiter=1)
     assert res.iterations == 6  # one iteration from each of the six starts
+
+
+def sorted_instance(seed: int):
+    """A random hierarchy with a (T, M, N) tensor of nondecreasing rows.
+
+    Paths are drawn on a coarse grid so that rows carry ties, and some
+    realizations coincide with a path.
+    """
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, max_cycle=12)
+    T, n = int(rng.integers(1, 4)), int(rng.integers(2, 12))
+    tensor = np.sort(rng.integers(-3, 4, size=(T, h.M, n)) * 0.5, axis=-1)
+    actuals = rng.integers(-3, 4, size=(T, h.M)) * 0.5 + rng.choice([0.0, 0.3], size=(T, h.M))
+    return h, tensor, actuals, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sorted_evaluator_equals_cv_criterion(seed):
+    h, tensor, actuals, rng = sorted_instance(seed)
+    evaluate = _sorted_crps(tensor, actuals, h)
+    for v in rng.dirichlet(np.ones(h.L), size=3):
+        value, _ = evaluate(v)
+        assert abs(value - cv_criterion(weights_from_levels(v, h), tensor, actuals, h)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sorted_evaluator_subgradient_inequality(seed):
+    h, tensor, actuals, rng = sorted_instance(seed)
+    evaluate = _sorted_crps(tensor, actuals, h)
+    points = list(rng.dirichlet(np.ones(h.L), size=4)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
+    for v in points:
+        fv, g = evaluate(v)
+        for u in points:
+            assert evaluate(u)[0] >= fv + g @ (u - v) - 1e-12
+
+
+def nelder_mead_simplex(origins, scheme, h, seed=0):
+    """Uncapped Nelder-Mead over the simplex, bypassing the certified path."""
+    tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
+    reg = _Regime("simplex")
+
+    def objective(u):
+        return cv_criterion(weights_from_levels(reg.to_weights(u), h), tensor, actuals, h)
+
+    _, best, _ = _search(objective, _start_vectors(h, reg, 6, seed), maxiter=100_000)
+    return best
+
+
+@pytest.mark.parametrize("instance", [bottom_only_instance, balanced_instance])
+def test_certified_objective_matches_uncapped_nelder_mead(instance):
+    h, origins = instance()
+    res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
+    assert res.gap is not None and res.gap <= CUT_GAP * max(1.0, abs(res.objective))
+    assert res.objective <= nelder_mead_simplex(origins, "ranked", h) + 1e-7
+
+
+def test_certified_path_needs_simplex_and_sorted_rows():
+    h, origins = balanced_instance()
+    assert optimize_weights(origins, "ranked", "simplex", h, seed=0).gap is not None
+    assert optimize_weights(origins, "ranked", "affine", h, seed=0).gap is None
+    assert optimize_weights(origins, "stacked", "simplex", h, seed=0).gap is None
+
+
+def test_certified_path_warns_when_capped():
+    h, origins = balanced_instance()
+    with pytest.warns(DidNotConverge, match="gap"):
+        res = optimize_weights(origins, "ranked", "simplex", h, seed=0, maxiter=1)
+    assert res.iterations == 1
+    assert res.gap > CUT_GAP * max(1.0, abs(res.objective))
+
+
+def test_simplex_start_weights_are_distinct(daily_hierarchy):
+    reg = _Regime("simplex")
+    weights = [reg.to_weights(u) for u in _start_vectors(daily_hierarchy, reg, 6, seed=0)]
+    assert len(weights) == 6
+    for i, a in enumerate(weights):
+        for b in weights[i + 1:]:
+            assert not np.allclose(a, b, atol=1e-6)

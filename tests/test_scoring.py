@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporec.errors import AlignmentError, EmptySample
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
@@ -40,6 +42,17 @@ def test_crps_matches_brute_force():
         sample = rng.normal(scale=rng.uniform(0.1, 5.0), size=n)
         z = rng.normal()
         assert abs(crps_sample(sample, z) - crps_brute_force(sample, z)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4) | st.floats(-1e3, 1e3), min_size=1, max_size=60),
+    st.integers(-4, 4) | st.floats(-1e3, 1e3),
+)
+def test_crps_matches_brute_force_with_ties(sample, z):
+    # small integers make tied paths, and paths tied with the realization
+    expected = crps_brute_force(sample, z)
+    assert abs(crps_sample(sample, z) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_crps_nonnegative_and_zero_iff_degenerate():
