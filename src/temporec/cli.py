@@ -26,15 +26,17 @@ Keys, with defaults:
     schemes         = ranked              any of stacked,ranked,permuted
     methods         = bu,ba,ga,la,wls,cv  reconciliation methods
     cv_regimes      = simplex             any of simplex,affine,free
-    cv_starts       = 6                   Nelder-Mead starts (at least 1)
+    cv_starts       = 6                   Nelder-Mead starts (at least 3)
     cv_maxiter      = 0                   iteration / LP-solve cap (0 = default)
     seed            = 0                   nonnegative
     out             = temporec-out        output directory
     coherence_tol   = 1e-9                positive
 
 Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
-least 2, each cycle count at least 1 and cv_maxiter nonnegative. A value
-out of bounds is a configuration error that names the key.
+least 2, each cycle count at least 1, cv_starts at least 3 (a search never
+runs fewer starts) and cv_maxiter nonnegative. A value out of bounds, or a
+token repeated in schemes, methods or cv_regimes, is a configuration error
+that names the key.
 
 A search under ``simplex`` on sorted samples (the ``ranked`` scheme) is the
 certified cutting-plane search: cv_starts does not apply to it, and
@@ -147,7 +149,7 @@ FIXED_METHOD_TOKENS = ("bu", "ba", "ga", "la", "wls")
 # Smallest accepted value of each bounded integer setting.
 MINIMA = {
     "n_paths": 2, "train_cycles": 1, "val_cycles": 1, "test_cycles": 1,
-    "cv_starts": 1, "cv_maxiter": 0, "seed": 0,
+    "cv_starts": 3, "cv_maxiter": 0, "seed": 0,
 }
 
 
@@ -190,6 +192,11 @@ class RunConfig:
         bad = [r for r in self.cv_regimes if r not in REGIMES]
         if bad:
             raise ConfigError(f"cv regimes must be drawn from {REGIMES}, got {self.cv_regimes}")
+        for name in ("schemes", "methods", "cv_regimes"):
+            tokens = getattr(self, name)
+            repeated = next((t for i, t in enumerate(tokens) if t in tokens[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"{name} lists {repeated!r} more than once")
         if "cv" in self.methods and not self.cv_regimes:
             raise ConfigError("method 'cv' requested but no cv_regimes configured")
         for name, kind in typing.get_type_hints(RunConfig).items():

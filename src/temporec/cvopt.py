@@ -12,12 +12,16 @@ folded into an unconstrained search by reparameterization:
 * ``free``    - unconstrained.
 
 A second layout, ``optimize_node_weights``, has one unconstrained weight
-per node. Both layouts run through one multi-start search (``_search``) with
-fixed tolerances (``XATOL`` on the point, ``FATOL`` on the objective). The
-empirical-CRPS objective is piecewise smooth and has no useful gradient in
-general, so each start runs a Nelder-Mead simplex search; starts always
-include the bottom-up and equal-weight vectors, whose objectives the
-returned point therefore never exceeds.
+per node. Every search evaluates its objective through one evaluator,
+``_criterion``, which takes one weight per node and builds no weight
+matrix; the public ``cv_criterion`` runs once per search, at the returned
+weights, for the reported objective. Both layouts run through one
+multi-start search (``_search``) with fixed tolerances (``XATOL`` on the
+point, ``FATOL`` on the objective). The empirical-CRPS objective is
+piecewise smooth and has no useful gradient in general, so each start runs
+a Nelder-Mead simplex search; starts always include the bottom-up and
+equal-weight vectors, whose objectives the returned point therefore never
+exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
@@ -114,8 +118,9 @@ class _Regime:
 def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
     """Search-space start points: bottom-up, equal weights, 1/M, then random.
 
-    Under ``simplex`` the 1/M vector is left out: the softmax maps it to the
-    equal-weight vector, so a random start takes its place.
+    ``max(n_starts, 3)`` points are returned. Under ``simplex`` the 1/M
+    vector is left out: the softmax maps it to the equal-weight vector, so
+    a random start takes its place.
     """
     L = h.L
     starts = [
@@ -180,17 +185,23 @@ def _search(
     return np.asarray(best_u, dtype=float), float(best_obj), total_iters
 
 
-def _sorted_crps(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
-    """Objective and subgradient in v of the criterion on sorted samples.
+def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
+    """The objective evaluator of every search, and whether the input rows are sorted.
 
-    Valid for v >= 0 when every row of ``joint_tensor`` is nondecreasing:
-    the reconciled rows are then nondecreasing too, so the energy-form
-    pair term is the linear form ``x @ rank`` and no sort is needed. The
-    reconciled bottom level ``sum_l v_l repeat(Y_l, f_l)`` is accumulated
-    into one (T, m, N) buffer through window views, so no per-level copy of
-    the sample is built.
+    ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
+    ``w[k]`` on node k in the rows of every bottom node it contains; the
+    per-level layout passes each level's weight repeated over its nodes.
+    The reconciled bottom level ``sum_k w_k repeat(Y_k, f_l)`` is
+    accumulated into one (T, m, N) buffer through window views, so neither
+    a weight matrix nor a per-level copy of the sample is built. The
+    energy-form pair term is ``x @ rank`` on sorted rows: when every input
+    row is nondecreasing and w >= 0 the reconciled rows are sorted already,
+    otherwise they are sorted first. ``evaluate(w, subgradient=True)`` also
+    returns a subgradient in the per-level weights, valid on the sort-free
+    branch, where the objective is convex and piecewise linear in them.
     """
     T, _, n = joint_tensor.shape
+    rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
     rank = (2.0 * np.arange(n) - n + 1.0) / (n * n)
     # each node's share of the level average: 1 / (L * nodes_at(l) * T)
     node_weight = h.node_windows / (h.L * h.m * T)
@@ -200,15 +211,19 @@ def _sorted_crps(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec
     def windows(fl: int) -> np.ndarray:
         return buffer.reshape(T, h.m // fl, fl, n)
 
-    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(w: np.ndarray, subgradient: bool = False):
         buffer.fill(0.0)
-        for vl, (fl, rows) in zip(v, levels):
+        for fl, rows in levels:
             window = windows(fl)
-            window += vl * joint_tensor[:, rows, None, :]
+            window += w[rows, None, None] * joint_tensor[:, rows, None, :]
         x = aggregate(buffer, h)
+        if not (rows_sorted and (w >= 0).all()):
+            x.sort(axis=-1)
         dev = x - actuals[..., None]
         crps = np.abs(dev).mean(axis=-1) - x @ rank
         value = float((crps * node_weight).sum())
+        if not subgradient:
+            return value
         # d crps / dx = sign(x - z) / N - rank, weighted per node
         np.sign(dev, out=dev)
         dev /= n
@@ -226,7 +241,7 @@ def _sorted_crps(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec
         ])
         return value, grad
 
-    return evaluate
+    return evaluate, rows_sorted
 
 
 def _cutting_planes(evaluate, L: int, maxiter: int | None):
@@ -307,9 +322,10 @@ def optimize_weights(
         regime: constraint regime, one of ``simplex``/``affine``/``free``.
         h: the hierarchy.
         seed: drives the random extra starts and the permuted scheme.
-        n_starts: total number of Nelder-Mead starts (always bottom-up and
-            equal weights, then a 1/M vector except under ``simplex``, then
-            random ones); unused by the cutting-plane search.
+        n_starts: total number of Nelder-Mead starts, at least 3 whatever
+            is passed (always bottom-up and equal weights, then a 1/M
+            vector except under ``simplex``, then random ones); unused by
+            the cutting-plane search.
         maxiter: Nelder-Mead iteration cap per start, or the cap on LP
             solves of the cutting-plane search; defaults to 80 per level
             (per search dimension for Nelder-Mead).
@@ -330,21 +346,22 @@ def optimize_weights(
     """
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     reg = _Regime(regime)
-    if reg.tag == "simplex" and h.L > 1 and (np.diff(joint_tensor, axis=-1) >= 0).all():
-        v, solves, gap = _cutting_planes(_sorted_crps(joint_tensor, actuals, h), h.L, maxiter)
-        objective = cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h)
-        return CvResult(v=v, objective=objective, iterations=solves,
-                        regime=regime, scheme=scheme, gap=gap)
-
-    def objective(u: np.ndarray) -> float:
-        return cv_criterion(weights_from_levels(reg.to_weights(u), h), joint_tensor, actuals, h)
-
-    starts = _start_vectors(h, reg, n_starts, seed)
-    u, obj, iterations = _search(objective, starts, maxiter)
-    # objective(u) evaluates through to_weights, so obj is exactly the
-    # criterion at the returned v
-    return CvResult(v=reg.to_weights(u), objective=obj, iterations=iterations,
-                    regime=regime, scheme=scheme)
+    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
+    nodes = h.m // np.array(h.f)  # nodes per level: the level layout repeats v_l over them
+    gap = None
+    if reg.tag == "simplex" and h.L > 1 and rows_sorted:
+        v, iterations, gap = _cutting_planes(
+            lambda v: evaluate(np.repeat(v, nodes), subgradient=True), h.L, maxiter
+        )
+    else:
+        u, _, iterations = _search(
+            lambda u: evaluate(np.repeat(reg.to_weights(u), nodes)),
+            _start_vectors(h, reg, n_starts, seed), maxiter,
+        )
+        v = reg.to_weights(u)
+    objective = cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h)
+    return CvResult(v=v, objective=objective, iterations=iterations,
+                    regime=regime, scheme=scheme, gap=gap)
 
 
 def optimize_node_weights(
@@ -359,7 +376,10 @@ def optimize_node_weights(
 
     The search space has M dimensions, so this is only practical for small
     hierarchies; the row-sum constraint regimes apply to the per-level form
-    and are not offered here. Raises and warns as ``optimize_weights``.
+    and are not offered here. ``n_starts`` is at least 3 whatever is passed
+    (bottom-up, 1/L and 1/M vectors, then random ones). ``objective`` is
+    ``cv_criterion`` at the returned weights. Raises and warns as
+    ``optimize_weights``.
     """
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     keys = [
@@ -367,16 +387,15 @@ def optimize_node_weights(
         for lev in range(1, h.L + 1)
         for pos in range(1, h.nodes_at(lev) + 1)
     ]
-
-    def objective(u: np.ndarray) -> float:
-        return cv_criterion(weights_from_nodes(dict(zip(keys, u)), h), joint_tensor, actuals, h)
-
     bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
     starts = [bu, np.full(h.M, 1.0 / h.L), np.full(h.M, 1.0 / h.M)]
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCFF]))
     while len(starts) < max(n_starts, 3):
         starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.M))
 
-    u, obj, iterations = _search(objective, starts, maxiter)
-    return NodeCvResult(weights=dict(zip(keys, u)), objective=obj,
+    evaluate, _ = _criterion(joint_tensor, actuals, h)
+    u, _, iterations = _search(evaluate, starts, maxiter)
+    weights = dict(zip(keys, u))
+    objective = cv_criterion(weights_from_nodes(weights, h), joint_tensor, actuals, h)
+    return NodeCvResult(weights=weights, objective=objective,
                         iterations=iterations, scheme=scheme)

@@ -100,14 +100,22 @@ def test_config_validation():
         RunConfig(frequencies=(4, 3, 1)).validate()
     # out-of-bounds run settings name their key
     for key, value in [
-        ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_maxiter", -3),
+        ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_starts", 2), ("cv_maxiter", -3),
         ("val_cycles", 0), ("coherence_tol", float("nan")), ("sigma", float("nan")),
         ("mu", float("inf")), ("phi", float("-inf")),
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
             RunConfig(**{key: value}).validate()
     # the bounds are inclusive
-    RunConfig(seed=0, cv_starts=1, cv_maxiter=0, n_paths=2, train_cycles=1).validate()
+    RunConfig(seed=0, cv_starts=3, cv_maxiter=0, n_paths=2, train_cycles=1).validate()
+    # a repeated token would duplicate report rows; the error names key and token
+    for key, value, token in [
+        ("schemes", ("ranked", "stacked", "ranked"), "ranked"),
+        ("methods", ("bu", "bu", "cv"), "bu"),
+        ("cv_regimes", ("simplex", "simplex"), "simplex"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{key} lists '{token}' more than once"):
+            RunConfig(**{key: value}).validate()
 
 
 def _quick_config(out, **kw):

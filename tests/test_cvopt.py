@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from temporec.cvopt import (
     CUT_GAP,
     _Regime,
+    _criterion,
     _search,
-    _sorted_crps,
     _start_vectors,
     optimize_node_weights,
     optimize_weights,
 )
 from temporec.errors import DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
-from temporec.reconcile import weights_from_levels
+from temporec.reconcile import weights_from_levels, weights_from_nodes
 from temporec.sampling import LevelSample, OriginData
 from temporec.scoring import assemble_origins, cv_criterion, cv_objective
 
@@ -75,12 +75,15 @@ def test_affine_feasibility():
 
 
 def test_objective_matches_recomputation():
+    # the reported objective is the public criterion at the returned weights
     h, origins = balanced_instance()
-    for regime in ("simplex", "affine", "free"):
-        res = optimize_weights(origins, "ranked", regime, h, seed=1)
-        assert cv_objective(res.v, "ranked", origins, h) == pytest.approx(
-            res.objective, abs=1e-10
-        )
+    for scheme in ("stacked", "ranked", "permuted"):
+        for regime in ("simplex", "affine", "free"):
+            res = optimize_weights(origins, scheme, regime, h, seed=1)
+            assert res.objective == cv_objective(res.v, scheme, origins, h, seed=1)
+        res = optimize_node_weights(origins, scheme, h, seed=1, maxiter=400)
+        tensor, actuals = assemble_origins(origins, h, scheme, seed=1)
+        assert res.objective == cv_criterion(weights_from_nodes(res.weights, h), tensor, actuals, h)
 
 
 def test_dominates_start_vectors():
@@ -178,35 +181,53 @@ def test_node_weights_warn_when_capped():
     assert res.iterations == 6  # one iteration from each of the six starts
 
 
-def sorted_instance(seed: int):
-    """A random hierarchy with a (T, M, N) tensor of nondecreasing rows.
+def criterion_instance(seed: int, sort: bool = True):
+    """A random hierarchy with a (T, M, N) sample tensor and realizations.
 
     Paths are drawn on a coarse grid so that rows carry ties, and some
-    realizations coincide with a path.
+    realizations coincide with a path. With ``sort`` every row is
+    nondecreasing, as the ranked scheme leaves it; without, the rows are in
+    draw order, as the stacked scheme leaves them.
     """
     rng = np.random.default_rng(seed)
     h = random_hierarchy(rng, max_cycle=12)
     T, n = int(rng.integers(1, 4)), int(rng.integers(2, 12))
-    tensor = np.sort(rng.integers(-3, 4, size=(T, h.M, n)) * 0.5, axis=-1)
+    tensor = rng.integers(-3, 4, size=(T, h.M, n)) * 0.5
+    if sort:
+        tensor = np.sort(tensor, axis=-1)
     actuals = rng.integers(-3, 4, size=(T, h.M)) * 0.5 + rng.choice([0.0, 0.3], size=(T, h.M))
     return h, tensor, actuals, rng
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_sorted_evaluator_equals_cv_criterion(seed):
-    h, tensor, actuals, rng = sorted_instance(seed)
-    evaluate = _sorted_crps(tensor, actuals, h)
-    for v in rng.dirichlet(np.ones(h.L), size=3):
-        value, _ = evaluate(v)
-        assert abs(value - cv_criterion(weights_from_levels(v, h), tensor, actuals, h)) <= 1e-12
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_sorted_evaluator_equals_cv_criterion(seed, sort):
+    h, tensor, actuals, rng = criterion_instance(seed, sort)
+    evaluate, _ = _criterion(tensor, actuals, h)
+    nodes = h.m // np.array(h.f)
+    # simplex points take the sort-free branch on sorted rows; signed level
+    # weights (affine and free regimes) and unsorted rows take the sort
+    level_weights = list(rng.dirichlet(np.ones(h.L), size=2)) + list(rng.normal(size=(2, h.L)))
+    for v in level_weights:
+        expected = cv_criterion(weights_from_levels(v, h), tensor, actuals, h)
+        assert abs(evaluate(np.repeat(v, nodes)) - expected) <= 1e-12
+    keys = [(lev, pos) for lev in range(1, h.L + 1) for pos in range(1, h.nodes_at(lev) + 1)]
+    for w in (rng.random(h.M), rng.normal(size=h.M)):
+        expected = cv_criterion(weights_from_nodes(dict(zip(keys, w)), h), tensor, actuals, h)
+        assert abs(evaluate(w) - expected) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sorted_evaluator_subgradient_inequality(seed):
-    h, tensor, actuals, rng = sorted_instance(seed)
-    evaluate = _sorted_crps(tensor, actuals, h)
+    h, tensor, actuals, rng = criterion_instance(seed)
+    criterion, rows_sorted = _criterion(tensor, actuals, h)
+    assert rows_sorted
+    nodes = h.m // np.array(h.f)
+
+    def evaluate(v):
+        return criterion(np.repeat(v, nodes), subgradient=True)
+
     points = list(rng.dirichlet(np.ones(h.L), size=4)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
     for v in points:
         fv, g = evaluate(v)
