@@ -385,7 +385,10 @@ def run_experiment(cfg: RunConfig):
     h = build_hierarchy(cfg.frequencies)
     S = build_summing_matrix(h)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory out = {cfg.out!r}: {exc}") from exc
     labels = cfg.method_labels()
     cv_results: dict[tuple[str, str], CvResult] = {}
     results: list[tuple[str, str, ScoreTable, ScoreTable]] = []  # scheme, method, CRPS, MAE

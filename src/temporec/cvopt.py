@@ -43,7 +43,7 @@ from scipy.optimize import linprog, minimize
 
 from .errors import DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec, aggregate
-from .reconcile import weights_from_levels, weights_from_nodes
+from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
 from .scoring import assemble_origins, cv_criterion
 
@@ -191,9 +191,8 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
     ``w[k]`` on node k in the rows of every bottom node it contains; the
     per-level layout passes each level's weight repeated over its nodes.
-    The reconciled bottom level ``sum_k w_k repeat(Y_k, f_l)`` is
-    accumulated into one (T, m, N) buffer through window views, so neither
-    a weight matrix nor a per-level copy of the sample is built. The
+    The lineage operator ``_add_lineage`` adds the reconciled bottom level
+    P_w @ Y into one (T, m, N) buffer, so no weight matrix is built. The
     energy-form pair term is ``x @ rank`` on sorted rows: when every input
     row is nondecreasing and w >= 0 the reconciled rows are sorted already,
     otherwise they are sorted first. ``evaluate(w, subgradient=True)`` also
@@ -206,17 +205,12 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     # each node's share of the level average: 1 / (L * nodes_at(l) * T)
     node_weight = h.node_windows / (h.L * h.m * T)
     levels = [(fl, h.level_slice(lev)) for lev, fl in enumerate(h.f, start=1)]
+    unit = np.ones(h.M)
     buffer = np.empty((T, h.m, n))
-
-    def windows(fl: int) -> np.ndarray:
-        return buffer.reshape(T, h.m // fl, fl, n)
 
     def evaluate(w: np.ndarray, subgradient: bool = False):
         buffer.fill(0.0)
-        for fl, rows in levels:
-            window = windows(fl)
-            window += w[rows, None, None] * joint_tensor[:, rows, None, :]
-        x = aggregate(buffer, h)
+        x = aggregate(_add_lineage(buffer, w, joint_tensor, h), h)
         if not (rows_sorted and (w >= 0).all()):
             x.sort(axis=-1)
         dev = x - actuals[..., None]
@@ -229,14 +223,13 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         dev /= n
         dev -= rank
         dev *= node_weight[:, None]
-        # adjoint of aggregate: every bottom row takes its level-l node's
-        # gradient divided by f_l; v_l then pairs Y_l with its window sums
+        # S^T d is the unit-weight lineage sum of d / f_l; v_l then pairs
+        # Y_l with its window sums
+        dev /= h.node_windows[:, None]
         buffer.fill(0.0)
-        for fl, rows in levels:
-            window = windows(fl)
-            window += dev[:, rows, None, :] / fl
+        back = _add_lineage(buffer, unit, dev, h)
         grad = np.array([
-            np.einsum("tkn,tkn->", windows(fl).sum(axis=2), joint_tensor[:, rows])
+            np.einsum("tkn,tkn->", back.reshape(T, -1, fl, n).sum(axis=2), joint_tensor[:, rows])
             for fl, rows in levels
         ])
         return value, grad

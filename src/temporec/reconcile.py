@@ -13,7 +13,8 @@ weight shared by all nodes of a level.
 For the averaging layouts (lineal and cross-validated) the "ancestor" of
 bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
-on overlapping hierarchies it is the containment generalization.
+on overlapping hierarchies it is the containment generalization. One
+operator, ``_add_lineage``, applies these layouts' weight matrices.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
     elif method == "GA":
         entries = np.full((m, M), 1.0 / M)
     elif method == "LA":
-        entries = _lineage_matrix(np.full((L, m), 1.0 / L), h)
+        entries = _add_lineage(np.zeros((m, M)), np.full(M, 1.0 / L), np.eye(M), h)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
     return WeightMatrix(entries=entries, method=method, hierarchy=h)
@@ -144,7 +145,8 @@ def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
         raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise LengthMismatch("level weights must be finite")
-    entries = _lineage_matrix(np.broadcast_to(vec[:, None], (h.L, h.m)), h)
+    per_node = np.repeat(vec, h.m // np.array(h.f))
+    entries = _add_lineage(np.zeros((h.m, h.M)), per_node, np.eye(h.M), h)
     return WeightMatrix(entries=entries, method="CVR", hierarchy=h)
 
 
@@ -167,24 +169,23 @@ def weights_from_nodes(v: Mapping[tuple[int, int], float], h: HierarchySpec) -> 
     per_node = np.array([v[key] for key in keys], dtype=float)
     if not np.isfinite(per_node).all():
         raise MissingWeight("node weights must be finite")
-    entries = _lineage_matrix(per_node[_ancestor_columns(h)], h)
+    entries = _add_lineage(np.zeros((h.m, h.M)), per_node, np.eye(h.M), h)
     return WeightMatrix(entries=entries, method="CV-full", hierarchy=h)
 
 
-def _ancestor_columns(h: HierarchySpec) -> np.ndarray:
-    """(L, m) flat column (0-based) of the level-l node containing bottom node r."""
-    bottom = np.arange(h.m)
-    return np.stack(
-        [h.level_offset(lev) + bottom // fl for lev, fl in enumerate(h.f, start=1)]
-    )
+def _add_lineage(out: np.ndarray, w: np.ndarray, values: np.ndarray, h: HierarchySpec):
+    """Add P_w @ values into the contiguous (..., m, N) ``out`` and return it.
 
-
-def _lineage_matrix(values: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """m x M matrix holding ``values[l, r]`` in row r at the column of bottom
-    node r's level-l ancestor, and zeros elsewhere."""
-    entries = np.zeros((h.m, h.M))
-    entries[np.arange(h.m), _ancestor_columns(h)] = values
-    return entries
+    P_w holds ``w[k]`` in the row of every bottom node that node k contains;
+    it is never formed: node k's row of ``values`` (..., M, N), times w[k],
+    is added to each row of its window in a view of ``out``.
+    """
+    batch, n = out.shape[:-2], out.shape[-1]
+    for lev, fl in enumerate(h.f, start=1):
+        rows = h.level_slice(lev)
+        windows = out.reshape(batch + (h.m // fl, fl, n))
+        windows += w[rows, None, None] * values[..., rows, None, :]
+    return out
 
 
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:

@@ -219,15 +219,14 @@ def cv_criterion(
     """Level-averaged CRPS of the reconciled samples in common units.
 
     Every origin's joint sample is projected through S @ P by
-    ``reconcile_tensor``, each node
-    scored against its realized value, node scores averaged over origins,
-    then over nodes within a level, then over levels. Origin averaging (in
+    ``reconcile_tensor`` and scored by ``score_hierarchy``: each node
+    against its realized value, node scores averaged over origins, then
+    over nodes within a level, then over levels. Origin averaging (in
     place of summing) is a monotone rescaling that keeps objective values
     comparable across validation lengths without moving the minimizer.
     """
     reconciled = reconcile_tensor(P, joint_tensor)
-    node_scores = _node_scores(reconciled, actuals, h, metric="crps", units="common")
-    return float(np.mean(_level_means(node_scores.mean(axis=0), h)))
+    return score_hierarchy(reconciled, actuals, h, units="common").overall
 
 
 def cv_objective(

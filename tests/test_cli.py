@@ -1,11 +1,14 @@
 import os
+import re
 import subprocess
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import temporec
 from temporec import cli, errors
@@ -244,7 +247,7 @@ def test_leakage_guard(tmp_path):
     assert crps_a != crps_b  # the perturbation did reach the evaluation
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     assert main(["--schemes", "bogus", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     cfg_file = tmp_path / "bad_data.cfg"
     cfg_file.write_text(
@@ -252,6 +255,12 @@ def test_main_exit_codes(tmp_path):
         "train_cycles = 12\nval_cycles = 2\ntest_cycles = 2\nn_paths = 8\n"
     )
     assert main(["--config", str(cfg_file), "--out", str(tmp_path / "y")]) == EXIT_DATA
+    # an out that cannot be a directory: an existing file, or a path below one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["--methods", "bu", "--out", str(out)]) == EXIT_CONFIG
+        assert f"out = {str(out)!r}" in capsys.readouterr().err
 
 
 def test_method_label_expansion():
@@ -279,6 +288,34 @@ def test_main_non_finite_data_exits_3_without_lapack_noise(tmp_path, capfd):
     err = capfd.readouterr().err
     assert "DLASCL" not in err
     assert "nan.csv:7:" in err
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=30),
+    st.lists(
+        st.sampled_from(["Z", timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                         timezone(timedelta(hours=-3))]),
+        min_size=30, max_size=30,
+    ),
+    st.data(),
+)
+def test_ingest_round_trip_and_dropped_hour(tmp_path_factory, values, forms, data):
+    t0 = datetime(2026, 3, 29, tzinfo=timezone.utc)
+    utc = [t0 + timedelta(hours=i) for i in range(len(values))]
+    stamps = [
+        t.strftime("%Y-%m-%dT%H:%M:%SZ") if form == "Z" else t.astimezone(form).isoformat()
+        for t, form in zip(utc, forms)
+    ]
+    folder = tmp_path_factory.mktemp("ingest")
+    series = ingest_csv(write_csv(folder / "all.csv", values, stamps=stamps))
+    assert series.tolist() == values
+    assert np.array_equal(np.signbit(series), np.signbit(values))
+    drop = data.draw(st.integers(1, len(values) - 2), label="dropped row")
+    gapped = write_csv(folder / "gap.csv", values[:drop] + values[drop + 1 :],
+                       stamps=stamps[:drop] + stamps[drop + 1 :])
+    with pytest.raises(GapError, match=f"missing periods: {re.escape(utc[drop].isoformat())}$"):
+        ingest_csv(gapped)
 
 
 @pytest.mark.parametrize(

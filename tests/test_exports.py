@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import temporec
 
@@ -14,3 +16,19 @@ def test_package_exports_equal_module_exports():
     assert sorted(temporec.__all__) == sorted(names)
     for name in temporec.__all__:
         assert hasattr(temporec, name), name
+
+
+def test_benchmark_tracer_names_are_bound():
+    # perfbench/runner.py replaces these module attributes with timing
+    # wrappers; a name an import refactor drops would fail only a traced run
+    runner = Path(__file__).resolve().parents[1] / "perfbench" / "runner.py"
+    tree = ast.parse(runner.read_text())
+    (wrapped,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    for module_name, names in ast.literal_eval(wrapped).items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporec.errors import DimensionMismatch, LengthMismatch, MissingWeight
-from temporec.hierarchy import build_hierarchy, build_summing_matrix
+from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
+    _add_lineage,
     check_coherence,
     fixed_weights,
     reconcile,
@@ -310,6 +313,28 @@ def test_lineage_weights_match_loop_reference(f):
     np.testing.assert_array_equal(
         weights_from_nodes(nodes, h).entries, _lineage_loop(lambda lev, pos: nodes[(lev, pos)], h)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lineage_operator_matches_matrix_and_its_transpose(seed):
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng)
+    T, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    w = rng.normal(size=h.M)  # signed per-node weights
+    Y = rng.normal(size=(T, h.M, N))
+    bottom = _add_lineage(np.zeros((T, h.m, N)), w, Y, h)
+    keys = [(lev, pos) for lev in range(1, h.L + 1) for pos in range(1, h.nodes_at(lev) + 1)]
+    P = weights_from_nodes(dict(zip(keys, w)), h)
+    np.testing.assert_allclose(bottom, np.matmul(P.entries, Y), rtol=0, atol=1e-12)
+    S = build_summing_matrix(h)
+    for sample in aggregate(bottom, h):
+        assert check_coherence(sample, S, tol=1e-12).ok
+    # S^T D through the operator: the unit-weight lineage sum of D / f_l
+    B = rng.normal(size=(T, h.m, N))
+    D = rng.normal(size=(T, h.M, N))
+    StD = _add_lineage(np.zeros((T, h.m, N)), np.ones(h.M), D / h.node_windows[:, None], h)
+    assert np.vdot(aggregate(B, h), D) == pytest.approx(np.vdot(B, StD), rel=1e-12, abs=1e-12)
 
 
 def test_reconcile_tensor_is_coherent_and_matches_dense():
