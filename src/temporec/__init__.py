@@ -6,7 +6,6 @@ imported here, so ``python -m temporec.cli`` runs it without a warning."""
 
 from .hierarchy import (
     HierarchySpec,
-    NodeId,
     SummingMatrix,
     aggregate,
     build_hierarchy,
@@ -59,7 +58,7 @@ from .simkit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HierarchySpec", "NodeId", "SummingMatrix", "build_hierarchy",
+    "HierarchySpec", "SummingMatrix", "build_hierarchy",
     "build_summing_matrix", "aggregate",
     "SCHEMES", "LevelSample", "JointSample", "OriginData", "stack", "rank",
     "permute", "assemble",

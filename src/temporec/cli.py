@@ -29,14 +29,15 @@ Keys, with defaults:
     cv_starts       = 6                   Nelder-Mead starts (at least 3)
     cv_maxiter      = 0                   iteration / LP-solve cap (0 = default)
     seed            = 0                   nonnegative
-    out             = temporec-out        output directory
+    out             = temporec-out        output directory; not empty
     coherence_tol   = 1e-9                positive
 
 Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
 least 2, each cycle count at least 1, cv_starts at least 3 (a search never
-runs fewer starts) and cv_maxiter nonnegative. A value out of bounds, or a
-token repeated in schemes, methods or cv_regimes, is a configuration error
-that names the key.
+runs fewer starts) and cv_maxiter nonnegative. An empty out (``out =`` or
+``TEMPOREC_OUT=``) would write the reports into the current directory, so
+it is rejected. A value out of bounds, or a token repeated in schemes,
+methods or cv_regimes, is a configuration error that names the key.
 
 A search under ``simplex`` on sorted samples (the ``ranked`` scheme) is the
 certified cutting-plane search: cv_starts does not apply to it, and
@@ -207,6 +208,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.coherence_tol <= 0:
             raise ConfigError("coherence_tol must be positive")
+        if not self.out:
+            raise ConfigError("out must be a directory path, got an empty value")
 
     def method_labels(self) -> tuple[str, ...]:
         labels = []
@@ -395,11 +398,6 @@ def run_experiment(cfg: RunConfig):
     diagnostics: list[tuple[str, str, int, float]] = []
     origins: tuple[int, ...] = ()
 
-    def add_result(scheme: str, method: str, tensor: np.ndarray, actuals: np.ndarray):
-        crps = score_hierarchy(tensor, actuals, h, metric="crps")
-        mae = score_hierarchy(tensor, actuals, h, metric="mae")
-        results.append((scheme, method, crps, mae))
-
     try:
         if cfg.synthetic or not cfg.data:
             scn = SyntheticScenario(
@@ -439,7 +437,7 @@ def run_experiment(cfg: RunConfig):
         base_tensor, base_actuals = assemble_origins(
             dataset.test_origins, h, "stacked", seed=cfg.seed
         )
-        add_result("none", "none", base_tensor, base_actuals)
+        results.append(("none", "none", *score_hierarchy(base_tensor, base_actuals, h)))
 
         for scheme in cfg.schemes:
             tensor, actuals = assemble_origins(dataset.test_origins, h, scheme, seed=cfg.seed)
@@ -460,7 +458,7 @@ def run_experiment(cfg: RunConfig):
                             f"method={lab} origin={origin} "
                             f"violation={violation:.3e} tol={cfg.coherence_tol:.3e}"
                         )
-                add_result(scheme, lab, reconciled, actuals)
+                results.append((scheme, lab, *score_hierarchy(reconciled, actuals, h)))
     except Exception as exc:
         _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
         (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")

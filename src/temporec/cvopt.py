@@ -45,7 +45,7 @@ from .errors import DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec, aggregate
 from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
-from .scoring import assemble_origins, cv_criterion
+from .scoring import _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
 __all__ = ["REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights"]
 
@@ -193,15 +193,16 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     per-level layout passes each level's weight repeated over its nodes.
     The lineage operator ``_add_lineage`` adds the reconciled bottom level
     P_w @ Y into one (T, m, N) buffer, so no weight matrix is built. The
-    energy-form pair term is ``x @ rank`` on sorted rows: when every input
-    row is nondecreasing and w >= 0 the reconciled rows are sorted already,
-    otherwise they are sorted first. ``evaluate(w, subgradient=True)`` also
-    returns a subgradient in the per-level weights, valid on the sort-free
-    branch, where the objective is convex and piecewise linear in them.
+    node CRPS comes from the scoring kernel ``_sorted_scores``, which takes
+    sorted rows: when every input row is nondecreasing and w >= 0 the
+    reconciled rows are sorted already, otherwise they are sorted in place
+    first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
+    the per-level weights, valid on the sort-free branch, where the
+    objective is convex and piecewise linear in them.
     """
     T, _, n = joint_tensor.shape
     rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
-    rank = (2.0 * np.arange(n) - n + 1.0) / (n * n)
+    rank = _rank_weights(n)
     # each node's share of the level average: 1 / (L * nodes_at(l) * T)
     node_weight = h.node_windows / (h.L * h.m * T)
     levels = [(fl, h.level_slice(lev)) for lev, fl in enumerate(h.f, start=1)]
@@ -213,13 +214,12 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         x = aggregate(_add_lineage(buffer, w, joint_tensor, h), h)
         if not (rows_sorted and (w >= 0).all()):
             x.sort(axis=-1)
-        dev = x - actuals[..., None]
-        crps = np.abs(dev).mean(axis=-1) - x @ rank
+        crps, _ = _sorted_scores(x, actuals)
         value = float((crps * node_weight).sum())
         if not subgradient:
             return value
         # d crps / dx = sign(x - z) / N - rank, weighted per node
-        np.sign(dev, out=dev)
+        dev = np.sign(x - actuals[..., None])
         dev /= n
         dev -= rank
         dev *= node_weight[:, None]

@@ -30,26 +30,11 @@ from .errors import DimensionMismatch, MissingBottom, NonDivisor, NotDecreasing
 
 __all__ = [
     "HierarchySpec",
-    "NodeId",
     "SummingMatrix",
     "build_hierarchy",
     "build_summing_matrix",
     "aggregate",
 ]
-
-
-@dataclass(frozen=True)
-class NodeId:
-    """Identifies one node both by (level, position) and by flat index.
-
-    ``level`` runs 1..L coarse to fine, ``position`` runs 1..(f_1/f_l) left
-    to right within the level, and ``flat`` runs 1..M over the whole
-    hierarchy in enumeration order.
-    """
-
-    level: int
-    position: int
-    flat: int
 
 
 @dataclass(frozen=True)
@@ -109,18 +94,6 @@ class HierarchySpec:
         if not 1 <= position <= self.nodes_at(level):
             raise IndexError(f"position {position} out of range at level {level}")
         return self.level_offset(level) + position
-
-    def node_id(self, flat: int) -> NodeId:
-        """Invert the flat enumeration back to (level, position)."""
-        if not 1 <= flat <= self.M:
-            raise IndexError(f"flat index {flat} out of range 1..{self.M}")
-        rest = flat - 1
-        for level, fl in enumerate(self.f, start=1):
-            count = self.f[0] // fl
-            if rest < count:
-                return NodeId(level=level, position=rest + 1, flat=flat)
-            rest -= count
-        raise AssertionError("unreachable")
 
     def ancestor_position(self, level: int, bottom: int) -> int:
         """Position of the level-``level`` node whose window contains bottom

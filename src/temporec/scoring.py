@@ -3,12 +3,18 @@
 The continuous ranked probability score of an ensemble {x_1..x_N} against a
 realization z is estimated in energy form,
 
-    (1/N) sum_i |x_i - z|  -  (1/(2N^2)) sum_i sum_j |x_i - x_j|,
+    (1/N) sum_i |x_i - z|  -  (1/(2N^2)) sum_i sum_j |x_i - x_j|.
 
-computed in O(N log N) by sorting (the double sum of a sorted vector
-telescopes into a weighted single sum). Scores for a hierarchy are averaged
-per node over forecast origins, then per level over nodes, then over levels;
-that triple average is both the reported table layout and the objective the
+On a row sorted ascending the double sum telescopes into the single sum
+``xs @ rank`` with ``rank_i = (2i - N + 1) / N^2``, and the median (the
+point forecast the MAE scores) is the middle order statistic, or the mean
+of the central pair for even N. One private kernel, ``_sorted_scores``,
+computes both from sorted rows, and every score in the package comes from
+it: ``score_hierarchy`` sorts its (T, M, N) stack once and returns the CRPS
+and MAE tables together, and the weight searches' evaluator calls it on
+rows that are sorted already. Scores for a hierarchy are averaged per node
+over forecast origins, then per level over nodes, then over levels; that
+triple average is both the reported table layout and the objective the
 cross-validated weights minimize. Evaluation tables report each node in its
 level's native units, its common-unit score times the window f_l; the
 cross-validation criterion stays in common units, where the realizations it
@@ -55,57 +61,43 @@ class ScoreTable:
 
 def crps_sample(sample, z: float) -> float:
     """CRPS of one ensemble against one realization (energy form)."""
-    x = np.asarray(sample, dtype=float).ravel()
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
     if x.size == 0:
         raise EmptySample("cannot score an empty sample")
-    return float(_crps_rows(x[None, :], np.array([float(z)]))[0])
+    crps, _ = _sorted_scores(x[None, :], np.array([float(z)]))
+    return float(crps[0])
 
 
 def median_point(sample) -> float:
     """Empirical median; for even sizes the mean of the central pair."""
-    x = np.asarray(sample, dtype=float).ravel()
+    x = np.sort(np.asarray(sample, dtype=float).ravel())
     if x.size == 0:
         raise EmptySample("cannot take the median of an empty sample")
-    return float(np.median(x))
+    # scored against its own middle value, the discarded CRPS stays finite
+    _, median = _sorted_scores(x[None, :], x[None, x.size // 2])
+    return float(median[0])
 
 
-def _crps_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized energy-form CRPS along the last axis.
+def _rank_weights(n: int) -> np.ndarray:
+    """Weights of the N order statistics in the pair term: (2i - N + 1) / N^2."""
+    return (2.0 * np.arange(n) - n + 1.0) / (n * n)
 
-    ``x`` has shape (..., N) and ``z`` shape (...,); returns shape (...,).
+
+def _sorted_scores(xs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energy-form CRPS and median of rows sorted ascending.
+
+    ``xs`` has shape (..., N), nondecreasing along the last axis, and ``z``
+    shape (...,); returns two arrays of shape (...,). The median equals
+    ``np.median`` bit for bit: the middle order statistic for odd N (read,
+    not averaged with itself), the mean of the central pair for even N,
+    and 0.0 where those are -0.0 (``np.median`` sums from +0.0).
     """
-    n = x.shape[-1]
-    xs = np.sort(x, axis=-1)
-    dev = x - z[..., None]
-    term1 = np.abs(dev, out=dev).mean(axis=-1)
-    weights = 2.0 * np.arange(n) - n + 1.0
-    term2 = (xs * weights).sum(axis=-1) / (n * n)
-    return term1 - term2
-
-
-def _node_scores(
-    tensor: np.ndarray,
-    actuals: np.ndarray,
-    h: HierarchySpec,
-    metric: str,
-    units: str,
-) -> np.ndarray:
-    """Per-origin node scores, shape (T, M).
-
-    ``tensor`` holds one M x N sample per origin, shape (T, M, N);
-    ``actuals`` the realized common-unit node values, shape (T, M). Both
-    metrics are positively homogeneous, score(c x, c z) = c score(x, z), so
-    native units are the common-unit scores times each node's window f_l.
-    """
-    if units not in ("native", "common"):
-        raise ScoringError(f"units must be 'native' or 'common', got {units!r}")
-    if metric == "crps":
-        scores = _crps_rows(tensor, actuals)
-    elif metric == "mae":
-        scores = np.abs(np.median(tensor, axis=-1) - actuals)
-    else:
-        raise ScoringError(f"metric must be 'crps' or 'mae', got {metric!r}")
-    return scores * h.node_windows if units == "native" else scores
+    n = xs.shape[-1]
+    dev = xs - z[..., None]
+    crps = np.abs(dev, out=dev).mean(axis=-1) - xs @ _rank_weights(n)
+    mid = n // 2
+    median = xs[..., mid] if n % 2 else (xs[..., mid - 1] + xs[..., mid]) / 2
+    return crps, median + 0.0
 
 
 def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -117,58 +109,65 @@ def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
 
 
 def score_hierarchy(
-    samples: Sequence,
-    actuals: Sequence[np.ndarray],
+    samples: np.ndarray,
+    actuals: np.ndarray,
     h: HierarchySpec,
-    metric: str = "crps",
     units: str = "native",
-) -> ScoreTable:
+) -> tuple[ScoreTable, ScoreTable]:
     """Score joint samples over forecast origins, level by level.
 
     Args:
-        samples: one M x N sample per origin - reconciled or raw; anything
-            with a ``matrix`` attribute or array-like - or a (T, M, N) array
-            holding them all, which is scored without a copy.
-        actuals: realized node values per origin, length-M vectors in
-            common units.
+        samples: one M x N sample per origin, reconciled or raw, as a
+            (T, M, N) array; each row is sorted once and gives both scores.
+        actuals: realized node values per origin, a (T, M) array in common
+            units.
         h: the hierarchy.
-        metric: ``"crps"`` for the ensemble score, ``"mae"`` for the
-            absolute error of the ensemble median.
         units: ``"native"`` reports each node in its level's own units,
             its score times the window f_l (the reporting convention);
             ``"common"`` scores the bottom-level-unit values directly.
 
+    Returns:
+        The CRPS table and the table of absolute errors of the ensemble
+        median (MAE), in that order.
+
     Raises:
-        AlignmentError: origin counts or shapes do not line up.
+        AlignmentError: the samples or actuals are ragged, or their origin
+            counts or shapes do not line up.
+        EmptySample: the samples have no paths.
 
-    The returned table also carries every origin's own level scores, equal
-    to scoring that origin alone.
+    Each table also carries every origin's own level scores, equal to
+    scoring that origin alone. Both scores are positively homogeneous,
+    score(c x, c z) = c score(x, z), so native units are the common-unit
+    node scores times each node's window f_l.
     """
-    if isinstance(samples, np.ndarray):
-        mats = np.asarray(samples, dtype=float)  # a (T, M, N) stack, scored in place
-    else:
-        mats = [np.asarray(getattr(s, "matrix", s), dtype=float) for s in samples]
-    acts = [np.asarray(a, dtype=float).ravel() for a in actuals]
-    if len(mats) != len(acts):
-        raise AlignmentError(f"{len(mats)} samples but {len(acts)} actual vectors")
-    if not len(mats):
+    if units not in ("native", "common"):
+        raise ScoringError(f"units must be 'native' or 'common', got {units!r}")
+    try:
+        tensor = np.asarray(samples, dtype=float)
+        acts = np.asarray(actuals, dtype=float)
+    except ValueError as exc:
+        raise AlignmentError(f"samples and actuals must be regular arrays: {exc}") from exc
+    if tensor.ndim != 3 or tensor.shape[1] != h.M:
+        raise AlignmentError(f"samples shape {tensor.shape} is not (T, {h.M}, N)")
+    if acts.shape != tensor.shape[:2]:
+        raise AlignmentError(f"actuals shape {acts.shape} is not {tensor.shape[:2]}")
+    if not len(tensor):
         raise AlignmentError("no forecast origins to score")
-    for mat, act in zip(mats, acts):
-        if mat.ndim != 2 or mat.shape[0] != h.M:
-            raise AlignmentError(f"sample shape {mat.shape} does not have {h.M} rows")
-        if act.shape != (h.M,):
-            raise AlignmentError(f"actuals shape {act.shape} is not ({h.M},)")
-    if len({mat.shape[1] for mat in mats}) != 1:
-        raise AlignmentError("origins disagree on the number of sample paths")
+    if not tensor.shape[2]:
+        raise EmptySample("cannot score samples without paths")
 
-    tensor = mats if isinstance(mats, np.ndarray) else np.stack(mats)
-    metric = metric.lower()
-    node_scores = _node_scores(tensor, np.stack(acts), h, metric, units)
+    crps, median = _sorted_scores(np.sort(tensor, axis=-1), acts)
+    factor = h.node_windows if units == "native" else 1.0
+    return _table(crps * factor, h, "CRPS"), _table(np.abs(median - acts) * factor, h, "MAE")
+
+
+def _table(node_scores: np.ndarray, h: HierarchySpec, metric: str) -> ScoreTable:
+    """Average (T, M) node scores over origins, nodes within a level, levels."""
     level_scores = tuple(float(s) for s in _level_means(node_scores.mean(axis=0), h))
     return ScoreTable(
         level_scores=level_scores,
         overall=float(np.mean(level_scores)),
-        metric=metric.upper(),
+        metric=metric,
         origin_scores=tuple(
             tuple(float(s) for s in row) for row in _level_means(node_scores, h)
         ),
@@ -225,8 +224,8 @@ def cv_criterion(
     place of summing) is a monotone rescaling that keeps objective values
     comparable across validation lengths without moving the minimizer.
     """
-    reconciled = reconcile_tensor(P, joint_tensor)
-    return score_hierarchy(reconciled, actuals, h, units="common").overall
+    crps, _ = score_hierarchy(reconcile_tensor(P, joint_tensor), actuals, h, units="common")
+    return crps.overall
 
 
 def cv_objective(

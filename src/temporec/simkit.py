@@ -261,7 +261,6 @@ def build_dataset(
     scn: SyntheticScenario,
     h: HierarchySpec,
     n_paths: int,
-    seed: int | None = None,
 ) -> Dataset:
     """Simulate a scenario's truth path and assemble the full dataset."""
     if h.cycle_length != scn.cycle_length:
@@ -276,5 +275,5 @@ def build_dataset(
         scn.val_cycles,
         scn.test_cycles,
         n_paths,
-        seed=scn.seed if seed is None else seed,
+        seed=scn.seed,
     )

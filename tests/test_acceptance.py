@@ -173,8 +173,8 @@ def test_cv_special_cases():
         for scheme in ("stacked", "ranked", "permuted"):
             tensor, actuals = assemble_origins(origins, h, scheme, seed=0)
             bu = fixed_weights("BU", h)
-            reconciled = [S.entries @ (bu.entries @ mat) for mat in tensor]
-            direct = score_hierarchy(reconciled, list(actuals), h, units="common")
+            reconciled = np.stack([S.entries @ (bu.entries @ mat) for mat in tensor])
+            direct, _ = score_hierarchy(reconciled, actuals, h, units="common")
             assert abs(cv_objective(bu_vec, scheme, origins, h) - direct.overall) <= 1e-10
 
         res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
@@ -213,10 +213,10 @@ def test_qualitative_replication():
                                maxiter=150)
         tensor, actuals = assemble_origins(ds.test_origins, h, "ranked", seed=2)
         reconciled = reconcile_tensor(weights_from_levels(res.v, h), tensor)
-        cv_table = score_hierarchy(reconciled, actuals, h, metric="crps")
+        cv_table, _ = score_hierarchy(reconciled, actuals, h)
 
         base_tensor, base_actuals = assemble_origins(ds.test_origins, h, "stacked", seed=2)
-        base_table = score_hierarchy(list(base_tensor), list(base_actuals), h, metric="crps")
+        base_table, _ = score_hierarchy(base_tensor, base_actuals, h)
 
         assert cv_table.overall < base_table.overall, (
             f"cv {cv_table.overall:.4f} vs baseline {base_table.overall:.4f}"

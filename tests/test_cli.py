@@ -105,7 +105,7 @@ def test_config_validation():
     for key, value in [
         ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_starts", 2), ("cv_maxiter", -3),
         ("val_cycles", 0), ("coherence_tol", float("nan")), ("sigma", float("nan")),
-        ("mu", float("inf")), ("phi", float("-inf")),
+        ("mu", float("inf")), ("phi", float("-inf")), ("out", ""),
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
             RunConfig(**{key: value}).validate()
@@ -204,6 +204,22 @@ def test_cli_determinism(tmp_path):
     assert first == second
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_golden_reports(tmp_path):
+    # a refactor with no intended numeric change leaves these reports byte
+    # for byte as checked in; diagnostics.csv (rounding noise) and
+    # manifest.txt (paths) are left out
+    run_experiment(_quick_config(
+        tmp_path / "run", test_cycles=3, schemes=("stacked", "ranked", "permuted"),
+        methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),
+        seed=5,
+    ))
+    for name in ("crps.csv", "mae.csv", "origin_scores.csv", "cv_weights.csv"):
+        assert (tmp_path / "run" / name).read_text() == (GOLDEN / name).read_text(), name
+
+
 def test_default_run_reports_certified_gap(tmp_path):
     # the default configuration (ranked samples, simplex weights) takes the
     # cutting-plane search, whose row carries its optimality gap
@@ -247,7 +263,7 @@ def test_leakage_guard(tmp_path):
     assert crps_a != crps_b  # the perturbation did reach the evaluation
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--schemes", "bogus", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     cfg_file = tmp_path / "bad_data.cfg"
     cfg_file.write_text(
@@ -261,6 +277,19 @@ def test_main_exit_codes(tmp_path, capsys):
     for out in (taken, taken / "sub"):
         assert main(["--methods", "bu", "--out", str(out)]) == EXIT_CONFIG
         assert f"out = {str(out)!r}" in capsys.readouterr().err
+    # an empty out, from the config file or the environment, would write the
+    # reports into the working directory and remove its failure.txt
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "failure.txt").write_text("kept\n")
+    monkeypatch.chdir(cwd)
+    (cwd / "empty_out.cfg").write_text("out =\n")
+    assert main(["--config", "empty_out.cfg", "--methods", "bu"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: out must be")
+    monkeypatch.setenv("TEMPOREC_OUT", "")
+    assert main(["--methods", "bu"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: out must be")
+    assert sorted(p.name for p in cwd.iterdir()) == ["empty_out.cfg", "failure.txt"]
 
 
 def test_method_label_expansion():

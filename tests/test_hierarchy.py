@@ -13,9 +13,15 @@ from conftest import random_hierarchy
 
 
 def test_counts_small(small_hierarchy):
-    assert small_hierarchy.L == 3
-    assert small_hierarchy.M == 7
-    assert small_hierarchy.m == 4
+    h = small_hierarchy
+    assert h.L == 3
+    assert h.M == 7
+    assert h.m == 4
+    # flat indices enumerate levels coarse to fine, nodes left to right
+    flat = [h.flat_index(lev, pos) for lev in (1, 2, 3) for pos in range(1, h.nodes_at(lev) + 1)]
+    assert flat == list(range(1, h.M + 1))
+    with pytest.raises(IndexError):
+        h.flat_index(1, h.nodes_at(1) + 1)
 
 
 def test_counts_daily(daily_hierarchy):
@@ -129,20 +135,6 @@ def test_scaled_vector_matches_aggregation():
                 bottom.reshape(-1, h.f[lev - 1]).sum(axis=1),
                 rtol=1e-10, atol=1e-12,
             )
-
-
-def test_node_id_bijection():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        h = random_hierarchy(rng)
-        for flat in range(1, h.M + 1):
-            node = h.node_id(flat)
-            assert node.flat == flat
-            assert h.flat_index(node.level, node.position) == flat
-        with pytest.raises(IndexError):
-            h.node_id(h.M + 1)
-        with pytest.raises(IndexError):
-            h.flat_index(1, h.nodes_at(1) + 1)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import fixed_weights, reconcile
 from temporec.sampling import LevelSample, OriginData, assemble
 from temporec.scoring import (
+    _sorted_scores,
     assemble_origins,
     crps_sample,
     cv_objective,
@@ -88,21 +89,29 @@ def test_median_examples():
     assert median_point([5.0]) == 5.0
     with pytest.raises(EmptySample):
         median_point([])
+    # median_point and the sorted-rows kernel equal np.median bit for bit,
+    # for odd and even N, with ties
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 4, 7, 10, 41, 200):
+        rows = rng.integers(-3, 4, size=(20, n)) * rng.normal(size=(20, 1))
+        _, median = _sorted_scores(np.sort(rows, axis=-1), np.zeros(20))
+        assert median.tobytes() == np.median(rows, axis=-1).tobytes()
+        for row in rows:
+            assert median_point(row) == np.median(row)
+    # the odd case reads the middle value: averaging it with itself overflows
+    top = np.finfo(float).max
+    huge = [top, np.nextafter(top, 0.0), top]
+    assert median_point(huge) == np.median(huge) == top
 
 
 def test_score_perfect_forecasts_zero(small_hierarchy):
     h = small_hierarchy
     S = build_summing_matrix(h)
     rng = np.random.default_rng(10)
-    samples, actuals = [], []
-    for _ in range(3):
-        bottom = rng.normal(size=h.m)
-        actual = S.entries @ bottom
-        samples.append(np.repeat(actual[:, None], 5, axis=1))
-        actuals.append(actual)
-    for metric in ("crps", "mae"):
-        table = score_hierarchy(samples, actuals, h, metric=metric)
-        assert table.metric == metric.upper()
+    actuals = np.stack([S.entries @ rng.normal(size=h.m) for _ in range(3)])
+    samples = np.repeat(actuals[..., None], 5, axis=-1)
+    for table, metric in zip(score_hierarchy(samples, actuals, h), ("CRPS", "MAE")):
+        assert table.metric == metric
         assert all(abs(s) <= 1e-12 for s in table.level_scores)
         assert abs(table.overall) <= 1e-12
 
@@ -110,7 +119,7 @@ def test_score_perfect_forecasts_zero(small_hierarchy):
 def test_score_single_node_fixture():
     # one node, one origin, sample {0, 1} against 0: CRPS table is 0.25
     h = build_hierarchy([1])
-    table = score_hierarchy([np.array([[0.0, 1.0]])], [np.array([0.0])], h, metric="crps")
+    table, _ = score_hierarchy(np.array([[[0.0, 1.0]]]), np.array([[0.0]]), h)
     assert table.level_scores == (0.25,)
     assert table.overall == 0.25
 
@@ -119,20 +128,20 @@ def test_overall_is_mean_of_levels():
     rng = np.random.default_rng(12)
     for _ in range(10):
         h = random_hierarchy(rng)
-        samples = [rng.normal(size=(h.M, 6)) for _ in range(2)]
-        actuals = [rng.normal(size=h.M) for _ in range(2)]
-        table = score_hierarchy(samples, actuals, h)
-        assert table.overall == pytest.approx(np.mean(table.level_scores), abs=1e-12)
-        assert len(table.level_scores) == h.L
+        samples = rng.normal(size=(2, h.M, 6))
+        actuals = rng.normal(size=(2, h.M))
+        for table in score_hierarchy(samples, actuals, h):
+            assert table.overall == pytest.approx(np.mean(table.level_scores), abs=1e-12)
+            assert len(table.level_scores) == h.L
 
 
 def test_native_units_scale_levels():
     # native scoring multiplies a level's CRPS by f_l relative to common
     h = build_hierarchy([2, 1])
-    samples = [np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])]
-    actuals = [np.zeros(3)]
-    common = score_hierarchy(samples, actuals, h, units="common")
-    native = score_hierarchy(samples, actuals, h, units="native")
+    samples = np.array([[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]])
+    actuals = np.zeros((1, 3))
+    common, _ = score_hierarchy(samples, actuals, h, units="common")
+    native, _ = score_hierarchy(samples, actuals, h, units="native")
     assert native.level_scores[0] == pytest.approx(2 * common.level_scores[0], abs=1e-12)
     assert native.level_scores[1] == pytest.approx(common.level_scores[1], abs=1e-12)
     # on random hierarchies both metrics equal scoring an explicitly rescaled sample
@@ -144,24 +153,31 @@ def test_native_units_scale_levels():
         )
         tensor = rng.normal(size=(3, h.M, 8))
         actuals = rng.normal(size=(3, h.M))
-        for metric in ("crps", "mae"):
-            native = score_hierarchy(tensor, actuals, h, metric=metric, units="native")
-            oracle = score_hierarchy(
-                tensor * scale[:, None], actuals * scale, h, metric=metric, units="common"
-            )
+        natives = score_hierarchy(tensor, actuals, h, units="native")
+        oracles = score_hierarchy(tensor * scale[:, None], actuals * scale, h, units="common")
+        for native, oracle in zip(natives, oracles):
             np.testing.assert_allclose(native.level_scores, oracle.level_scores, rtol=1e-12)
             np.testing.assert_allclose(native.origin_scores, oracle.origin_scores, rtol=1e-12)
 
 
 def test_score_alignment_errors(small_hierarchy):
     h = small_hierarchy
-    good = np.zeros((h.M, 4))
+    good = np.zeros((1, h.M, 4))
     with pytest.raises(AlignmentError):
-        score_hierarchy([good], [], h)
+        score_hierarchy(good, np.zeros((0, h.M)), h)
     with pytest.raises(AlignmentError):
-        score_hierarchy([np.zeros((3, 4))], [np.zeros(h.M)], h)
+        score_hierarchy(np.zeros((1, 3, 4)), np.zeros((1, h.M)), h)
     with pytest.raises(AlignmentError):
-        score_hierarchy([good], [np.zeros(2)], h)
+        score_hierarchy(good, np.zeros((1, 2)), h)
+    with pytest.raises(AlignmentError):
+        score_hierarchy(good[0], np.zeros(h.M), h)
+    with pytest.raises(AlignmentError, match="no forecast origins"):
+        score_hierarchy(np.zeros((0, h.M, 4)), np.zeros((0, h.M)), h)
+    # ragged: origins that disagree on the number of paths
+    with pytest.raises(AlignmentError):
+        score_hierarchy([good[0], np.zeros((h.M, 5))], np.zeros((2, h.M)), h)
+    with pytest.raises(EmptySample):
+        score_hierarchy(np.zeros((1, h.M, 0)), np.zeros((1, h.M)), h)
 
 
 def _make_origins(h, rng, n_origins=3, n_paths=6):
@@ -239,8 +255,8 @@ def test_cv_objective_bu_collapses_to_direct_scoring(small_hierarchy):
     S = build_summing_matrix(h)
     bu = fixed_weights("BU", h)
     for scheme in ("stacked", "ranked"):
-        recs = [reconcile(S, bu, assemble(o.levels, h, scheme)) for o in origins]
-        direct = score_hierarchy(recs, [o.actual for o in origins], h, units="common")
+        recs = np.stack([reconcile(S, bu, assemble(o.levels, h, scheme)).matrix for o in origins])
+        direct, _ = score_hierarchy(recs, np.stack([o.actual for o in origins]), h, units="common")
         v = np.zeros(h.L)
         v[-1] = 1.0
         assert cv_objective(v, scheme, origins, h) == pytest.approx(
@@ -284,13 +300,58 @@ def test_cv_objective_matches_naive_oracle():
 def test_origin_scores_equal_single_origin_scoring(metric, units):
     h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
     rng = np.random.default_rng(31)
-    tensor = rng.normal(size=(6, h.M, 41))
-    actuals = rng.normal(size=(6, h.M))
-    table = score_hierarchy(tensor, actuals, h, metric=metric, units=units)
-    assert len(table.origin_scores) == 6
-    for mat, act, row in zip(tensor, actuals, table.origin_scores):
-        alone = score_hierarchy([mat], [act], h, metric=metric, units=units)
-        assert row == alone.level_scores  # bit for bit
-        assert alone.origin_scores == (alone.level_scores,)
-    listed = score_hierarchy(list(tensor), list(actuals), h, metric=metric, units=units)
-    assert listed == table
+    pick = ("crps", "mae").index(metric)
+    factor = h.node_windows if units == "native" else 1.0
+    for n_paths in (41, 40):
+        tensor = rng.normal(size=(6, h.M, n_paths))
+        actuals = rng.normal(size=(6, h.M))
+        table = score_hierarchy(tensor, actuals, h, units=units)[pick]
+        assert len(table.origin_scores) == 6
+        for mat, act, row in zip(tensor, actuals, table.origin_scores):
+            alone = score_hierarchy(mat[None], act[None], h, units=units)[pick]
+            assert row == alone.level_scores  # bit for bit
+            assert alone.origin_scores == (alone.level_scores,)
+        listed = score_hierarchy(list(tensor), list(actuals), h, units=units)[pick]
+        assert listed == table
+        if metric == "mae":
+            # the MAE node scores are those of np.median, bit for bit
+            node = np.abs(np.median(tensor, axis=-1) - actuals) * factor
+            expected = np.stack(
+                [node[:, h.level_slice(lev)].mean(axis=-1) for lev in range(1, h.L + 1)],
+                axis=-1,
+            )
+            assert table.origin_scores == tuple(tuple(float(s) for s in r) for r in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_scores_invariant_across_schemes(seed):
+    # the three schemes reorder each node's paths and nothing else, so every
+    # row is a permutation of its stacked row and the scores are identical
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng, max_cycle=12)
+    n_paths = int(rng.integers(2, 16))
+
+    def level_values(rows):
+        # small integers make ties within a row; normals make rounding visible
+        ties = rng.integers(-2, 3, size=(rows, n_paths)).astype(float)
+        return np.where(rng.random((rows, n_paths)) < 0.4, ties, rng.normal(size=(rows, n_paths)))
+
+    origins = [
+        OriginData(
+            levels=tuple(
+                LevelSample(level=lev, matrix=level_values(h.nodes_at(lev)))
+                for lev in range(1, h.L + 1)
+            ),
+            actual=rng.normal(size=h.M),
+            origin=t,
+        )
+        for t in range(int(rng.integers(1, 4)))
+    ]
+    stacked, actuals = assemble_origins(origins, h, "stacked", seed=seed)
+    tables = score_hierarchy(stacked, actuals, h)
+    for scheme in ("ranked", "permuted"):
+        tensor, scheme_actuals = assemble_origins(origins, h, scheme, seed=seed)
+        np.testing.assert_array_equal(scheme_actuals, actuals)
+        np.testing.assert_array_equal(np.sort(tensor, axis=-1), np.sort(stacked, axis=-1))
+        assert score_hierarchy(tensor, actuals, h) == tables  # bit for bit
