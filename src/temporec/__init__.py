@@ -43,7 +43,7 @@ from .scoring import (
     median_point,
     score_hierarchy,
 )
-from .cvopt import REGIMES, CvResult, NodeCvResult, optimize_node_weights, optimize_weights
+from .cvopt import REGIMES, CvResult, optimize_node_weights, optimize_weights
 from .simkit import (
     Dataset,
     LevelForecaster,
@@ -67,7 +67,7 @@ __all__ = [
     "reconcile", "reconcile_tensor", "check_coherence",
     "ScoreTable", "crps_sample", "median_point", "score_hierarchy",
     "assemble_origins", "cv_criterion", "cv_objective",
-    "REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights",
+    "REGIMES", "CvResult", "optimize_weights", "optimize_node_weights",
     "SyntheticScenario", "LevelForecaster", "Dataset", "simulate_truth",
     "fit_level", "sample_paths", "build_dataset", "dataset_from_series",
     "__version__",

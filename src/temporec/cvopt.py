@@ -12,16 +12,18 @@ folded into an unconstrained search by reparameterization:
 * ``free``    - unconstrained.
 
 A second layout, ``optimize_node_weights``, has one unconstrained weight
-per node. Every search evaluates its objective through one evaluator,
-``_criterion``, which takes one weight per node and builds no weight
-matrix; the public ``cv_criterion`` runs once per search, at the returned
-weights, for the reported objective. Both layouts run through one
-multi-start search (``_search``) with fixed tolerances (``XATOL`` on the
-point, ``FATOL`` on the objective). The empirical-CRPS objective is
-piecewise smooth and has no useful gradient in general, so each start runs
-a Nelder-Mead simplex search; starts always include the bottom-up and
-equal-weight vectors, whose objectives the returned point therefore never
-exceeds.
+per node, an M-vector in the package's node order (levels coarse to fine,
+nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
+Every search evaluates its objective through one evaluator, ``_criterion``,
+which takes that M-vector and builds no weight matrix (the per-level layout
+repeats each level's weight over its nodes); the public ``cv_criterion``
+runs once per search, at the returned weights, for the reported objective.
+Both layouts run through one multi-start search (``_search``) with fixed
+tolerances (``XATOL`` on the point, ``FATOL`` on the objective). The
+empirical-CRPS objective is piecewise smooth and has no useful gradient in
+general, so each start runs a Nelder-Mead simplex search; starts always
+include the bottom-up and equal-weight vectors, whose objectives the
+returned point therefore never exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
@@ -47,7 +49,7 @@ from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
 from .scoring import _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
-__all__ = ["REGIMES", "CvResult", "NodeCvResult", "optimize_weights", "optimize_node_weights"]
+__all__ = ["REGIMES", "CvResult", "optimize_weights", "optimize_node_weights"]
 
 REGIMES = ("simplex", "affine", "free")
 XATOL = 1e-4  # Nelder-Mead tolerance on the search point
@@ -57,10 +59,12 @@ CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
 
 @dataclass(frozen=True)
 class CvResult:
-    """Optimized per-level weights and the objective they achieve.
+    """Optimized weights and the objective they achieve.
 
-    ``gap`` is the certified optimality gap (best objective minus the LP
-    lower bound) of a cutting-plane search, and None after Nelder-Mead.
+    ``v`` holds one weight per level (``optimize_weights``) or one per node
+    in node order (``optimize_node_weights``). ``gap`` is the certified
+    optimality gap (best objective minus the LP lower bound) of a
+    cutting-plane search, and None after Nelder-Mead.
     """
 
     v: np.ndarray
@@ -74,16 +78,6 @@ class CvResult:
         vec = np.asarray(self.v, dtype=float)
         vec.setflags(write=False)
         object.__setattr__(self, "v", vec)
-
-
-@dataclass(frozen=True)
-class NodeCvResult:
-    """Optimized per-node weights, keyed by (level, position)."""
-
-    weights: dict
-    objective: float
-    iterations: int
-    scheme: str
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:
@@ -364,22 +358,18 @@ def optimize_node_weights(
     seed: int = 0,
     n_starts: int = 6,
     maxiter: int | None = None,
-) -> NodeCvResult:
+) -> CvResult:
     """Minimize the validation CRPS over one weight per node (unconstrained).
 
     The search space has M dimensions, so this is only practical for small
     hierarchies; the row-sum constraint regimes apply to the per-level form
     and are not offered here. ``n_starts`` is at least 3 whatever is passed
-    (bottom-up, 1/L and 1/M vectors, then random ones). ``objective`` is
-    ``cv_criterion`` at the returned weights. Raises and warns as
-    ``optimize_weights``.
+    (bottom-up, 1/L and 1/M vectors, then random ones). The result's ``v``
+    is the M-vector of node weights in node order, its ``regime`` is
+    ``free`` and its ``gap`` None; ``objective`` is ``cv_criterion`` at
+    ``weights_from_nodes(v, h)``. Raises and warns as ``optimize_weights``.
     """
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    keys = [
-        (lev, pos)
-        for lev in range(1, h.L + 1)
-        for pos in range(1, h.nodes_at(lev) + 1)
-    ]
     bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
     starts = [bu, np.full(h.M, 1.0 / h.L), np.full(h.M, 1.0 / h.M)]
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCFF]))
@@ -387,8 +377,7 @@ def optimize_node_weights(
         starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.M))
 
     evaluate, _ = _criterion(joint_tensor, actuals, h)
-    u, _, iterations = _search(evaluate, starts, maxiter)
-    weights = dict(zip(keys, u))
-    objective = cv_criterion(weights_from_nodes(weights, h), joint_tensor, actuals, h)
-    return NodeCvResult(weights=weights, objective=objective,
-                        iterations=iterations, scheme=scheme)
+    w, _, iterations = _search(evaluate, starts, maxiter)
+    objective = cv_criterion(weights_from_nodes(w, h), joint_tensor, actuals, h)
+    return CvResult(v=w, objective=objective, iterations=iterations,
+                    regime="free", scheme=scheme)

@@ -53,11 +53,7 @@ class ReconcileError(TemporecError):
 
 
 class LengthMismatch(ReconcileError):
-    """Level-weight vector has the wrong length."""
-
-
-class MissingWeight(ReconcileError):
-    """Node-weight map lacks an entry for a required node."""
+    """Level- or node-weight vector has the wrong length or a non-finite entry."""
 
 
 class DimensionMismatch(ReconcileError):

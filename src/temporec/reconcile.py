@@ -7,20 +7,22 @@ product has one implementation, ``reconcile_tensor``: one matrix product
 P @ Y, then the window-mean aggregation that stands for S. Fixed
 methods (bottom-up, bottom average, global average, lineal average, weighted
 least squares) are built here alongside the two sparse data-driven layouts
-whose weights are chosen by cross-validation: one weight per node, or one
-weight shared by all nodes of a level.
+whose weights are chosen by cross-validation: one weight per node, an
+M-vector in the package's node order, or one weight shared by all nodes of
+a level, which is that vector with each level's weight repeated.
 
 For the averaging layouts (lineal and cross-validated) the "ancestor" of
 bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization. One
-operator, ``_add_lineage``, applies these layouts' weight matrices.
+operator, ``_add_lineage``, applies these layouts' weight matrices, and one
+builder, ``_lineage_weights``, forms the cross-validated ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +30,6 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     LengthMismatch,
-    MissingWeight,
     ReconcileError,
     SingularSystem,
 )
@@ -136,41 +137,42 @@ def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
     """Sparse combination with one shared weight per level.
 
     Row r carries ``v[l-1]`` in the column of the level-l node containing
-    bottom node r, for every level, and zeros elsewhere. The bottom-up and
-    lineal-average methods are the special cases v = (0, ..., 0, 1) and
-    v = (1/L, ..., 1/L).
+    bottom node r, for every level, and zeros elsewhere: the per-node
+    layout of ``weights_from_nodes`` with each level's weight repeated over
+    the level's nodes. The bottom-up and lineal-average methods are the
+    special cases v = (0, ..., 0, 1) and v = (1/L, ..., 1/L).
+
+    Raises:
+        LengthMismatch: ``v`` is not an L-vector of finite weights.
     """
     vec = np.asarray(v, dtype=float)
     if vec.shape != (h.L,):
         raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise LengthMismatch("level weights must be finite")
-    per_node = np.repeat(vec, h.m // np.array(h.f))
-    entries = _add_lineage(np.zeros((h.m, h.M)), per_node, np.eye(h.M), h)
-    return WeightMatrix(entries=entries, method="CVR", hierarchy=h)
+    return _lineage_weights(np.repeat(vec, h.m // np.array(h.f)), "CVR", h)
 
 
-def weights_from_nodes(v: Mapping[tuple[int, int], float], h: HierarchySpec) -> WeightMatrix:
+def weights_from_nodes(w, h: HierarchySpec) -> WeightMatrix:
     """Sparse combination with one weight per node.
 
-    ``v`` maps (level, position) - both 1-based - to the weight placed on
-    that node in the rows of every bottom node it contains. Every node in
-    the hierarchy needs a weight since every node covers some bottom node.
+    ``w`` is an M-vector in the package's node order (levels coarse to
+    fine, nodes left to right); ``w[k]`` is placed on node k in the row of
+    every bottom node it contains.
 
     Raises:
-        MissingWeight: a required (level, position) key is absent.
+        LengthMismatch: ``w`` is not an M-vector of finite weights.
     """
-    keys = [
-        (lev, pos) for lev in range(1, h.L + 1) for pos in range(1, h.nodes_at(lev) + 1)
-    ]
-    for lev, pos in keys:
-        if (lev, pos) not in v:
-            raise MissingWeight(f"no weight for node (level={lev}, position={pos})")
-    per_node = np.array([v[key] for key in keys], dtype=float)
-    if not np.isfinite(per_node).all():
-        raise MissingWeight("node weights must be finite")
-    entries = _add_lineage(np.zeros((h.m, h.M)), per_node, np.eye(h.M), h)
-    return WeightMatrix(entries=entries, method="CV-full", hierarchy=h)
+    return _lineage_weights(w, "CV-full", h)
+
+
+def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
+    """The lineage matrix P_w of an M-vector of node weights, built by ``_add_lineage``."""
+    vec = np.asarray(w, dtype=float)
+    if vec.shape != (h.M,):
+        raise LengthMismatch(f"need {h.M} node weights, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise LengthMismatch("weights must be finite")
+    entries = _add_lineage(np.zeros((h.m, h.M)), vec, np.eye(h.M), h)
+    return WeightMatrix(entries=entries, method=method, hierarchy=h)
 
 
 def _add_lineage(out: np.ndarray, w: np.ndarray, values: np.ndarray, h: HierarchySpec):
@@ -217,7 +219,9 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
 
     A column y is coherent when y equals S @ y_bottom for its own bottom
     block; the check reports the worst absolute violation over all entries
-    and columns.
+    and columns. The bottom block of S is the identity, so only S's upper
+    M - m rows are multiplied; the bottom rows' residual, y_bottom -
+    y_bottom, is 0, or NaN where an entry is not finite.
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy
@@ -225,7 +229,10 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
         mat = mat[:, None]
     if mat.shape[0] != h.M:
         raise DimensionMismatch(f"expected {h.M} rows, got {mat.shape[0]}")
-    bottom = mat[h.M - h.m :, :]
-    residual = mat - S.entries @ bottom
-    max_violation = float(np.abs(residual).max()) if residual.size else 0.0
+    upper = h.M - h.m
+    bottom = mat[upper:, :]
+    residual = mat[:upper, :] - S.entries[:upper, :] @ bottom
+    max_violation = float(np.abs(residual).max(initial=0.0))
+    if not np.isfinite(bottom).all():
+        max_violation = np.nan
     return CoherenceCheck(ok=max_violation <= tol, max_violation=max_violation)

@@ -47,12 +47,7 @@ def _all_weight_matrices(h, rng):
     yield fixed_weights("LA", h)
     yield wls_weights(h)
     yield weights_from_levels(rng.normal(size=h.L), h)
-    node_map = {
-        (lev, pos): float(rng.normal())
-        for lev in range(1, h.L + 1)
-        for pos in range(1, h.nodes_at(lev) + 1)
-    }
-    yield weights_from_nodes(node_map, h)
+    yield weights_from_nodes(rng.normal(size=h.M), h)
 
 
 def test_coherence_suite():

@@ -32,3 +32,18 @@ def test_benchmark_tracer_names_are_bound():
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_benchmark_imports_resolve():
+    # perfbench imports library names inside its functions, so a name a
+    # refactor drops would fail only a benchmark run
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    imported = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "temporec":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported
+    for file_name, module_name, name in imported:
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), f"{file_name}: from {module_name} import {name}"

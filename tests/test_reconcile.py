@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporec.errors import DimensionMismatch, LengthMismatch, MissingWeight
+from temporec.errors import DimensionMismatch, LengthMismatch
 from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
     _add_lineage,
@@ -153,11 +153,7 @@ def test_weights_from_levels_length_check(small_hierarchy):
 
 
 def test_weights_from_nodes_fixture(small_hierarchy):
-    v = {
-        (1, 1): 11.0,
-        (2, 1): 21.0, (2, 2): 22.0,
-        (3, 1): 31.0, (3, 2): 32.0, (3, 3): 33.0, (3, 4): 34.0,
-    }
+    v = [11.0, 21.0, 22.0, 31.0, 32.0, 33.0, 34.0]  # node order: levels coarse to fine
     expected = np.array(
         [
             [11, 21, 0, 31, 0, 0, 0],
@@ -172,21 +168,25 @@ def test_weights_from_nodes_fixture(small_hierarchy):
 
 def test_weights_from_nodes_special_cases(small_hierarchy):
     h = small_hierarchy
-    bu = {(lev, pos): 1.0 if lev == 3 else 0.0
-          for lev in (1, 2, 3) for pos in range(1, h.nodes_at(lev) + 1)}
+    bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
     np.testing.assert_array_equal(
         weights_from_nodes(bu, h).entries, fixed_weights("BU", h).entries
     )
-    la = {(lev, pos): 1.0 / 3.0
-          for lev in (1, 2, 3) for pos in range(1, h.nodes_at(lev) + 1)}
     np.testing.assert_array_equal(
-        weights_from_nodes(la, h).entries, fixed_weights("LA", h).entries
+        weights_from_nodes(np.full(h.M, 1.0 / 3.0), h).entries, fixed_weights("LA", h).entries
     )
 
 
-def test_weights_from_nodes_missing(small_hierarchy):
-    with pytest.raises(MissingWeight):
-        weights_from_nodes({(1, 1): 1.0}, small_hierarchy)
+def test_weights_from_nodes_length_and_finite_check(small_hierarchy):
+    h = small_hierarchy
+    for w in (np.ones(h.M - 1), np.ones(h.M + 1), np.ones((1, h.M)), np.ones(h.L)):
+        with pytest.raises(LengthMismatch):
+            weights_from_nodes(w, h)
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.ones(h.M)
+        w[2] = bad
+        with pytest.raises(LengthMismatch):
+            weights_from_nodes(w, h)
 
 
 def _random_joint(h, rng, n=8):
@@ -244,6 +244,20 @@ def test_check_coherence_reconciled_and_raw(small_hierarchy):
     assert not ok and violation > 1e-3
     # and the zero matrix is trivially coherent
     assert check_coherence(np.zeros((h.M, 3)), S).ok
+    # a non-finite entry fails the check, in the bottom block or above it
+    bad = rec.matrix.copy()
+    bad[h.M - 1, 2] = np.nan
+    assert not check_coherence(bad, S).ok
+    bad = rec.matrix.copy()
+    bad[1, 0] = np.inf
+    ok, violation = check_coherence(bad, S)
+    assert not ok and violation == np.inf
+    # a single level has no upper rows: only non-finite entries can fail
+    flat = build_hierarchy([1])
+    S1 = build_summing_matrix(flat)
+    assert check_coherence(rng.normal(size=(1, 4)), S1) == (True, 0.0)
+    ok, violation = check_coherence(np.array([[0.0, np.nan, 1.0]]), S1)
+    assert not ok and np.isnan(violation)
 
 
 def test_projection_idempotent_for_left_inverses():
@@ -305,13 +319,15 @@ def test_lineage_weights_match_loop_reference(f):
     np.testing.assert_array_equal(
         fixed_weights("LA", h).entries, _lineage_loop(lambda lev, pos: 1.0 / h.L, h)
     )
-    nodes = {
-        (lev, pos): float(rng.normal())
-        for lev in range(1, h.L + 1)
-        for pos in range(1, h.nodes_at(lev) + 1)
-    }
+    # the level layout is the node layout with each level's weight repeated
     np.testing.assert_array_equal(
-        weights_from_nodes(nodes, h).entries, _lineage_loop(lambda lev, pos: nodes[(lev, pos)], h)
+        weights_from_nodes(np.repeat(v, h.m // np.array(h.f)), h).entries,
+        weights_from_levels(v, h).entries,
+    )
+    w = rng.normal(size=h.M)
+    np.testing.assert_array_equal(
+        weights_from_nodes(w, h).entries,
+        _lineage_loop(lambda lev, pos: w[h.flat_index(lev, pos) - 1], h),
     )
 
 
@@ -324,8 +340,7 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     w = rng.normal(size=h.M)  # signed per-node weights
     Y = rng.normal(size=(T, h.M, N))
     bottom = _add_lineage(np.zeros((T, h.m, N)), w, Y, h)
-    keys = [(lev, pos) for lev in range(1, h.L + 1) for pos in range(1, h.nodes_at(lev) + 1)]
-    P = weights_from_nodes(dict(zip(keys, w)), h)
+    P = weights_from_nodes(w, h)
     np.testing.assert_allclose(bottom, np.matmul(P.entries, Y), rtol=0, atol=1e-12)
     S = build_summing_matrix(h)
     for sample in aggregate(bottom, h):
