@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .errors import DidNotConverge, NonFinite
+from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec, aggregate
 from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
@@ -90,7 +90,7 @@ class _Regime:
 
     def __init__(self, tag: str):
         if tag not in REGIMES:
-            raise ValueError(f"unknown regime {tag!r}, expected one of {REGIMES}")
+            raise ConfigError(f"unknown regime {tag!r}, expected one of {REGIMES}")
         self.tag = tag
 
     def to_weights(self, u: np.ndarray) -> np.ndarray:
@@ -199,7 +199,6 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     rank = _rank_weights(n)
     # each node's share of the level average: 1 / (L * nodes_at(l) * T)
     node_weight = h.node_windows / (h.L * h.m * T)
-    levels = [(fl, h.level_slice(lev)) for lev, fl in enumerate(h.f, start=1)]
     unit = np.ones(h.M)
     buffer = np.empty((T, h.m, n))
 
@@ -224,7 +223,7 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         back = _add_lineage(buffer, unit, dev, h)
         grad = np.array([
             np.einsum("tkn,tkn->", back.reshape(T, -1, fl, n).sum(axis=2), joint_tensor[:, rows])
-            for fl, rows in levels
+            for fl, rows in h.levels
         ])
         return value, grad
 
@@ -324,6 +323,8 @@ def optimize_weights(
     Either way ``objective`` is ``cv_criterion`` at the returned weights.
 
     Raises:
+        ConfigError: ``regime`` is not one of ``REGIMES``; raised before any
+            origin is assembled.
         NonFinite: the objective is NaN or infinite at every start.
 
     Warns:
@@ -331,8 +332,8 @@ def optimize_weights(
         the cutting-plane gap is still above ``CUT_GAP``; the best point
         found is still returned.
     """
-    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     reg = _Regime(regime)
+    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
     nodes = h.m // np.array(h.f)  # nodes per level: the level layout repeats v_l over them
     gap = None

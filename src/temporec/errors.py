@@ -108,10 +108,6 @@ class NumericalError(TemporecError):
     pass
 
 
-class SingularSystem(NumericalError):
-    """A linear system that should be well posed failed to solve."""
-
-
 class NonFinite(NumericalError):
     """Objective evaluated to NaN or infinity at every start point."""
 

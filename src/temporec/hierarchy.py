@@ -10,6 +10,8 @@ bottom level directly.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
+``HierarchySpec.levels`` holds that layout, each level's window f_l and its
+row slice, once per hierarchy.
 
 Every node value inside the package is in common (bottom-level) units: a
 level-l node holds the mean of the f_l bottom periods it covers, which is
@@ -46,6 +48,9 @@ class HierarchySpec:
         L: number of levels.
         M: total number of nodes, sum over levels of f_1/f_l.
         m: number of bottom-level nodes, equal to the cycle length f_1.
+        levels: the level layout, coarse to fine: one ``(f_l, rows)`` pair
+            per level, ``rows`` the slice of the level's nodes in node
+            order. Every per-level loop in the package iterates it.
         node_windows: f_l of each node's level in enumeration order (length
             M, read-only): the per-node factor from common to native units.
     """
@@ -58,7 +63,7 @@ class HierarchySpec:
 
     @property
     def M(self) -> int:
-        return sum(self.f[0] // fl for fl in self.f)
+        return self.levels[-1][1].stop
 
     @property
     def m(self) -> int:
@@ -67,6 +72,14 @@ class HierarchySpec:
     @property
     def cycle_length(self) -> int:
         return self.f[0]
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, slice], ...]:
+        layout, start = [], 0
+        for fl in self.f:
+            layout.append((fl, slice(start, start + self.f[0] // fl)))
+            start += self.f[0] // fl
+        return tuple(layout)
 
     @cached_property
     def node_windows(self) -> np.ndarray:
@@ -79,28 +92,10 @@ class HierarchySpec:
         self._check_level(level)
         return self.f[0] // self.f[level - 1]
 
-    def level_offset(self, level: int) -> int:
-        """Flat index (0-based) of the first node of a level."""
-        self._check_level(level)
-        return sum(self.f[0] // fl for fl in self.f[: level - 1])
-
     def level_slice(self, level: int) -> slice:
-        """Row slice covering a level in any M-row matrix."""
-        start = self.level_offset(level)
-        return slice(start, start + self.nodes_at(level))
-
-    def flat_index(self, level: int, position: int) -> int:
-        """1-based flat index of node ``position`` at ``level``."""
-        if not 1 <= position <= self.nodes_at(level):
-            raise IndexError(f"position {position} out of range at level {level}")
-        return self.level_offset(level) + position
-
-    def ancestor_position(self, level: int, bottom: int) -> int:
-        """Position of the level-``level`` node whose window contains bottom
-        node ``bottom`` (both 1-based)."""
-        if not 1 <= bottom <= self.m:
-            raise IndexError(f"bottom node {bottom} out of range 1..{self.m}")
-        return (bottom - 1) // self.f[level - 1] + 1
+        """Row slice covering a level (1-based) in any M-row matrix."""
+        self._check_level(level)
+        return self.levels[level - 1][1]
 
     def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.L:
@@ -176,7 +171,7 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
         raise DimensionMismatch(f"expected {h.m} bottom rows, got shape {values.shape}")
     batch, n = values.shape[:-2], values.shape[-1]
     out = np.empty(batch + (h.M, n))
-    for level, fl in enumerate(h.f, start=1):
+    for fl, rows in h.levels:
         windows = values.reshape(batch + (h.m // fl, fl, n))
-        np.mean(windows, axis=-2, out=out[..., h.level_slice(level), :])
+        np.mean(windows, axis=-2, out=out[..., rows, :])
     return out

@@ -16,7 +16,11 @@ bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization. One
 operator, ``_add_lineage``, applies these layouts' weight matrices, and one
-builder, ``_lineage_weights``, forms the cross-validated ones.
+builder, ``_lineage_weights``, forms them: the cross-validated ones, the
+bottom-up and lineal-average ones, and S'W^-1 for weighted least squares.
+With ``aggregate`` for S, those two operators build every fixed matrix;
+the dense summing matrix is used only by ``check_coherence``, as its
+reference.
 """
 
 from __future__ import annotations
@@ -25,15 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    ReconcileError,
-    SingularSystem,
-)
-from .hierarchy import HierarchySpec, SummingMatrix, aggregate, build_summing_matrix
+from .errors import DimensionMismatch, LengthMismatch, ReconcileError
+from .hierarchy import HierarchySpec, SummingMatrix, aggregate
 from .sampling import JointSample
 
 __all__ = [
@@ -96,16 +94,19 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
     * ``GA`` global average: every row averages all M nodes, (1/M) ones.
     * ``LA`` lineal average: row r averages bottom node r and its ancestor
       at every level, weight 1/L each.
+
+    ``BU`` and ``LA`` are lineage matrices, built by ``_lineage_weights``
+    from the bottom-node indicator and from 1/L on every node.
     """
-    m, M, L = h.m, h.M, h.L
+    m, M = h.m, h.M
     if method == "BU":
-        entries = np.hstack([np.zeros((m, M - m)), np.eye(m)])
-    elif method == "BA":
+        return _lineage_weights(h.node_windows == 1.0, method, h)
+    if method == "LA":
+        return _lineage_weights(np.full(M, 1.0 / h.L), method, h)
+    if method == "BA":
         entries = np.hstack([np.zeros((m, M - m)), np.full((m, m), 1.0 / m)])
     elif method == "GA":
         entries = np.full((m, M), 1.0 / M)
-    elif method == "LA":
-        entries = _add_lineage(np.zeros((m, M)), np.full(M, 1.0 / L), np.eye(M), h)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
     return WeightMatrix(entries=entries, method=method, hierarchy=h)
@@ -119,18 +120,15 @@ def wls_weights(h: HierarchySpec) -> WeightMatrix:
     deviations scale with the aggregation window. Because the node values
     are already expressed in common units, this choice coincides with
     ordinary least squares on the rescaled data. Satisfies P @ S = I.
+
+    S' adds y_k / f_l to the row of every bottom node under node k, so
+    S'W^-1 is the lineage matrix of the node weights f_l^-3; S is
+    ``aggregate`` applied to I_m, and ``numpy.linalg.solve`` solves the
+    m x m normal equations.
     """
-    S = build_summing_matrix(h).entries
-    w_inv = 1.0 / h.node_windows**2
-    # Solve (S' W^-1 S) P = S' W^-1 via Cholesky rather than inverting.
-    gram = (S.T * w_inv) @ S
-    rhs = S.T * w_inv
-    try:
-        cho = scipy.linalg.cho_factor(gram)
-        entries = scipy.linalg.cho_solve(cho, rhs)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - S has full rank
-        raise SingularSystem(f"normal equations not positive definite: {exc}") from exc
-    return WeightMatrix(entries=entries, method="WLS", hierarchy=h)
+    rhs = _lineage_weights(h.node_windows**-3.0, "WLS", h).entries  # S'W^-1
+    gram = rhs @ aggregate(np.eye(h.m), h)  # S'W^-1 S
+    return WeightMatrix(entries=np.linalg.solve(gram, rhs), method="WLS", hierarchy=h)
 
 
 def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
@@ -183,8 +181,7 @@ def _add_lineage(out: np.ndarray, w: np.ndarray, values: np.ndarray, h: Hierarch
     is added to each row of its window in a view of ``out``.
     """
     batch, n = out.shape[:-2], out.shape[-1]
-    for lev, fl in enumerate(h.f, start=1):
-        rows = h.level_slice(lev)
+    for fl, rows in h.levels:
         windows = out.reshape(batch + (h.m // fl, fl, n))
         windows += w[rows, None, None] * values[..., rows, None, :]
     return out

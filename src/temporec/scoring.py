@@ -102,10 +102,7 @@ def _sorted_scores(xs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """Mean over the nodes of each level: (..., M) -> (..., L)."""
-    return np.stack(
-        [node_scores[..., h.level_slice(lev)].mean(axis=-1) for lev in range(1, h.L + 1)],
-        axis=-1,
-    )
+    return np.stack([node_scores[..., rows].mean(axis=-1) for _, rows in h.levels], axis=-1)
 
 
 def score_hierarchy(
@@ -190,7 +187,7 @@ def assemble_origins(
     permutation; a label that repeats raises ``AlignmentError``.
     """
     if not origins:
-        raise AlignmentError("no validation origins supplied")
+        raise AlignmentError("no forecast origins supplied")
     if scheme == "permuted":
         repeated = [label for label, n in Counter(o.origin for o in origins).items() if n > 1]
         if repeated:

@@ -226,14 +226,13 @@ def dataset_from_series(
     nodes = aggregate(values.reshape(total, f1).T, h)
     # a level's series runs through its nodes cycle by cycle
     forecasters = tuple(
-        fit_level(nodes[h.level_slice(lev), :train_cycles].T.ravel(), lev)
-        for lev in range(1, h.L + 1)
+        fit_level(nodes[rows, :train_cycles].T.ravel(), lev)
+        for lev, (_, rows) in enumerate(h.levels, start=1)
     )
 
     def make_origin(cycle: int) -> OriginData:
         samples = []
-        for fc in forecasters:
-            rows = h.level_slice(fc.level)
+        for fc, (_, rows) in zip(forecasters, h.levels):
             state = nodes[rows.stop - 1, cycle - 1]  # the level's last node one cycle back
             path_seed = np.random.SeedSequence([seed % 2**64, cycle, fc.level])
             samples.append(sample_paths(fc, state, h.nodes_at(fc.level), n_paths, path_seed))

@@ -122,6 +122,7 @@ def test_wls_identity():
         rng = np.random.default_rng(99)
         hierarchies = [random_hierarchy(rng) for _ in range(100)]
         hierarchies.append(build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1]))
+        hierarchies.append(build_hierarchy([288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1]))
         for h in hierarchies:
             P = wls_weights(h).entries
             S = build_summing_matrix(h).entries

@@ -14,7 +14,7 @@ from temporec.cvopt import (
     optimize_node_weights,
     optimize_weights,
 )
-from temporec.errors import DidNotConverge, NonFinite
+from temporec.errors import ConfigError, DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import weights_from_levels, weights_from_nodes
 from temporec.sampling import LevelSample, OriginData
@@ -142,6 +142,16 @@ def test_non_finite_objective_raises():
             optimize_weights(origins, "ranked", "free", h, seed=0)
         with pytest.raises(NonFinite):
             optimize_node_weights(origins, "ranked", h, seed=0)
+
+
+def test_unknown_regime_raises_config_error():
+    h, origins = bottom_only_instance(n_origins=2, n_paths=5)
+    with pytest.raises(ConfigError, match="unknown regime 'simplx'"):
+        optimize_weights(origins, "ranked", "simplx", h)
+    # checked before the origins are assembled, so an empty list gets the
+    # regime's error, not the assembly's
+    with pytest.raises(ConfigError):
+        optimize_weights([], "ranked", "simplx", h)
 
 
 def test_single_level_hierarchy():

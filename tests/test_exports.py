@@ -34,6 +34,24 @@ def test_benchmark_tracer_names_are_bound():
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
+def test_only_cvopt_imports_scipy():
+    # the weight search is the one place that needs scipy; every other
+    # module stays on numpy
+    package = Path(temporec.__file__).resolve().parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"cvopt.py"}
+
+
 def test_benchmark_imports_resolve():
     # perfbench imports library names inside its functions, so a name a
     # refactor drops would fail only a benchmark run

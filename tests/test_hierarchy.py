@@ -17,11 +17,12 @@ def test_counts_small(small_hierarchy):
     assert h.L == 3
     assert h.M == 7
     assert h.m == 4
-    # flat indices enumerate levels coarse to fine, nodes left to right
-    flat = [h.flat_index(lev, pos) for lev in (1, 2, 3) for pos in range(1, h.nodes_at(lev) + 1)]
-    assert flat == list(range(1, h.M + 1))
-    with pytest.raises(IndexError):
-        h.flat_index(1, h.nodes_at(1) + 1)
+    # the level layout: each level's window and its rows, coarse to fine
+    assert h.levels == ((4, slice(0, 1)), (2, slice(1, 3)), (1, slice(3, 7)))
+    assert [h.level_slice(lev) for lev in (1, 2, 3)] == [rows for _, rows in h.levels]
+    for level in (0, 4):
+        with pytest.raises(IndexError):
+            h.level_slice(level)
 
 
 def test_counts_daily(daily_hierarchy):

@@ -297,12 +297,18 @@ def test_bu_of_ranked_sorts_bottom_block():
 
 
 def _lineage_loop(per_node_weight, h):
-    """Reference: row r holds the weight of its level-l ancestor, one loop per entry."""
+    """Reference: row r holds the weight of its level-l ancestor, one loop per entry.
+
+    ``per_node_weight(lev, k)`` takes the 1-based level and the 0-based
+    flat index of the ancestor in node order.
+    """
     entries = np.zeros((h.m, h.M))
-    for r in range(1, h.m + 1):
-        for lev in range(1, h.L + 1):
-            pos = h.ancestor_position(lev, r)
-            entries[r - 1, h.flat_index(lev, pos) - 1] = per_node_weight(lev, pos)
+    first = 0  # flat index of the level's first node
+    for lev, fl in enumerate(h.f, start=1):
+        for r in range(h.m):
+            k = first + r // fl  # the level-l node whose window holds bottom node r
+            entries[r, k] = per_node_weight(lev, k)
+        first += h.m // fl
     return entries
 
 
@@ -314,10 +320,13 @@ def test_lineage_weights_match_loop_reference(f):
     rng = np.random.default_rng(h.M)
     v = rng.normal(size=h.L)
     np.testing.assert_array_equal(
-        weights_from_levels(v, h).entries, _lineage_loop(lambda lev, pos: v[lev - 1], h)
+        weights_from_levels(v, h).entries, _lineage_loop(lambda lev, k: v[lev - 1], h)
     )
     np.testing.assert_array_equal(
-        fixed_weights("LA", h).entries, _lineage_loop(lambda lev, pos: 1.0 / h.L, h)
+        fixed_weights("LA", h).entries, _lineage_loop(lambda lev, k: 1.0 / h.L, h)
+    )
+    np.testing.assert_array_equal(
+        fixed_weights("BU", h).entries, _lineage_loop(lambda lev, k: float(lev == h.L), h)
     )
     # the level layout is the node layout with each level's weight repeated
     np.testing.assert_array_equal(
@@ -327,7 +336,7 @@ def test_lineage_weights_match_loop_reference(f):
     w = rng.normal(size=h.M)
     np.testing.assert_array_equal(
         weights_from_nodes(w, h).entries,
-        _lineage_loop(lambda lev, pos: w[h.flat_index(lev, pos) - 1], h),
+        _lineage_loop(lambda lev, k: w[k], h),
     )
 
 

@@ -197,6 +197,12 @@ def _make_origins(h, rng, n_origins=3, n_paths=6):
     return origins
 
 
+def test_assemble_origins_rejects_empty_list(small_hierarchy):
+    # validation and test origins go through the same assembly
+    with pytest.raises(AlignmentError, match="^no forecast origins supplied$"):
+        assemble_origins([], small_hierarchy, "stacked")
+
+
 def test_permuted_seed_keyed_on_origin_label(small_hierarchy):
     # an origin's permutation does not depend on its position in the list
     h = small_hierarchy
@@ -273,8 +279,9 @@ def cv_objective_naive(v, scheme, origins, h):
     per_level = np.zeros(h.L)
     for lev in range(1, h.L + 1):
         node_scores = []
+        first = sum(h.m // fl for fl in h.f[: lev - 1])  # flat index of the level's first node
         for j in range(h.nodes_at(lev)):
-            flat = h.level_offset(lev) + j
+            flat = first + j
             total = 0.0
             for origin in origins:
                 joint = assemble(origin.levels, h, scheme)
