@@ -9,7 +9,7 @@ reported scores are in each level's native units (window sums). Outputs
 are plain CSV files plus a manifest of the resolved configuration;
 identical configurations produce byte-identical files.
 
-Configuration is a flat ``key = value`` text file ('#' starts a comment).
+Configuration is a flat ``key = value`` UTF-8 text file ('#' starts a comment).
 Keys, with defaults:
 
     frequencies     = 24,12,8,6,4,3,2,1   sampling intervals, coarse to fine
@@ -52,7 +52,8 @@ The ``cv`` method expands to one report row per configured regime, labelled
 ``cv-<regime>``. A no-reconciliation baseline row (scheme and method
 ``none``) is always included.
 
-Input CSV schema: header ``timestamp,value``; ISO-8601 UTC timestamps at
+Input CSV schema: UTF-8 text (a byte-order mark is allowed), header
+``timestamp,value``; ISO-8601 UTC timestamps (no offset means UTC) at
 bottom-period (hourly) resolution, whole-hour steps, strictly increasing,
 gap-free; finite values in native units. Output files: ``crps.csv`` and
 ``mae.csv`` (one row per scheme/method, per-level columns coarse to fine
@@ -81,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -192,7 +194,7 @@ class RunConfig:
             raise ConfigError(f"unknown methods {bad}, allowed: {sorted(allowed)}")
         bad = [r for r in self.cv_regimes if r not in REGIMES]
         if bad:
-            raise ConfigError(f"cv regimes must be drawn from {REGIMES}, got {self.cv_regimes}")
+            raise ConfigError(f"cv_regimes must be drawn from {REGIMES}, got {self.cv_regimes}")
         for name in ("schemes", "methods", "cv_regimes"):
             tokens = getattr(self, name)
             repeated = next((t for i, t in enumerate(tokens) if t in tokens[:i]), None)
@@ -256,8 +258,8 @@ def _parse_value(name: str, raw: str, kind):
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -305,42 +307,43 @@ def load_config(
 def ingest_csv(path: str) -> np.ndarray:
     """Read and validate a ``timestamp,value`` CSV into a bottom series.
 
-    Timestamps must be ISO-8601 UTC at hourly (bottom-period) resolution,
-    strictly increasing and gap-free.
+    The file is UTF-8 text, with or without a byte-order mark. Timestamps
+    must be ISO-8601 UTC at hourly (bottom-period) resolution, strictly
+    increasing and gap-free; a timestamp without an offset is read as UTC.
 
     Raises:
-        SchemaError: wrong header, unparsable timestamp, unparsable or
-            non-finite value, or a step that is not a whole number of hours
-            (the message names the line).
+        SchemaError: unreadable or non-UTF-8 file, wrong header, unparsable
+            timestamp, unparsable or non-finite value, or a step that is
+            not a whole number of hours (the message names the line).
         NonMonotoneTimestamps: duplicated or out-of-order rows.
         GapError: missing periods (the message names them).
     """
     try:
-        handle = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["timestamp", "value"]:
-            raise SchemaError(f"{path}: expected header 'timestamp,value', got {header}")
-        stamps: list[datetime] = []
-        linenos: list[int] = []
-        values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            stamps.append(_parse_timestamp(row[0], path, lineno))
-            linenos.append(lineno)
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
-            if not math.isfinite(value):
-                raise SchemaError(f"{path}:{lineno}: value {row[1]!r} is not finite")
-            values.append(value)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["timestamp", "value"]:
+        raise SchemaError(f"{path}: expected header 'timestamp,value', got {header}")
+    stamps: list[datetime] = []
+    linenos: list[int] = []
+    values: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise SchemaError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+        stamps.append(_parse_timestamp(row[0], path, lineno))
+        linenos.append(lineno)
+        try:
+            value = float(row[1])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}:{lineno}: value {row[1]!r} is not finite")
+        values.append(value)
     if not values:
         raise SchemaError(f"{path}: no data rows")
     step = timedelta(hours=1)

@@ -14,16 +14,16 @@ folded into an unconstrained search by reparameterization:
 A second layout, ``optimize_node_weights``, has one unconstrained weight
 per node, an M-vector in the package's node order (levels coarse to fine,
 nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
-Every search evaluates its objective through one evaluator, ``_criterion``,
-which takes that M-vector and builds no weight matrix (the per-level layout
-repeats each level's weight over its nodes); the public ``cv_criterion``
-runs once per search, at the returned weights, for the reported objective.
-Both layouts run through one multi-start search (``_search``) with fixed
-tolerances (``XATOL`` on the point, ``FATOL`` on the objective). The
-empirical-CRPS objective is piecewise smooth and has no useful gradient in
-general, so each start runs a Nelder-Mead simplex search; starts always
-include the bottom-up and equal-weight vectors, whose objectives the
-returned point therefore never exceeds.
+Both layouts run one driver, ``_optimize``, whose searched weights each
+cover a group of nodes: a level, or one node. Its evaluator, ``_criterion``,
+takes the M-vector of node weights and builds no weight matrix; the public
+``cv_criterion`` runs once per search, at the returned weights, for the
+reported objective, and both weigh node CRPS by ``scoring._node_weights``.
+The multi-start search (``_search``) has fixed tolerances (``XATOL`` on the
+point, ``FATOL`` on the objective). The empirical-CRPS objective is
+piecewise smooth and has no useful gradient in general, so each start runs
+a Nelder-Mead simplex search; starts always include the bottom-up and
+equal-weight vectors, whose objectives the returned point never exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
@@ -47,7 +47,7 @@ from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec, aggregate
 from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
-from .scoring import _rank_weights, _sorted_scores, assemble_origins, cv_criterion
+from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
 __all__ = ["REGIMES", "CvResult", "optimize_weights", "optimize_node_weights"]
 
@@ -86,7 +86,7 @@ def _softmax(u: np.ndarray) -> np.ndarray:
 
 
 class _Regime:
-    """Maps between the L-vector of weights and the unconstrained search space."""
+    """Maps between the vector of searched weights and the unconstrained search space."""
 
     def __init__(self, tag: str):
         if tag not in REGIMES:
@@ -109,26 +109,27 @@ class _Regime:
         return np.asarray(v, dtype=float)
 
 
-def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
+def _start_vectors(h: HierarchySpec, sizes, regime: _Regime, n_starts: int, seed: int):
     """Search-space start points: bottom-up, equal weights, 1/M, then random.
 
+    Points are in the searched layout, one weight per group of ``sizes``.
     ``max(n_starts, 3)`` points are returned. Under ``simplex`` the 1/M
     vector is left out: the softmax maps it to the equal-weight vector, so
     a random start takes its place.
     """
-    L = h.L
+    D = len(sizes)
     starts = [
-        np.eye(L)[-1],            # bottom-up
-        np.full(L, 1.0 / L),      # lineal-average / equal weights
+        (np.cumsum(sizes) > h.M - h.m).astype(float),  # bottom-up
+        np.full(D, 1.0 / h.L),    # lineal-average / equal weights
     ]
     if regime.tag != "simplex":
-        starts.append(np.full(L, 1.0 / h.M))  # global-average-like mass
+        starts.append(np.full(D, 1.0 / h.M))  # global-average-like mass
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCF]))
     while len(starts) < max(n_starts, 3):
         if regime.tag == "simplex":
-            starts.append(rng.dirichlet(np.ones(L)))
+            starts.append(rng.dirichlet(np.ones(D)))
         else:
-            starts.append(rng.normal(loc=1.0 / L, scale=0.5, size=L))
+            starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=D))
     return [regime.from_weights(v0) for v0 in starts]
 
 
@@ -197,8 +198,7 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     T, _, n = joint_tensor.shape
     rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
     rank = _rank_weights(n)
-    # each node's share of the level average: 1 / (L * nodes_at(l) * T)
-    node_weight = h.node_windows / (h.L * h.m * T)
+    node_weight = _node_weights(h, T)
     unit = np.ones(h.M)
     buffer = np.empty((T, h.m, n))
 
@@ -290,6 +290,30 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     return best_v, solves, gap
 
 
+def _optimize(origins, scheme: str, reg: _Regime, h: HierarchySpec, sizes: np.ndarray,
+              builder: Callable, seed: int, n_starts: int, maxiter: int | None) -> CvResult:
+    """The weight search of both layouts: searched weight k covers the next
+    ``sizes[k]`` nodes (a level's nodes, or one node), and ``builder``
+    (``weights_from_levels`` or ``weights_from_nodes``) gives the weight
+    matrix whose ``cv_criterion`` is the reported objective."""
+    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
+    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
+    gap = None
+    if reg.tag == "simplex" and len(sizes) > 1 and rows_sorted:
+        v, iterations, gap = _cutting_planes(
+            lambda v: evaluate(np.repeat(v, sizes), subgradient=True), len(sizes), maxiter
+        )
+    else:
+        u, _, iterations = _search(
+            lambda u: evaluate(np.repeat(reg.to_weights(u), sizes)),
+            _start_vectors(h, sizes, reg, n_starts, seed), maxiter,
+        )
+        v = reg.to_weights(u)
+    objective = cv_criterion(builder(v, h), joint_tensor, actuals, h)
+    return CvResult(v=v, objective=objective, iterations=iterations,
+                    regime=reg.tag, scheme=scheme, gap=gap)
+
+
 def optimize_weights(
     origins: Sequence[OriginData],
     scheme: str,
@@ -332,24 +356,9 @@ def optimize_weights(
         the cutting-plane gap is still above ``CUT_GAP``; the best point
         found is still returned.
     """
-    reg = _Regime(regime)
-    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
+    reg = _Regime(regime)  # before assembly, so a bad regime fails first
     nodes = h.m // np.array(h.f)  # nodes per level: the level layout repeats v_l over them
-    gap = None
-    if reg.tag == "simplex" and h.L > 1 and rows_sorted:
-        v, iterations, gap = _cutting_planes(
-            lambda v: evaluate(np.repeat(v, nodes), subgradient=True), h.L, maxiter
-        )
-    else:
-        u, _, iterations = _search(
-            lambda u: evaluate(np.repeat(reg.to_weights(u), nodes)),
-            _start_vectors(h, reg, n_starts, seed), maxiter,
-        )
-        v = reg.to_weights(u)
-    objective = cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h)
-    return CvResult(v=v, objective=objective, iterations=iterations,
-                    regime=regime, scheme=scheme, gap=gap)
+    return _optimize(origins, scheme, reg, h, nodes, weights_from_levels, seed, n_starts, maxiter)
 
 
 def optimize_node_weights(
@@ -364,21 +373,12 @@ def optimize_node_weights(
 
     The search space has M dimensions, so this is only practical for small
     hierarchies; the row-sum constraint regimes apply to the per-level form
-    and are not offered here. ``n_starts`` is at least 3 whatever is passed
-    (bottom-up, 1/L and 1/M vectors, then random ones). The result's ``v``
-    is the M-vector of node weights in node order, its ``regime`` is
-    ``free`` and its ``gap`` None; ``objective`` is ``cv_criterion`` at
-    ``weights_from_nodes(v, h)``. Raises and warns as ``optimize_weights``.
+    and are not offered here. It is the search of ``optimize_weights`` under
+    ``free``, with every node its own group and the same starts in the node
+    layout. The result's ``v`` is the M-vector of node weights in node
+    order, its ``regime`` is ``free`` and its ``gap`` None; ``objective`` is
+    ``cv_criterion`` at ``weights_from_nodes(v, h)``. Raises and warns as
+    ``optimize_weights``.
     """
-    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
-    starts = [bu, np.full(h.M, 1.0 / h.L), np.full(h.M, 1.0 / h.M)]
-    rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCFF]))
-    while len(starts) < max(n_starts, 3):
-        starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.M))
-
-    evaluate, _ = _criterion(joint_tensor, actuals, h)
-    w, _, iterations = _search(evaluate, starts, maxiter)
-    objective = cv_criterion(weights_from_nodes(w, h), joint_tensor, actuals, h)
-    return CvResult(v=w, objective=objective, iterations=iterations,
-                    regime="free", scheme=scheme)
+    return _optimize(origins, scheme, _Regime("free"), h, np.ones(h.M, dtype=int),
+                     weights_from_nodes, seed, n_starts, maxiter)

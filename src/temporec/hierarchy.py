@@ -11,7 +11,8 @@ bottom level directly.
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
 ``HierarchySpec.levels`` holds that layout, each level's window f_l and its
-row slice, once per hierarchy.
+row slice, once per hierarchy; level l's rows of any M-row matrix are
+``levels[l - 1][1]``.
 
 Every node value inside the package is in common (bottom-level) units: a
 level-l node holds the mean of the f_l bottom periods it covers, which is
@@ -89,17 +90,9 @@ class HierarchySpec:
 
     def nodes_at(self, level: int) -> int:
         """Number of nodes at a level (1-based)."""
-        self._check_level(level)
-        return self.f[0] // self.f[level - 1]
-
-    def level_slice(self, level: int) -> slice:
-        """Row slice covering a level (1-based) in any M-row matrix."""
-        self._check_level(level)
-        return self.levels[level - 1][1]
-
-    def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.L:
             raise IndexError(f"level {level} out of range 1..{self.L}")
+        return self.f[0] // self.f[level - 1]
 
 
 def build_hierarchy(f: Sequence[int]) -> HierarchySpec:
@@ -142,10 +135,6 @@ class SummingMatrix:
 
     entries: np.ndarray
     hierarchy: HierarchySpec
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:

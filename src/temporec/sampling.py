@@ -86,10 +86,6 @@ class JointSample:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def n_paths(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class OriginData:

@@ -17,8 +17,9 @@ over forecast origins, then per level over nodes, then over levels; that
 triple average is both the reported table layout and the objective the
 cross-validated weights minimize. Evaluation tables report each node in its
 level's native units, its common-unit score times the window f_l; the
-cross-validation criterion stays in common units, where the realizations it
-scores against live.
+cross-validation criterion stays in common units and weighs each node's
+CRPS by its share of that average, ``_node_weights``, the one definition
+that ``cv_criterion`` and the searches' evaluator share.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, EmptySample, ScoringError
+from .errors import AlignmentError, EmptySample
 from .hierarchy import HierarchySpec
 from .reconcile import WeightMatrix, reconcile_tensor, weights_from_levels
 from .sampling import OriginData, assemble
@@ -109,9 +110,8 @@ def score_hierarchy(
     samples: np.ndarray,
     actuals: np.ndarray,
     h: HierarchySpec,
-    units: str = "native",
 ) -> tuple[ScoreTable, ScoreTable]:
-    """Score joint samples over forecast origins, level by level.
+    """Score joint samples over forecast origins, level by level, in native units.
 
     Args:
         samples: one M x N sample per origin, reconciled or raw, as a
@@ -119,13 +119,10 @@ def score_hierarchy(
         actuals: realized node values per origin, a (T, M) array in common
             units.
         h: the hierarchy.
-        units: ``"native"`` reports each node in its level's own units,
-            its score times the window f_l (the reporting convention);
-            ``"common"`` scores the bottom-level-unit values directly.
 
     Returns:
         The CRPS table and the table of absolute errors of the ensemble
-        median (MAE), in that order.
+        median (MAE), in that order, each node in its level's native units.
 
     Raises:
         AlignmentError: the samples or actuals are ragged, or their origin
@@ -137,8 +134,14 @@ def score_hierarchy(
     score(c x, c z) = c score(x, z), so native units are the common-unit
     node scores times each node's window f_l.
     """
-    if units not in ("native", "common"):
-        raise ScoringError(f"units must be 'native' or 'common', got {units!r}")
+    tensor, acts = _aligned(samples, actuals, h)
+    crps, median = _sorted_scores(np.sort(tensor, axis=-1), acts)
+    native = h.node_windows
+    return _table(crps * native, h, "CRPS"), _table(np.abs(median - acts) * native, h, "MAE")
+
+
+def _aligned(samples, actuals, h: HierarchySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, M, N) samples and (T, M) actuals as float arrays, shapes checked."""
     try:
         tensor = np.asarray(samples, dtype=float)
         acts = np.asarray(actuals, dtype=float)
@@ -152,10 +155,13 @@ def score_hierarchy(
         raise AlignmentError("no forecast origins to score")
     if not tensor.shape[2]:
         raise EmptySample("cannot score samples without paths")
+    return tensor, acts
 
-    crps, median = _sorted_scores(np.sort(tensor, axis=-1), acts)
-    factor = h.node_windows if units == "native" else 1.0
-    return _table(crps * factor, h, "CRPS"), _table(np.abs(median - acts) * factor, h, "MAE")
+
+def _node_weights(h: HierarchySpec, T: int) -> np.ndarray:
+    """Each node's share of the level-averaged objective over T origins:
+    one of m / f_l nodes in one of L levels, so f_l / (L * m * T)."""
+    return h.node_windows / (h.L * h.m * T)
 
 
 def _table(node_scores: np.ndarray, h: HierarchySpec, metric: str) -> ScoreTable:
@@ -215,14 +221,17 @@ def cv_criterion(
     """Level-averaged CRPS of the reconciled samples in common units.
 
     Every origin's joint sample is projected through S @ P by
-    ``reconcile_tensor`` and scored by ``score_hierarchy``: each node
-    against its realized value, node scores averaged over origins, then
-    over nodes within a level, then over levels. Origin averaging (in
-    place of summing) is a monotone rescaling that keeps objective values
-    comparable across validation lengths without moving the minimizer.
+    ``reconcile_tensor``, its rows are sorted once, and each node's CRPS
+    against its realized value is weighted by ``_node_weights``: the
+    average over origins, then over nodes within a level, then over
+    levels, in one weighted sum. Origin averaging (in place of summing) is
+    a monotone rescaling that keeps objective values comparable across
+    validation lengths without moving the minimizer. Raises as
+    ``score_hierarchy`` on misaligned or empty input.
     """
-    crps, _ = score_hierarchy(reconcile_tensor(P, joint_tensor), actuals, h, units="common")
-    return crps.overall
+    tensor, acts = _aligned(reconcile_tensor(P, joint_tensor), actuals, h)
+    crps, _ = _sorted_scores(np.sort(tensor, axis=-1), acts)
+    return float((crps * _node_weights(h, len(tensor))).sum())
 
 
 def cv_objective(

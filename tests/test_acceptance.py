@@ -170,8 +170,9 @@ def test_cv_special_cases():
             tensor, actuals = assemble_origins(origins, h, scheme, seed=0)
             bu = fixed_weights("BU", h)
             reconciled = np.stack([S.entries @ (bu.entries @ mat) for mat in tensor])
-            direct, _ = score_hierarchy(reconciled, actuals, h, units="common")
-            assert abs(cv_objective(bu_vec, scheme, origins, h) - direct.overall) <= 1e-10
+            direct, _ = score_hierarchy(reconciled, actuals, h)
+            common = np.mean(np.array(direct.level_scores) / h.f)  # the criterion's units
+            assert abs(cv_objective(bu_vec, scheme, origins, h) - common) <= 1e-10
 
         res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
         assert res.objective <= cv_objective(bu_vec, "ranked", origins, h) + 1e-12

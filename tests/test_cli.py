@@ -319,6 +319,84 @@ def test_main_non_finite_data_exits_3_without_lapack_noise(tmp_path, capfd):
     assert "nan.csv:7:" in err
 
 
+def _data_config(tmp_path, data, extra=""):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        f"data = {data}\nfrequencies = 4,2,1\ntrain_cycles = 12\nval_cycles = 2\n"
+        f"test_cycles = 2\nn_paths = 8\nmethods = bu\n{extra}"
+    )
+    return cfg_file
+
+
+def test_main_non_utf8_csv_exits_3(tmp_path, capfd):
+    data = write_csv(tmp_path / "latin.csv", [str(1.0 + 0.1 * i) for i in range(4 * 16)])
+    data.write_bytes(data.read_bytes().replace(b"1.5", b"1\xff5", 1))
+    cfg_file = _data_config(tmp_path, data)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capfd.readouterr().err
+    assert err.startswith(f"data error: cannot open {data}: ") and "Traceback" not in err
+
+
+def test_main_non_utf8_config_exits_2(tmp_path, capfd):
+    cfg_file = tmp_path / "latin.cfg"
+    cfg_file.write_bytes(b"seed = 1\n# caf\xe9\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {cfg_file}: ")
+    assert "Traceback" not in err
+
+
+def test_main_byte_order_mark_is_ignored(tmp_path, capfd):
+    # a UTF-8 byte-order mark on the CSV or the config file changes no report
+    data = write_csv(tmp_path / "plain.csv", [str(1.0 + 0.1 * i) for i in range(4 * 16)])
+    plain = _data_config(tmp_path, data)
+    assert main(["--config", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    cfg_file = tmp_path / "marked.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbf" + _data_config(tmp_path, marked).read_bytes())
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "marked")]) == 0
+    assert "error" not in capfd.readouterr().err
+    for name in ("crps.csv", "mae.csv", "origin_scores.csv", "cv_weights.csv"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("config, csv_text, code, needle", [
+    ("cv_regimes = simplex,bogus\n", None, EXIT_CONFIG, "cv_regimes must be drawn from"),
+    ("cv_regimes =\n", None, EXIT_CONFIG, "no cv_regimes configured"),
+    ("coherence_tol = 0\n", None, EXIT_CONFIG, "coherence_tol must be positive"),
+    ("synthetic = maybe\n", None, EXIT_CONFIG, "bad value for synthetic: 'maybe'"),
+    ("phi = abc\n", None, EXIT_CONFIG, "bad value for phi: 'abc'"),
+    (None, None, EXIT_CONFIG, "cannot read config file {cfg}"),
+    ("seed = 1\nn_paths 8\n", None, EXIT_CONFIG, "{cfg}:2: expected 'key = value'"),
+    ("", "timestamp,value\n2026-01-01T00:00:00Z,1.0,2.0\n", EXIT_DATA,
+     "{csv}:2: expected 2 columns, got 3"),
+    ("", "timestamp,value\n", EXIT_DATA, "{csv}: no data rows"),
+    ("", "timestamp,value\n2026-01-01T00:00:00Z,1.0\nyesterday,2.0\n", EXIT_DATA,
+     "{csv}:3: bad timestamp 'yesterday'"),
+])
+def test_main_bad_input_names_key_or_line(tmp_path, capfd, config, csv_text, code, needle):
+    cfg_file, data = tmp_path / "run.cfg", tmp_path / "in.csv"
+    if csv_text is not None:
+        data.write_text(csv_text)
+        config = f"data = {data}\n" + config
+    if config is not None:
+        cfg_file.write_text(config)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == code
+    err = capfd.readouterr().err
+    assert err.startswith(f"{cli.EXIT_LABELS[code]}: ")
+    assert needle.format(cfg=cfg_file, csv=data) in err
+    assert "Traceback" not in err
+
+
+def test_ingest_reads_naive_timestamps_as_utc(tmp_path):
+    # a naive stamp between two UTC ones: gap-free and increasing only if it
+    # is read as UTC
+    stamps = ["2026-01-01T00:00:00Z", "2026-01-01T01:00:00", "2026-01-01T02:00:00+00:00"]
+    path = write_csv(tmp_path / "naive.csv", [1.0, 2.0, 3.0], stamps=stamps)
+    np.testing.assert_array_equal(ingest_csv(path), [1.0, 2.0, 3.0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=30),

@@ -173,6 +173,12 @@ def test_single_level_hierarchy():
             # one feasible weight leaves nothing to search: the start is
             # returned as converged
             assert res.iterations == 0
+        # with M = L = 1 both layouts search the same one weight from the
+        # same starts through one driver, so they agree bit for bit
+        node = optimize_node_weights(origins, "stacked", h, seed=3)
+        level = optimize_weights(origins, "stacked", "free", h, seed=3)
+        np.testing.assert_array_equal(node.v, level.v)
+        assert (node.objective, node.iterations) == (level.objective, level.iterations)
 
 
 def test_node_weights_toy():
@@ -253,7 +259,8 @@ def nelder_mead_simplex(origins, scheme, h, seed=0):
     def objective(u):
         return cv_criterion(weights_from_levels(reg.to_weights(u), h), tensor, actuals, h)
 
-    _, best, _ = _search(objective, _start_vectors(h, reg, 6, seed), maxiter=100_000)
+    nodes = h.m // np.array(h.f)
+    _, best, _ = _search(objective, _start_vectors(h, nodes, reg, 6, seed), maxiter=100_000)
     return best
 
 
@@ -282,7 +289,8 @@ def test_certified_path_warns_when_capped():
 
 def test_simplex_start_weights_are_distinct(daily_hierarchy):
     reg = _Regime("simplex")
-    weights = [reg.to_weights(u) for u in _start_vectors(daily_hierarchy, reg, 6, seed=0)]
+    h = daily_hierarchy
+    weights = [reg.to_weights(u) for u in _start_vectors(h, h.m // np.array(h.f), reg, 6, seed=0)]
     assert len(weights) == 6
     for i, a in enumerate(weights):
         for b in weights[i + 1:]:

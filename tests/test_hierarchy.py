@@ -19,10 +19,10 @@ def test_counts_small(small_hierarchy):
     assert h.m == 4
     # the level layout: each level's window and its rows, coarse to fine
     assert h.levels == ((4, slice(0, 1)), (2, slice(1, 3)), (1, slice(3, 7)))
-    assert [h.level_slice(lev) for lev in (1, 2, 3)] == [rows for _, rows in h.levels]
+    assert [h.nodes_at(lev) for lev in (1, 2, 3)] == [1, 2, 4]
     for level in (0, 4):
         with pytest.raises(IndexError):
-            h.level_slice(level)
+            h.nodes_at(level)
 
 
 def test_counts_daily(daily_hierarchy):
@@ -90,7 +90,7 @@ def _oracle_summing_matrix(h):
 
 def test_summing_matrix_daily_matches_oracle(daily_hierarchy):
     S = build_summing_matrix(daily_hierarchy)
-    assert S.shape == (60, 24)
+    assert S.entries.shape == (60, 24)
     np.testing.assert_array_equal(S.entries, _oracle_summing_matrix(daily_hierarchy))
 
 
@@ -107,9 +107,9 @@ def test_aggregate_examples(small_hierarchy):
     h = small_hierarchy
     bottom = np.array([1.0, 2.0, 3.0, 4.0])
     nodes = aggregate(bottom[:, None], h)[:, 0]
-    np.testing.assert_array_equal(nodes[h.level_slice(1)], [2.5])
-    np.testing.assert_array_equal(nodes[h.level_slice(2)], [1.5, 3.5])
-    np.testing.assert_array_equal(nodes[h.level_slice(3)], bottom)
+    np.testing.assert_array_equal(nodes[h.levels[0][1]], [2.5])
+    np.testing.assert_array_equal(nodes[h.levels[1][1]], [1.5, 3.5])
+    np.testing.assert_array_equal(nodes[h.levels[2][1]], bottom)
 
 
 def test_node_windows():
@@ -119,7 +119,7 @@ def test_node_windows():
         assert h.node_windows.shape == (h.M,)
         assert not h.node_windows.flags.writeable
         for lev in range(1, h.L + 1):
-            np.testing.assert_array_equal(h.node_windows[h.level_slice(lev)], h.f[lev - 1])
+            np.testing.assert_array_equal(h.node_windows[h.levels[lev - 1][1]], h.f[lev - 1])
 
 
 def test_scaled_vector_matches_aggregation():
@@ -132,7 +132,7 @@ def test_scaled_vector_matches_aggregation():
         native = (S.entries @ bottom) * h.node_windows
         for lev in range(1, h.L + 1):
             np.testing.assert_allclose(
-                native[h.level_slice(lev)],
+                native[h.levels[lev - 1][1]],
                 bottom.reshape(-1, h.f[lev - 1]).sum(axis=1),
                 rtol=1e-10, atol=1e-12,
             )

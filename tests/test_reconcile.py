@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporec.errors import DimensionMismatch, LengthMismatch
+from temporec.errors import DimensionMismatch, LengthMismatch, ReconcileError
 from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
     _add_lineage,
@@ -382,3 +382,16 @@ def test_reconcile_tensor_dimension_mismatch(small_hierarchy):
     P = fixed_weights("BU", small_hierarchy)
     with pytest.raises(DimensionMismatch):
         reconcile_tensor(P, np.zeros((2, small_hierarchy.m, 3)))
+
+
+def test_fixed_weights_and_coherence_reject_bad_input(small_hierarchy):
+    h = small_hierarchy
+    S = build_summing_matrix(h)
+    with pytest.raises(ReconcileError, match="unknown fixed method 'XX'"):
+        fixed_weights("XX", h)
+    # a 1-D vector is one column: checked when it has M entries, rejected otherwise
+    assert check_coherence(aggregate(np.arange(4.0)[:, None], h)[:, 0], S).ok
+    with pytest.raises(DimensionMismatch, match="expected 7 rows, got 6"):
+        check_coherence(np.zeros(h.M - 1), S)
+    with pytest.raises(DimensionMismatch, match="expected 7 rows, got 8"):
+        check_coherence(np.zeros((h.M + 1, 3)), S)

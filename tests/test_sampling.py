@@ -146,3 +146,10 @@ def test_rank_idempotence_property():
     once = rank(joint)
     again = np.sort(once.matrix, axis=1)
     np.testing.assert_array_equal(once.matrix, again)
+
+
+def test_assemble_rejects_unknown_scheme(small_hierarchy):
+    h = small_hierarchy
+    levels = [LevelSample(level=lev, matrix=np.zeros((h.nodes_at(lev), 3))) for lev in (1, 2, 3)]
+    with pytest.raises(SamplingError, match="unknown scheme 'bogus'"):
+        assemble(levels, h, "bogus")

@@ -136,15 +136,14 @@ def test_overall_is_mean_of_levels():
 
 
 def test_native_units_scale_levels():
-    # native scoring multiplies a level's CRPS by f_l relative to common
+    # native scoring multiplies a level's CRPS by f_l: every node's sample
+    # {0, 1} against 0 scores 1/2 - 1/4 = 1/4 in common units
     h = build_hierarchy([2, 1])
     samples = np.array([[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]])
-    actuals = np.zeros((1, 3))
-    common, _ = score_hierarchy(samples, actuals, h, units="common")
-    native, _ = score_hierarchy(samples, actuals, h, units="native")
-    assert native.level_scores[0] == pytest.approx(2 * common.level_scores[0], abs=1e-12)
-    assert native.level_scores[1] == pytest.approx(common.level_scores[1], abs=1e-12)
-    # on random hierarchies both metrics equal scoring an explicitly rescaled sample
+    native, _ = score_hierarchy(samples, np.zeros((1, 3)), h)
+    assert native.level_scores == pytest.approx((0.5, 0.25), abs=1e-12)
+    # on random hierarchies both metrics equal per-node scores of an
+    # explicitly rescaled sample, averaged over nodes, then over origins
     rng = np.random.default_rng(23)
     for _ in range(10):
         h = random_hierarchy(rng)
@@ -153,11 +152,15 @@ def test_native_units_scale_levels():
         )
         tensor = rng.normal(size=(3, h.M, 8))
         actuals = rng.normal(size=(3, h.M))
-        natives = score_hierarchy(tensor, actuals, h, units="native")
-        oracles = score_hierarchy(tensor * scale[:, None], actuals * scale, h, units="common")
-        for native, oracle in zip(natives, oracles):
-            np.testing.assert_allclose(native.level_scores, oracle.level_scores, rtol=1e-12)
-            np.testing.assert_allclose(native.origin_scores, oracle.origin_scores, rtol=1e-12)
+        x, z = tensor * scale[:, None], actuals * scale
+        node_crps = np.array(
+            [[crps_sample(x[t, k], z[t, k]) for k in range(h.M)] for t in range(3)]
+        )
+        node_mae = np.abs(np.median(x, axis=-1) - z)
+        for table, node in zip(score_hierarchy(tensor, actuals, h), (node_crps, node_mae)):
+            per_origin = np.stack([node[:, rows].mean(axis=-1) for _, rows in h.levels], axis=-1)
+            np.testing.assert_allclose(table.origin_scores, per_origin, rtol=1e-12)
+            np.testing.assert_allclose(table.level_scores, per_origin.mean(axis=0), rtol=1e-12)
 
 
 def test_score_alignment_errors(small_hierarchy):
@@ -243,7 +246,7 @@ def test_cv_objective_zero_for_perfect_forecasts():
         levels = tuple(
             LevelSample(
                 level=lev,
-                matrix=np.repeat(actual[h.level_slice(lev)][:, None], 4, axis=1),
+                matrix=np.repeat(actual[h.levels[lev - 1][1]][:, None], 4, axis=1),
             )
             for lev in range(1, h.L + 1)
         )
@@ -262,11 +265,12 @@ def test_cv_objective_bu_collapses_to_direct_scoring(small_hierarchy):
     bu = fixed_weights("BU", h)
     for scheme in ("stacked", "ranked"):
         recs = np.stack([reconcile(S, bu, assemble(o.levels, h, scheme)).matrix for o in origins])
-        direct, _ = score_hierarchy(recs, np.stack([o.actual for o in origins]), h, units="common")
+        direct, _ = score_hierarchy(recs, np.stack([o.actual for o in origins]), h)
         v = np.zeros(h.L)
         v[-1] = 1.0
+        # the criterion is in common units: each native level score over f_l
         assert cv_objective(v, scheme, origins, h) == pytest.approx(
-            direct.overall, abs=1e-10
+            np.mean(np.array(direct.level_scores) / h.f), abs=1e-10
         )
 
 
@@ -303,28 +307,27 @@ def test_cv_objective_matches_naive_oracle():
 
 
 @pytest.mark.parametrize("metric", ["crps", "mae"])
-@pytest.mark.parametrize("units", ["native", "common"])
-def test_origin_scores_equal_single_origin_scoring(metric, units):
+def test_origin_scores_equal_single_origin_scoring(metric):
     h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
     rng = np.random.default_rng(31)
     pick = ("crps", "mae").index(metric)
-    factor = h.node_windows if units == "native" else 1.0
+    factor = h.node_windows
     for n_paths in (41, 40):
         tensor = rng.normal(size=(6, h.M, n_paths))
         actuals = rng.normal(size=(6, h.M))
-        table = score_hierarchy(tensor, actuals, h, units=units)[pick]
+        table = score_hierarchy(tensor, actuals, h)[pick]
         assert len(table.origin_scores) == 6
         for mat, act, row in zip(tensor, actuals, table.origin_scores):
-            alone = score_hierarchy(mat[None], act[None], h, units=units)[pick]
+            alone = score_hierarchy(mat[None], act[None], h)[pick]
             assert row == alone.level_scores  # bit for bit
             assert alone.origin_scores == (alone.level_scores,)
-        listed = score_hierarchy(list(tensor), list(actuals), h, units=units)[pick]
+        listed = score_hierarchy(list(tensor), list(actuals), h)[pick]
         assert listed == table
         if metric == "mae":
             # the MAE node scores are those of np.median, bit for bit
             node = np.abs(np.median(tensor, axis=-1) - actuals) * factor
             expected = np.stack(
-                [node[:, h.level_slice(lev)].mean(axis=-1) for lev in range(1, h.L + 1)],
+                [node[:, h.levels[lev - 1][1]].mean(axis=-1) for lev in range(1, h.L + 1)],
                 axis=-1,
             )
             assert table.origin_scores == tuple(tuple(float(s) for s in r) for r in expected)

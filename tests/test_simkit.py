@@ -147,7 +147,7 @@ def test_dataset_consistency():
     # each level is fitted on its common-unit node values, cycle by cycle
     nodes = aggregate(ds.bottom[: 20 * 4].reshape(20, 4).T, h)
     for fc in ds.forecasters:
-        refit = fit_level(nodes[h.level_slice(fc.level)].T.ravel(), fc.level)
+        refit = fit_level(nodes[h.levels[fc.level - 1][1]].T.ravel(), fc.level)
         assert refit.phi == fc.phi
         assert refit.intercept == fc.intercept
         np.testing.assert_array_equal(refit.residuals, fc.residuals)
