@@ -36,8 +36,9 @@ Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
 least 2, each cycle count at least 1, cv_starts at least 3 (a search never
 runs fewer starts) and cv_maxiter nonnegative. An empty out (``out =`` or
 ``TEMPOREC_OUT=``) would write the reports into the current directory, so
-it is rejected. A value out of bounds, or a token repeated in schemes,
-methods or cv_regimes, is a configuration error that names the key.
+it is rejected. A value out of bounds, a key set twice in the config
+file, or a token repeated in schemes, methods or cv_regimes, is a
+configuration error that names the key.
 
 A search under ``simplex`` on sorted samples (the ``ranked`` scheme) is the
 certified cutting-plane search: cv_starts does not apply to it, and
@@ -69,8 +70,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. Every package error maps to one of them by its family
 (``EXIT_CODES``):
 
-    2  ConfigError, HierarchyError (bad frequencies), SimkitError (a
-       synthetic scenario or training window that cannot be fitted, e.g.
+    2  ConfigError (including an out directory or report file that
+       cannot be written; a failed run keeps its own error's code),
+       HierarchyError (bad frequencies), SimkitError (a synthetic
+       scenario or training window that cannot be fitted, e.g.
        ``train_cycles = 1``)
     3  DataError (unreadable, malformed, non-finite, non-hourly-step,
        gapped or too short CSV input)
@@ -81,6 +84,7 @@ failure. Every package error maps to one of them by its family
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -256,7 +260,7 @@ def _parse_value(name: str, raw: str, kind):
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, set_on = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -268,7 +272,10 @@ def _read_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
+        values[key], set_on[key] = raw.strip(), lineno
     return values
 
 
@@ -461,12 +468,18 @@ def run_experiment(cfg: RunConfig):
                         )
                 results.append((scheme, lab, *score_hierarchy(reconciled, actuals, h)))
     except Exception as exc:
-        _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
-        (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
+        # the run's own error is the one raised, even if its reports cannot be written
+        with contextlib.suppress(ConfigError):
+            _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
+        with contextlib.suppress(OSError):
+            (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
         raise
 
     _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
-    (outdir / "failure.txt").unlink(missing_ok=True)
+    try:
+        (outdir / "failure.txt").unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove failure.txt in out = {cfg.out!r}: {exc}") from exc
     return [
         ReportRow(scheme, method, crps.level_scores, crps.overall)
         for scheme, method, crps, _ in results
@@ -478,6 +491,8 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
 
     ``results`` holds (scheme, method, CRPS table, MAE table) records and
     ``origins`` the test origin labels their per-origin scores belong to.
+    A file that cannot be written raises ``ConfigError``, and its
+    temporary copy is removed.
     """
     levels = [f"{fl}h" for fl in cfg.frequencies]
     score_header = ",".join(["scheme", "method", *levels, "mean"])
@@ -514,8 +529,13 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
         reports["manifest.txt"].append(f"{f.name} = {value}")
     for name, lines in reports.items():
         tmp = outdir / (name + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n", newline="")
-        os.replace(tmp, outdir / name)
+        try:
+            tmp.write_text("\n".join(lines) + "\n", newline="")
+            os.replace(tmp, outdir / name)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {name} in out = {cfg.out!r}: {exc}") from exc
 
 
 def exit_code(exc: BaseException) -> int | None:

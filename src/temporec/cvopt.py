@@ -16,9 +16,10 @@ per node, an M-vector in the package's node order (levels coarse to fine,
 nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
 Both layouts run one driver, ``_optimize``, whose searched weights each
 cover a group of nodes: a level, or one node. Its evaluator, ``_criterion``,
-takes the M-vector of node weights and builds no weight matrix; the public
-``cv_criterion`` runs once per search, at the returned weights, for the
-reported objective, and both weigh node CRPS by ``scoring._node_weights``.
+takes the M-vector of node weights and runs the lineage map of the weight
+builders; the public ``cv_criterion`` runs once per search, at the returned
+weights, for the reported objective, which equals the searched value bit
+for bit: both weigh node CRPS by ``scoring._node_weights``.
 The multi-start search (``_search``) has fixed tolerances (``XATOL`` on the
 point, ``FATOL`` on the objective). The empirical-CRPS objective is
 piecewise smooth and has no useful gradient in general, so each start runs
@@ -45,7 +46,7 @@ from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec, aggregate
-from .reconcile import _add_lineage, weights_from_levels, weights_from_nodes
+from .reconcile import _lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
 from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
@@ -186,8 +187,8 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
     ``w[k]`` on node k in the rows of every bottom node it contains; the
     per-level layout passes each level's weight repeated over its nodes.
-    The lineage operator ``_add_lineage`` adds the reconciled bottom level
-    P_w @ Y into one (T, m, N) buffer, so no weight matrix is built. The
+    The lineage operator ``_lineage``, that combination's own ``apply``,
+    gives the reconciled bottom level, so the two agree bit for bit. The
     node CRPS comes from the scoring kernel ``_sorted_scores``, which takes
     sorted rows: when every input row is nondecreasing and w >= 0 the
     reconciled rows are sorted already, otherwise they are sorted in place
@@ -200,11 +201,9 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
     unit = np.ones(h.M)
-    buffer = np.empty((T, h.m, n))
 
     def evaluate(w: np.ndarray, subgradient: bool = False):
-        buffer.fill(0.0)
-        x = aggregate(_add_lineage(buffer, w, joint_tensor, h), h)
+        x = aggregate(_lineage(w, joint_tensor, h), h)
         if not (rows_sorted and (w >= 0).all()):
             x.sort(axis=-1)
         crps, _ = _sorted_scores(x, actuals)
@@ -219,8 +218,7 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         # S^T d is the unit-weight lineage sum of d / f_l; v_l then pairs
         # Y_l with its window sums
         dev /= h.node_windows[:, None]
-        buffer.fill(0.0)
-        back = _add_lineage(buffer, unit, dev, h)
+        back = _lineage(unit, dev, h)
         grad = np.array([
             np.einsum("tkn,tkn->", back.reshape(T, -1, fl, n).sum(axis=2), joint_tensor[:, rows])
             for fl, rows in h.levels

@@ -1,32 +1,31 @@
-"""Combination-weight matrices and the projection that enforces coherence.
+"""Combination maps and the projection that enforces coherence.
 
-A reconciliation method is an m x M matrix P mapping base forecasts of all
-nodes to bottom-level values; premultiplying a joint sample by S @ P yields
-a sample whose every column satisfies the aggregation constraints. That
-product has one implementation, ``reconcile_tensor``: one matrix product
-P @ Y, then the window-mean aggregation that stands for S. Fixed
-methods (bottom-up, bottom average, global average, lineal average, weighted
-least squares) are built here alongside the two sparse data-driven layouts
-whose weights are chosen by cross-validation: one weight per node, an
-M-vector in the package's node order, or one weight shared by all nodes of
-a level, which is that vector with each level's weight repeated.
+A reconciliation method is a linear map P from base forecasts of all M
+nodes to the m bottom-level values; premultiplying a joint sample by S @ P
+yields a sample whose every column satisfies the aggregation constraints.
+A ``WeightMatrix`` holds the map as ``apply``; its dense m x M matrix is a
+reference derived on request. ``reconcile_tensor`` is the one application
+path: ``P.apply(Y)``, then the window-mean aggregation that stands for S.
+Fixed methods (bottom-up, bottom average, global average, lineal average,
+weighted least squares) are built here alongside the two sparse data-driven
+layouts whose weights are chosen by cross-validation: one weight per node,
+an M-vector in the package's node order, or one weight shared by all nodes
+of a level, which is that vector with each level's weight repeated.
 
 For the averaging layouts (lineal and cross-validated) the "ancestor" of
 bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization. One
-operator, ``_add_lineage``, applies these layouts' weight matrices, and one
-builder, ``_lineage_weights``, forms them: the cross-validated ones, the
-bottom-up and lineal-average ones, and S'W^-1 for weighted least squares.
-With ``aggregate`` for S, those two operators build every fixed matrix;
-the dense summing matrix is used only by ``check_coherence``, as its
-reference.
+operator, ``_lineage``, applies these layouts and bottom-up, runs the
+search evaluator's passes and forms S'W^-1; the other methods apply a
+dense matrix, and the dense S serves only ``check_coherence``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,21 +52,19 @@ FIXED_METHODS = ("BU", "BA", "GA", "LA")
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """m x M combination matrix defining one reconciliation method."""
+    """The combination map of one reconciliation method: ``apply(Y)`` is P @ Y,
+    (..., M, N) -> (..., m, N). ``entries``, the dense m x M matrix
+    ``apply(I_M)``, is a read-only reference built on first access."""
 
-    entries: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray]
     method: str
     hierarchy: HierarchySpec
 
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=float)
-        h = self.hierarchy
-        if mat.shape != (h.m, h.M):
-            raise DimensionMismatch(
-                f"weight matrix must be {h.m}x{h.M}, got {mat.shape}"
-            )
+    @cached_property
+    def entries(self) -> np.ndarray:
+        mat = self.apply(np.eye(self.hierarchy.M))
         mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,8 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
     * ``LA`` lineal average: row r averages bottom node r and its ancestor
       at every level, weight 1/L each.
 
-    ``BU`` and ``LA`` are lineage matrices, built by ``_lineage_weights``
-    from the bottom-node indicator and from 1/L on every node.
+    ``BU`` and ``LA`` are lineage maps of the bottom-node indicator and of
+    1/L on every node; ``BA`` and ``GA`` apply their dense matrix.
     """
     m, M = h.m, h.M
     if method == "BU":
@@ -109,7 +106,7 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
         entries = np.full((m, M), 1.0 / M)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
-    return WeightMatrix(entries=entries, method=method, hierarchy=h)
+    return WeightMatrix(partial(np.matmul, entries), method, h)
 
 
 def wls_weights(h: HierarchySpec) -> WeightMatrix:
@@ -122,13 +119,13 @@ def wls_weights(h: HierarchySpec) -> WeightMatrix:
     ordinary least squares on the rescaled data. Satisfies P @ S = I.
 
     S' adds y_k / f_l to the row of every bottom node under node k, so
-    S'W^-1 is the lineage matrix of the node weights f_l^-3; S is
-    ``aggregate`` applied to I_m, and ``numpy.linalg.solve`` solves the
-    m x m normal equations.
+    S'W^-1 is the lineage map of the node weights f_l^-3 applied to I_M;
+    S is ``aggregate`` applied to I_m. ``numpy.linalg.solve`` solves the
+    m x m normal equations, and the map applies the dense result.
     """
-    rhs = _lineage_weights(h.node_windows**-3.0, "WLS", h).entries  # S'W^-1
+    rhs = _lineage(h.node_windows**-3.0, np.eye(h.M), h)  # S'W^-1
     gram = rhs @ aggregate(np.eye(h.m), h)  # S'W^-1 S
-    return WeightMatrix(entries=np.linalg.solve(gram, rhs), method="WLS", hierarchy=h)
+    return WeightMatrix(partial(np.matmul, np.linalg.solve(gram, rhs)), "WLS", h)
 
 
 def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
@@ -163,24 +160,24 @@ def weights_from_nodes(w, h: HierarchySpec) -> WeightMatrix:
 
 
 def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
-    """The lineage matrix P_w of an M-vector of node weights, built by ``_add_lineage``."""
-    vec = np.asarray(w, dtype=float)
+    """The map P_w of an M-vector of node weights, applied by ``_lineage``."""
+    vec = np.array(w, dtype=float)  # a copy: the map must not see later edits
     if vec.shape != (h.M,):
         raise LengthMismatch(f"need {h.M} node weights, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise LengthMismatch("weights must be finite")
-    entries = _add_lineage(np.zeros((h.m, h.M)), vec, np.eye(h.M), h)
-    return WeightMatrix(entries=entries, method=method, hierarchy=h)
+    return WeightMatrix(partial(_lineage, vec, h=h), method, h)
 
 
-def _add_lineage(out: np.ndarray, w: np.ndarray, values: np.ndarray, h: HierarchySpec):
-    """Add P_w @ values into the contiguous (..., m, N) ``out`` and return it.
+def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """P_w @ values for a (..., M, N) ``values``, as a new (..., m, N) array.
 
     P_w holds ``w[k]`` in the row of every bottom node that node k contains;
-    it is never formed: node k's row of ``values`` (..., M, N), times w[k],
-    is added to each row of its window in a view of ``out``.
+    it is never formed: node k's row of ``values``, times w[k], is added to
+    each row of its window in a view of the zeroed result, level by level.
     """
-    batch, n = out.shape[:-2], out.shape[-1]
+    batch, n = values.shape[:-2], values.shape[-1]
+    out = np.zeros(batch + (h.m, n))
     for fl, rows in h.levels:
         windows = out.reshape(batch + (h.m // fl, fl, n))
         windows += w[rows, None, None] * values[..., rows, None, :]
@@ -190,15 +187,19 @@ def _add_lineage(out: np.ndarray, w: np.ndarray, values: np.ndarray, h: Hierarch
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:
     """S @ P @ Y for one M x N joint sample or a (T, M, N) stack of them.
 
-    One matrix product P @ Y gives the reconciled bottom level; ``aggregate``
-    then fills every coarser level with window means, so the dense M x m
-    summing matrix is never formed.
+    ``P.apply`` gives the reconciled bottom level and ``aggregate`` fills
+    every coarser level with window means, so neither dense P nor dense S is
+    formed. Raises ``DimensionMismatch`` unless Y has M rows and ``P.apply``
+    returns (..., m, N).
     """
     h = P.hierarchy
     Y = np.asarray(tensor, dtype=float)
     if Y.ndim < 2 or Y.shape[-2] != h.M:
         raise DimensionMismatch(f"P has {h.M} columns, sample has shape {Y.shape}")
-    return aggregate(np.matmul(P.entries, Y), h)
+    bottom = P.apply(Y)
+    if bottom.shape != Y.shape[:-2] + (h.m, Y.shape[-1]):
+        raise DimensionMismatch(f"{P.method} map took shape {Y.shape} to {bottom.shape}")
+    return aggregate(bottom, h)
 
 
 def reconcile(S: SummingMatrix, P: WeightMatrix, Y: JointSample) -> ReconciledSample:

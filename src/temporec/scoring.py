@@ -190,7 +190,8 @@ def assemble_origins(
     its own substream derived from (seed, ``origin.origin``), so its rows
     depend neither on its position in the list nor on other origins, and
     validation and test origins (different cycles) never share a
-    permutation; a label that repeats raises ``AlignmentError``.
+    permutation; a label that repeats raises ``AlignmentError``, and so do
+    origins whose path counts differ or whose actuals are not M-vectors.
     """
     if not origins:
         raise AlignmentError("no forecast origins supplied")
@@ -205,6 +206,17 @@ def assemble_origins(
         assemble(origin.levels, h, scheme, seed=_origin_seed(seed, origin.origin)).matrix
         for origin in origins
     ]
+    for origin, joint in zip(origins, joints):
+        if joint.shape != joints[0].shape:
+            raise AlignmentError(
+                f"origin {origin.origin} has a joint sample of shape {joint.shape}, "
+                f"origin {origins[0].origin} one of shape {joints[0].shape}"
+            )
+        if origin.actual.shape != (h.M,):
+            raise AlignmentError(
+                f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
+                f"expected {(h.M,)}"
+            )
     return np.stack(joints), np.stack([origin.actual for origin in origins])
 
 

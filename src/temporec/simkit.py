@@ -181,11 +181,7 @@ def sample_paths(
 class Dataset:
     """Fitted forecasters plus assembled validation and test origins."""
 
-    hierarchy: HierarchySpec
     bottom: np.ndarray
-    train_cycles: int
-    val_cycles: int
-    test_cycles: int
     forecasters: tuple[LevelForecaster, ...]
     val_origins: tuple[OriginData, ...]
     test_origins: tuple[OriginData, ...]
@@ -245,11 +241,7 @@ def dataset_from_series(
         make_origin(c) for c in range(train_cycles + val_cycles, total)
     )
     return Dataset(
-        hierarchy=h,
         bottom=values,
-        train_cycles=train_cycles,
-        val_cycles=val_cycles,
-        test_cycles=test_cycles,
         forecasters=forecasters,
         val_origins=val_origins,
         test_origins=test_origins,

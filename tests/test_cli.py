@@ -24,6 +24,7 @@ from temporec.cli import (
     run_experiment,
 )
 from temporec.errors import ConfigError, GapError, NonMonotoneTimestamps, SchemaError
+from temporec.reconcile import WeightMatrix
 
 
 def write_csv(path, values, start="2026-01-01T00:00:00+00:00", stamps=None):
@@ -536,3 +537,65 @@ def test_mid_run_failure_keeps_finished_rows(tmp_path, monkeypatch):
     diagnostics = (out / "diagnostics.csv").read_text().splitlines()[1:]
     assert [line.split(",")[1] for line in diagnostics] == ["bu"] * 4 + ["la"]
     assert all((out / name).exists() for name in REPORTS)
+
+
+def test_unwritable_report_exits_2_without_traceback(tmp_path, capfd):
+    out = tmp_path / "out"
+    (out / "crps.csv").mkdir(parents=True)
+    args = ["--synthetic", "--methods", "bu", "--out", str(out)]
+    (tmp_path / "ok.cfg").write_text("frequencies = 4,2,1\ntrain_cycles = 15\nval_cycles = 4\n"
+                                     "test_cycles = 4\nn_paths = 12\n")
+    assert main(["--config", str(tmp_path / "ok.cfg")] + args) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: cannot write crps.csv in out = ")
+    assert str(out) in err and "Traceback" not in err
+    assert not list(out.glob("*.tmp"))
+    # a run that fails on its own keeps its error's exit code
+    cfg_file = tmp_path / "bad_data.cfg"
+    cfg_file.write_text(f"data = {tmp_path / 'missing.csv'}\nfrequencies = 4,2,1\n")
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == EXIT_DATA
+    err = capfd.readouterr().err
+    assert err.startswith("data error: cannot open") and "Traceback" not in err
+    assert (out / "failure.txt").read_text().startswith("SchemaError: cannot open")
+    assert not list(out.glob("*.tmp"))
+    # a failure.txt that cannot be removed after a successful run
+    (out / "crps.csv").rmdir()
+    (out / "failure.txt").unlink()
+    (out / "failure.txt").mkdir()
+    assert main(["--config", str(tmp_path / "ok.cfg")] + args) == EXIT_CONFIG
+    assert capfd.readouterr().err.startswith("configuration error: cannot remove failure.txt")
+
+
+def test_repeated_config_key_is_rejected(tmp_path, capfd):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 1\nn_paths = 8\n# seed = 3\nseed = 2\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:4: key 'seed' is already set on line 1$"):
+        load_config(str(cfg_file), env={})
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert "key 'seed' is already set on line 1" in err and "Traceback" not in err
+
+
+def test_config_comments_blank_lines_and_false_synthetic(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# a comment-only line\n\n   \nsynthetic = false\n  # indented\n")
+    assert load_config(str(cfg_file), env={}).synthetic is False
+
+
+def test_ingest_skips_blank_lines(tmp_path):
+    path = write_csv(tmp_path / "series.csv", [1.0, 2.0, 3.0])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+    np.testing.assert_array_equal(ingest_csv(str(path)), [1.0, 2.0, 3.0])
+
+
+def test_run_never_builds_a_dense_weight_matrix(tmp_path, monkeypatch):
+    def no_dense(self):
+        raise AssertionError(f"{self.method}: dense entries built during a run")
+
+    monkeypatch.setattr(WeightMatrix, "entries", property(no_dense))
+    cfg = _quick_config(
+        tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
+        methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),
+    )
+    assert len(run_experiment(cfg)) == 1 + 3 * 8

@@ -1,24 +1,28 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temporec import cvopt
 from temporec.cvopt import (
     CUT_GAP,
     _Regime,
     _criterion,
+    _cutting_planes,
     _search,
     _start_vectors,
     optimize_node_weights,
     optimize_weights,
 )
-from temporec.errors import ConfigError, DidNotConverge, NonFinite
+from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import weights_from_levels, weights_from_nodes
 from temporec.sampling import LevelSample, OriginData
 from temporec.scoring import assemble_origins, cv_criterion, cv_objective
+from temporec.simkit import SyntheticScenario, build_dataset
 
 from conftest import random_hierarchy
 
@@ -227,10 +231,10 @@ def test_sorted_evaluator_equals_cv_criterion(seed, sort):
     level_weights = list(rng.dirichlet(np.ones(h.L), size=2)) + list(rng.normal(size=(2, h.L)))
     for v in level_weights:
         expected = cv_criterion(weights_from_levels(v, h), tensor, actuals, h)
-        assert abs(evaluate(np.repeat(v, nodes)) - expected) <= 1e-12
+        assert evaluate(np.repeat(v, nodes)) == expected
     for w in (rng.random(h.M), rng.normal(size=h.M)):
         expected = cv_criterion(weights_from_nodes(w, h), tensor, actuals, h)
-        assert abs(evaluate(w) - expected) <= 1e-12
+        assert evaluate(w) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,3 +299,58 @@ def test_simplex_start_weights_are_distinct(daily_hierarchy):
     for i, a in enumerate(weights):
         for b in weights[i + 1:]:
             assert not np.allclose(a, b, atol=1e-6)
+
+
+def test_reported_objective_is_the_searched_value(daily_hierarchy):
+    # the evaluator and cv_criterion run the same arithmetic, so the
+    # reported objective is the value the search saw at the returned weights
+    h = daily_hierarchy
+    scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=h.m,
+                            train_cycles=10, val_cycles=3, test_cycles=1, seed=4)
+    origins = build_dataset(scn, h, n_paths=30).val_origins
+    evaluate, _ = _criterion(*assemble_origins(origins, h, "ranked", seed=4), h)
+    nodes = h.m // np.array(h.f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConverge)
+        for regime in ("simplex", "affine", "free"):
+            res = optimize_weights(origins, "ranked", regime, h, seed=4, maxiter=30)
+            assert res.objective == evaluate(np.repeat(res.v, nodes))
+
+
+def test_misaligned_origins_raise_alignment_error():
+    h, origins = balanced_instance(n_origins=3)
+    _, (fewer,) = balanced_instance(n_origins=1, n_paths=20)
+    with pytest.raises(AlignmentError, match=r"origin 0 has a joint sample of shape \(3, 20\)"):
+        optimize_weights(origins + [fewer], "ranked", "simplex", h)
+    short = OriginData(levels=origins[1].levels, actual=origins[1].actual[:2], origin=9)
+    with pytest.raises(AlignmentError, match=r"origin 9 has actuals of shape \(2,\), expected \(3,\)"):
+        optimize_weights([origins[0], short], "stacked", "free", h)
+
+
+def _linear_cuts(c, finite=lambda v: True):
+    """A stub evaluator: the linear objective c @ v and its gradient c,
+    NaN wherever ``finite(v)`` is false."""
+    c = np.asarray(c, dtype=float)
+    return lambda v: (float(c @ v) if finite(v) else np.nan, c)
+
+
+def test_cutting_planes_non_finite_start_cuts_raise():
+    with pytest.raises(NonFinite, match="bottom-up and equal-weight"):
+        _cutting_planes(_linear_cuts([0.0, 1.0, 2.0], finite=lambda v: False), 3, None)
+
+
+def test_cutting_planes_stops_on_a_failed_lp(monkeypatch):
+    monkeypatch.setattr(cvopt, "linprog", lambda *a, **k: SimpleNamespace(success=False))
+    with pytest.warns(DidNotConverge, match="after 1 LP solves"):
+        v, solves, gap = _cutting_planes(_linear_cuts([0.0, 1.0, 2.0]), 3, None)
+    np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))  # the better start
+    assert (solves, gap) == (1, np.inf)
+
+
+def test_cutting_planes_stops_on_a_non_finite_lp_point():
+    # the LP optimum is the first vertex, where the objective is NaN
+    evaluate = _linear_cuts([0.0, 1.0, 2.0], finite=lambda v: v[0] < 0.5)
+    with pytest.warns(DidNotConverge, match="after 1 LP solves with optimality gap 1.000e"):
+        v, solves, gap = _cutting_planes(evaluate, 3, None)
+    np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))
+    assert solves == 1 and gap == pytest.approx(1.0)

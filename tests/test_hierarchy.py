@@ -163,3 +163,8 @@ def test_aggregate_rejects_wrong_row_count(small_hierarchy):
         aggregate(np.zeros((small_hierarchy.M, 3)), small_hierarchy)
     with pytest.raises(DimensionMismatch):
         aggregate(np.zeros(small_hierarchy.m), small_hierarchy)
+
+
+def test_non_positive_entry_rejected():
+    with pytest.raises(NotDecreasing, match="must be positive"):
+        build_hierarchy([4, 0, 1])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from temporec.errors import DimensionMismatch, LengthMismatch, ReconcileError
 from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
-    _add_lineage,
+    WeightMatrix,
+    _lineage,
     check_coherence,
     fixed_weights,
     reconcile,
@@ -348,7 +350,7 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     T, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     w = rng.normal(size=h.M)  # signed per-node weights
     Y = rng.normal(size=(T, h.M, N))
-    bottom = _add_lineage(np.zeros((T, h.m, N)), w, Y, h)
+    bottom = _lineage(w, Y, h)
     P = weights_from_nodes(w, h)
     np.testing.assert_allclose(bottom, np.matmul(P.entries, Y), rtol=0, atol=1e-12)
     S = build_summing_matrix(h)
@@ -357,7 +359,7 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     # S^T D through the operator: the unit-weight lineage sum of D / f_l
     B = rng.normal(size=(T, h.m, N))
     D = rng.normal(size=(T, h.M, N))
-    StD = _add_lineage(np.zeros((T, h.m, N)), np.ones(h.M), D / h.node_windows[:, None], h)
+    StD = _lineage(np.ones(h.M), D / h.node_windows[:, None], h)
     assert np.vdot(aggregate(B, h), D) == pytest.approx(np.vdot(B, StD), rel=1e-12, abs=1e-12)
 
 
@@ -395,3 +397,10 @@ def test_fixed_weights_and_coherence_reject_bad_input(small_hierarchy):
         check_coherence(np.zeros(h.M - 1), S)
     with pytest.raises(DimensionMismatch, match="expected 7 rows, got 8"):
         check_coherence(np.zeros((h.M + 1, 3)), S)
+
+
+def test_reconcile_tensor_rejects_a_map_with_the_wrong_rows(small_hierarchy):
+    h = small_hierarchy
+    short = WeightMatrix(partial(np.matmul, np.ones((h.m - 1, h.M))), "short", h)
+    with pytest.raises(DimensionMismatch, match=r"short map took shape \(2, 7, 3\) to \(2, 3, 3\)"):
+        reconcile_tensor(short, np.zeros((2, h.M, 3)))

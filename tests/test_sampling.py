@@ -153,3 +153,11 @@ def test_assemble_rejects_unknown_scheme(small_hierarchy):
     levels = [LevelSample(level=lev, matrix=np.zeros((h.nodes_at(lev), 3))) for lev in (1, 2, 3)]
     with pytest.raises(SamplingError, match="unknown scheme 'bogus'"):
         assemble(levels, h, "bogus")
+
+
+def test_sample_shapes_rejected():
+    h, _, _ = _two_level()
+    with pytest.raises(SamplingError, match="must be 2-D"):
+        LevelSample(level=1, matrix=[1.0, 2.0, 3.0])
+    with pytest.raises(SamplingError, match="joint sample has 2 rows, hierarchy has 3 nodes"):
+        JointSample(matrix=np.zeros((2, 4)), scheme="stacked", hierarchy=h)

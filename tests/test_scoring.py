@@ -365,3 +365,21 @@ def test_scores_invariant_across_schemes(seed):
         np.testing.assert_array_equal(scheme_actuals, actuals)
         np.testing.assert_array_equal(np.sort(tensor, axis=-1), np.sort(stacked, axis=-1))
         assert score_hierarchy(tensor, actuals, h) == tables  # bit for bit
+
+
+def test_misaligned_origins_raise_alignment_error(small_hierarchy):
+    h = small_hierarchy
+    rng = np.random.default_rng(53)
+    (a,) = _make_origins(h, rng, n_origins=1, n_paths=6)
+    (b,) = _make_origins(h, rng, n_origins=1, n_paths=8)
+    b = OriginData(levels=b.levels, actual=b.actual, origin=4)
+    with pytest.raises(AlignmentError, match=r"origin 4 has a joint sample of shape \(7, 8\), "
+                                             r"origin 0 one of shape \(7, 6\)"):
+        assemble_origins([a, b], h, "stacked")
+    with pytest.raises(AlignmentError, match=r"origin 4 has a joint sample"):
+        cv_objective([0.0, 0.0, 1.0], "ranked", [a, b], h)
+    long = OriginData(levels=a.levels, actual=np.append(a.actual, 0.0), origin=5)
+    with pytest.raises(AlignmentError, match=r"origin 5 has actuals of shape \(8,\), expected \(7,\)"):
+        assemble_origins([long], h, "ranked")
+    with pytest.raises(AlignmentError, match=r"origin 5 has actuals"):
+        cv_objective([0.0, 0.0, 1.0], "stacked", [a, long], h)

@@ -4,6 +4,7 @@ import pytest
 from temporec.errors import SimkitError, TooShort
 from temporec.hierarchy import aggregate, build_hierarchy
 from temporec.simkit import (
+    LevelForecaster,
     SyntheticScenario,
     build_dataset,
     dataset_from_series,
@@ -186,3 +187,15 @@ def test_mismatched_cycle_length_rejected():
                             train_cycles=10, val_cycles=2, test_cycles=2)
     with pytest.raises(SimkitError):
         build_dataset(scn, h, n_paths=4)
+
+
+def test_scenario_forecaster_and_paths_bounds():
+    with pytest.raises(SimkitError, match="cycle length must be positive"):
+        SyntheticScenario(phi=0.5, sigma=1.0, cycle_length=0)
+    with pytest.raises(SimkitError, match="residual pool must be nonempty"):
+        LevelForecaster(level=1, phi=0.5, intercept=0.0, residuals=[])
+    fc = LevelForecaster(level=1, phi=0.5, intercept=0.0, residuals=[-1.0, 1.0])
+    with pytest.raises(SimkitError, match="horizon must be at least 1"):
+        sample_paths(fc, 0.0, horizon=0, n_paths=4, seed=0)
+    with pytest.raises(SimkitError, match="at least 2 sample paths"):
+        sample_paths(fc, 0.0, horizon=3, n_paths=1, seed=0)
