@@ -16,10 +16,11 @@ per node, an M-vector in the package's node order (levels coarse to fine,
 nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
 Both layouts run one driver, ``_optimize``, whose searched weights each
 cover a group of nodes: a level, or one node. Its evaluator, ``_criterion``,
-takes the M-vector of node weights and runs the lineage map of the weight
-builders; the public ``cv_criterion`` runs once per search, at the returned
-weights, for the reported objective, which equals the searched value bit
-for bit: both weigh node CRPS by ``scoring._node_weights``.
+takes the M-vector of node weights and runs the hierarchy's two walks, the
+lineage push-down and the window-mean fill, in one buffer; the public
+``cv_criterion`` runs once per search, at the returned weights, for the
+reported objective, which equals the searched value bit for bit: both
+weigh node CRPS by ``scoring._node_weights``.
 The multi-start search (``_search``) has fixed tolerances (``XATOL`` on the
 point, ``FATOL`` on the objective). The empirical-CRPS objective is
 piecewise smooth and has no useful gradient in general, so each start runs
@@ -45,8 +46,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
-from .hierarchy import HierarchySpec, aggregate
-from .reconcile import _lineage, weights_from_levels, weights_from_nodes
+from .hierarchy import HierarchySpec, _fill_means, _push_down
+from .reconcile import weights_from_levels, weights_from_nodes
 from .sampling import OriginData
 from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
@@ -187,23 +188,27 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
     ``w[k]`` on node k in the rows of every bottom node it contains; the
     per-level layout passes each level's weight repeated over its nodes.
-    The lineage operator ``_lineage``, that combination's own ``apply``,
-    gives the reconciled bottom level, so the two agree bit for bit. The
-    node CRPS comes from the scoring kernel ``_sorted_scores``, which takes
-    sorted rows: when every input row is nondecreasing and w >= 0 the
-    reconciled rows are sorted already, otherwise they are sorted in place
-    first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
+    Both walks of the child map run in one (T, M, N) buffer of
+    ``w[:, None] * joint_tensor``: ``_push_down`` leaves in its bottom rows
+    what ``_lineage``, that combination's own ``apply``, returns, and
+    ``_fill_means`` then does what ``aggregate`` does, so the two agree bit
+    for bit. The node CRPS comes from the scoring kernel ``_sorted_scores``,
+    which takes sorted rows: when every input row is nondecreasing and
+    w >= 0 the reconciled rows are sorted already, otherwise they are
+    sorted in place first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
     the per-level weights, valid on the sort-free branch, where the
-    objective is convex and piecewise linear in them.
+    objective is convex and piecewise linear in them; its pull-back runs
+    the same two walks in place on the CRPS derivative.
     """
     T, _, n = joint_tensor.shape
     rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
     rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
-    unit = np.ones(h.M)
 
     def evaluate(w: np.ndarray, subgradient: bool = False):
-        x = aggregate(_lineage(w, joint_tensor, h), h)
+        x = w[:, None] * joint_tensor
+        _push_down(x, h)
+        _fill_means(x, h)
         if not (rows_sorted and (w >= 0).all()):
             x.sort(axis=-1)
         crps, _ = _sorted_scores(x, actuals)
@@ -215,12 +220,14 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         dev /= n
         dev -= rank
         dev *= node_weight[:, None]
-        # S^T d is the unit-weight lineage sum of d / f_l; v_l then pairs
-        # Y_l with its window sums
+        # S^T d: the push-down of d / f_l leaves it in the bottom rows; their
+        # window means over a level-l node, times f_l, are the window sums
+        # that v_l pairs with Y_l
         dev /= h.node_windows[:, None]
-        back = _lineage(unit, dev, h)
+        _push_down(dev, h)
+        _fill_means(dev, h)
         grad = np.array([
-            np.einsum("tkn,tkn->", back.reshape(T, -1, fl, n).sum(axis=2), joint_tensor[:, rows])
+            fl * np.einsum("tkn,tkn->", dev[:, rows], joint_tensor[:, rows])
             for fl, rows in h.levels
         ])
         return value, grad

@@ -5,8 +5,17 @@ the number of bottom periods covered by one node at each level, ordered
 coarse to fine. ``f_1`` is the cycle length (e.g. 24 for a daily cycle of
 hourly data) and ``f_L`` must be 1. Levels need not nest into a tree: an
 entry is valid whenever it divides the cycle length, so overlapping designs
-such as (24, 12, 8, 6, 4, 3, 2, 1) are supported. Each level aggregates the
-bottom level directly.
+such as (24, 12, 8, 6, 4, 3, 2, 1) are supported.
+
+The levels themselves still form a tree: a non-bottom level's child is the
+coarsest finer level whose window divides f_l, so every level reaches the
+bottom along exactly one chain (in the daily example 24 -> 12 -> 6 -> 3 -> 1
+and 8 -> 4 -> 2 -> 1). ``HierarchySpec.children`` holds that map, and two
+in-place walks over one (..., M, N) buffer follow it: ``_fill_means`` fills
+each level with window means of its child, fine to coarse, and
+``_push_down`` adds each level's rows into its child's windows, coarse to
+fine, so that every bottom row ends up with the sum over the nodes that
+contain it.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
@@ -51,7 +60,12 @@ class HierarchySpec:
         m: number of bottom-level nodes, equal to the cycle length f_1.
         levels: the level layout, coarse to fine: one ``(f_l, rows)`` pair
             per level, ``rows`` the slice of the level's nodes in node
-            order. Every per-level loop in the package iterates it.
+            order. The package's per-level loops iterate it; the window
+            arithmetic follows ``children``.
+        children: the child map, one ``(rows, child_rows, k)`` triple per
+            non-bottom level, coarse to fine: the level's rows, the rows of
+            its child (the coarsest finer level whose window divides f_l)
+            and k = f_l / f_child, the child nodes per node.
         node_windows: f_l of each node's level in enumeration order (length
             M, read-only): the per-node factor from common to native units.
     """
@@ -81,6 +95,14 @@ class HierarchySpec:
             layout.append((fl, slice(start, start + self.f[0] // fl)))
             start += self.f[0] // fl
         return tuple(layout)
+
+    @cached_property
+    def children(self) -> tuple[tuple[slice, slice, int], ...]:
+        tree = []
+        for i, (fl, rows) in enumerate(self.levels[:-1]):
+            fc, child = next((fc, child) for fc, child in self.levels[i + 1 :] if fl % fc == 0)
+            tree.append((rows, child, fl // fc))
+        return tuple(tree)
 
     @cached_property
     def node_windows(self) -> np.ndarray:
@@ -151,16 +173,40 @@ def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
 def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """Apply the summing matrix without building it: (..., m, N) -> (..., M, N).
 
-    The rows of level l are means over consecutive windows of f_l bottom
-    rows, so the result equals ``build_summing_matrix(h).entries @ bottom``
-    up to rounding, in common units. Leading axes are batch axes.
+    The bottom rows are copied in and ``_fill_means`` fills every coarser
+    level from its child, so the rows of level l are means over consecutive
+    windows of f_l bottom rows and the result equals
+    ``build_summing_matrix(h).entries @ bottom`` up to rounding, in common
+    units. Leading axes are batch axes.
     """
     values = np.asarray(bottom, dtype=float)
     if values.ndim < 2 or values.shape[-2] != h.m:
         raise DimensionMismatch(f"expected {h.m} bottom rows, got shape {values.shape}")
-    batch, n = values.shape[:-2], values.shape[-1]
-    out = np.empty(batch + (h.M, n))
-    for fl, rows in h.levels:
-        windows = values.reshape(batch + (h.m // fl, fl, n))
-        np.mean(windows, axis=-2, out=out[..., rows, :])
+    out = np.empty(values.shape[:-2] + (h.M, values.shape[-1]))
+    out[..., h.levels[-1][1], :] = values
+    _fill_means(out, h)
     return out
+
+
+def _windows(buf: np.ndarray, rows: slice, k: int) -> np.ndarray:
+    """A level's rows of a (..., M, N) buffer as a writable view of windows of k rows."""
+    part = buf[..., rows, :]
+    return part.reshape(part.shape[:-2] + (-1, k, part.shape[-1]))
+
+
+def _fill_means(buf: np.ndarray, h: HierarchySpec) -> None:
+    """Overwrite every non-bottom level of a (..., M, N) buffer, fine to
+    coarse, with the means of its child's windows: the bottom rows,
+    aggregated."""
+    for rows, child, k in reversed(h.children):
+        np.mean(_windows(buf, child, k), axis=-2, out=buf[..., rows, :])
+
+
+def _push_down(buf: np.ndarray, h: HierarchySpec) -> None:
+    """Add every non-bottom level's rows of a (..., M, N) buffer into each
+    row of its child's windows, coarse to fine, in place: each bottom row
+    then holds the sum of its own row and the rows of every node that
+    contains it."""
+    for rows, child, k in h.children:
+        windows = _windows(buf, child, k)
+        windows += buf[..., rows, None, :]

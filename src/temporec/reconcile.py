@@ -15,10 +15,12 @@ of a level, which is that vector with each level's weight repeated.
 For the averaging layouts (lineal and cross-validated) the "ancestor" of
 bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
-on overlapping hierarchies it is the containment generalization. One
-operator, ``_lineage``, applies these layouts and bottom-up, runs the
-search evaluator's passes and forms S'W^-1; the other methods apply a
-dense matrix, and the dense S serves only ``check_coherence``.
+on overlapping hierarchies it is the containment generalization, and it
+is reached along the hierarchy's child map (``HierarchySpec.children``).
+One operator, ``_lineage``, applies these layouts and bottom-up and forms
+S'W^-1, and the search evaluator runs its push-down in its own buffer; the
+other methods apply a dense matrix, and the dense S serves only
+``check_coherence``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, ReconcileError
-from .hierarchy import HierarchySpec, SummingMatrix, aggregate
+from .hierarchy import HierarchySpec, SummingMatrix, _push_down, aggregate
 from .sampling import JointSample
 
 __all__ = [
@@ -50,11 +52,14 @@ __all__ = [
 FIXED_METHODS = ("BU", "BA", "GA", "LA")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """The combination map of one reconciliation method: ``apply(Y)`` is P @ Y,
     (..., M, N) -> (..., m, N). ``entries``, the dense m x M matrix
-    ``apply(I_M)``, is a read-only reference built on first access."""
+    ``apply(I_M)``, is a read-only reference built on first access.
+
+    Maps compare and hash by identity: two builds of one method are not
+    equal, since their ``apply`` functions are distinct objects."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     method: str
@@ -173,15 +178,16 @@ def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """P_w @ values for a (..., M, N) ``values``, as a new (..., m, N) array.
 
     P_w holds ``w[k]`` in the row of every bottom node that node k contains;
-    it is never formed: node k's row of ``values``, times w[k], is added to
-    each row of its window in a view of the zeroed result, level by level.
+    it is never formed: ``w[:, None] * values`` fills one (..., M, N) buffer
+    and ``_push_down`` adds each level's accumulated rows into its child's
+    windows along the hierarchy's child map, so each bottom row sums its
+    own weighted row and those of every node that contains it. The bottom
+    rows are returned as a copy, so that the buffer is freed before a caller
+    such as ``reconcile_tensor`` allocates its own.
     """
-    batch, n = values.shape[:-2], values.shape[-1]
-    out = np.zeros(batch + (h.m, n))
-    for fl, rows in h.levels:
-        windows = out.reshape(batch + (h.m // fl, fl, n))
-        windows += w[rows, None, None] * values[..., rows, None, :]
-    return out
+    buf = w[:, None] * values
+    _push_down(buf, h)
+    return buf[..., h.levels[-1][1], :].copy()
 
 
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:
@@ -229,6 +235,7 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
         raise DimensionMismatch(f"expected {h.M} rows, got {mat.shape[0]}")
     upper = h.M - h.m
     bottom = mat[upper:, :]
+    # dense S, not aggregate: the check must not share the child-map arithmetic it checks
     residual = mat[:upper, :] - S.entries[:upper, :] @ bottom
     max_violation = float(np.abs(residual).max(initial=0.0))
     if not np.isfinite(bottom).all():

@@ -1,3 +1,4 @@
+import difflib
 import os
 import re
 import subprocess
@@ -217,8 +218,17 @@ def test_golden_reports(tmp_path):
         methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),
         seed=5,
     ))
+    # the comparison is byte for byte; the message lists every changed line
+    # in full, which pytest's own assertion diff would truncate
+    changed = []
     for name in ("crps.csv", "mae.csv", "origin_scores.csv", "cv_weights.csv"):
-        assert (tmp_path / "run" / name).read_text() == (GOLDEN / name).read_text(), name
+        new, old = (tmp_path / "run" / name).read_text(), (GOLDEN / name).read_text()
+        if new != old:
+            changed += difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                f"golden/{name}", f"run/{name}", n=0,
+            )
+    assert not changed, "reports differ from tests/golden/:\n" + "".join(changed)
 
 
 def test_default_run_reports_certified_gap(tmp_path):

@@ -19,9 +19,15 @@ from temporec.cvopt import (
 )
 from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
-from temporec.reconcile import weights_from_levels, weights_from_nodes
+from temporec.reconcile import reconcile_tensor, weights_from_levels, weights_from_nodes
 from temporec.sampling import LevelSample, OriginData
-from temporec.scoring import assemble_origins, cv_criterion, cv_objective
+from temporec.scoring import (
+    _node_weights,
+    _rank_weights,
+    assemble_origins,
+    cv_criterion,
+    cv_objective,
+)
 from temporec.simkit import SyntheticScenario, build_dataset
 
 from conftest import random_hierarchy
@@ -253,6 +259,30 @@ def test_sorted_evaluator_subgradient_inequality(seed):
         fv, g = evaluate(v)
         for u in points:
             assert evaluate(u)[0] >= fv + g @ (u - v) - 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
+    # the pull-back walks the child map; the reference pairs S^T D with the
+    # dense E_l Y, so a wrong window on any level, overlapping ones included,
+    # shows in that level's component
+    h, tensor, actuals, rng = criterion_instance(seed)
+    criterion, _ = _criterion(tensor, actuals, h)
+    S = build_summing_matrix(h).entries
+    nodes = h.m // np.array(h.f)
+    T, n = tensor.shape[0], tensor.shape[-1]
+    for v in list(rng.dirichlet(np.ones(h.L), size=2)) + [np.eye(h.L)[-1]]:
+        x = reconcile_tensor(weights_from_levels(v, h), tensor)  # sorted: v >= 0
+        D = (np.sign(x - actuals[..., None]) / n - _rank_weights(n)) * _node_weights(h, T)[:, None]
+        StD = np.matmul(S.T, D)
+        expected = [
+            np.vdot(StD, np.matmul(weights_from_levels(np.eye(h.L)[lev], h).entries, tensor))
+            for lev in range(h.L)
+        ]
+        _, grad = criterion(np.repeat(v, nodes), subgradient=True)
+        # atol: a component that cancels to zero is left with rounding noise
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
 def nelder_mead_simplex(origins, scheme, h, seed=0):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporec.errors import (
     DimensionMismatch,
@@ -163,6 +165,38 @@ def test_aggregate_rejects_wrong_row_count(small_hierarchy):
         aggregate(np.zeros((small_hierarchy.M, 3)), small_hierarchy)
     with pytest.raises(DimensionMismatch):
         aggregate(np.zeros(small_hierarchy.m), small_hierarchy)
+
+
+def _child_levels(h):
+    """The child map as 0-based level indices: {level: child level}."""
+    level_of = {rows.start: lev for lev, (_, rows) in enumerate(h.levels)}
+    return {level_of[rows.start]: level_of[child.start] for rows, child, _ in h.children}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_child_map_is_a_divisor_tree(seed):
+    h = random_hierarchy(np.random.default_rng(seed), max_cycle=72)
+    assert len(h.children) == h.L - 1
+    child_of = _child_levels(h)
+    for (rows, child, k), (lev, c) in zip(h.children, child_of.items()):
+        assert rows == h.levels[lev][1] and child == h.levels[c][1]
+        # the coarsest finer level whose window divides f_l
+        assert c > lev and h.f[lev] % h.f[c] == 0 and k == h.f[lev] // h.f[c]
+        assert all(h.f[lev] % h.f[j] for j in range(lev + 1, c))
+    for lev in range(h.L):
+        chain = [lev]
+        while chain[-1] in child_of:
+            chain.append(child_of[chain[-1]])
+        assert chain[-1] == h.L - 1
+
+
+def test_child_map_of_the_five_minute_hierarchy():
+    h = build_hierarchy([288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1])
+    tree = {h.f[lev]: h.f[c] for lev, c in _child_levels(h).items()}
+    assert tree == {
+        288: 144, 144: 72, 96: 48, 72: 36, 48: 24, 36: 12, 24: 12, 12: 6, 6: 3, 3: 1,
+    }
 
 
 def test_non_positive_entry_rejected():

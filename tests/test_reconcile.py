@@ -363,6 +363,28 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     assert np.vdot(aggregate(B, h), D) == pytest.approx(np.vdot(B, StD), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("f", [(4, 2, 1), (24, 12, 6, 3, 1)])
+def test_lineage_on_a_chain_equals_level_by_level_accumulation(f):
+    # on a chain every bottom row receives its ancestors' terms one level at
+    # a time, coarse to fine, so the push-down adds in the same order as a
+    # zeroed accumulator and the result is equal bit for bit
+    h = build_hierarchy(f)
+    rng = np.random.default_rng(len(f))
+    w, Y = rng.normal(size=h.M), rng.normal(size=(3, h.M, 5))
+    expected = np.zeros((3, h.m, 5))
+    for fl, rows in h.levels:
+        expected += np.repeat(w[rows, None] * Y[:, rows], fl, axis=1)
+    np.testing.assert_array_equal(_lineage(w, Y, h), expected)
+
+
+def test_weight_maps_compare_by_identity(small_hierarchy):
+    P = fixed_weights("BU", small_hierarchy)
+    assert P == P
+    assert P != fixed_weights("BU", small_hierarchy)
+    assert hash(P) == hash(P)
+    assert len({P, fixed_weights("BU", small_hierarchy)}) == 2
+
+
 def test_reconcile_tensor_is_coherent_and_matches_dense():
     rng = np.random.default_rng(8)
     for f in [(4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1), (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1)]:
