@@ -24,7 +24,6 @@ from .sampling import (
 from .reconcile import (
     FIXED_METHODS,
     CoherenceCheck,
-    ReconciledSample,
     WeightMatrix,
     check_coherence,
     fixed_weights,
@@ -62,7 +61,7 @@ __all__ = [
     "build_summing_matrix", "aggregate",
     "SCHEMES", "LevelSample", "JointSample", "OriginData", "stack", "rank",
     "permute", "assemble",
-    "FIXED_METHODS", "WeightMatrix", "ReconciledSample", "CoherenceCheck",
+    "FIXED_METHODS", "WeightMatrix", "CoherenceCheck",
     "fixed_weights", "wls_weights", "weights_from_levels", "weights_from_nodes",
     "reconcile", "reconcile_tensor", "check_coherence",
     "ScoreTable", "crps_sample", "median_point", "score_hierarchy",

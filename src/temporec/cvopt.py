@@ -16,8 +16,8 @@ per node, an M-vector in the package's node order (levels coarse to fine,
 nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
 Both layouts run one driver, ``_optimize``, whose searched weights each
 cover a group of nodes: a level, or one node. Its evaluator, ``_criterion``,
-takes the M-vector of node weights and runs the hierarchy's two walks, the
-lineage push-down and the window-mean fill, in one buffer; the public
+takes the M-vector of node weights and reconciles with ``reconcile._lineage``,
+the ``apply`` of the weight map it evaluates; the public
 ``cv_criterion`` runs once per search, at the returned weights, for the
 reported objective, which equals the searched value bit for bit: both
 weigh node CRPS by ``scoring._node_weights``.
@@ -46,8 +46,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
-from .hierarchy import HierarchySpec, _fill_means, _push_down
-from .reconcile import weights_from_levels, weights_from_nodes
+from .hierarchy import HierarchySpec
+from .reconcile import _lineage, weights_from_levels, weights_from_nodes
 from .sampling import OriginData
 from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
@@ -188,17 +188,14 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
     ``w[k]`` on node k in the rows of every bottom node it contains; the
     per-level layout passes each level's weight repeated over its nodes.
-    Both walks of the child map run in one (T, M, N) buffer of
-    ``w[:, None] * joint_tensor``: ``_push_down`` leaves in its bottom rows
-    what ``_lineage``, that combination's own ``apply``, returns, and
-    ``_fill_means`` then does what ``aggregate`` does, so the two agree bit
-    for bit. The node CRPS comes from the scoring kernel ``_sorted_scores``,
-    which takes sorted rows: when every input row is nondecreasing and
-    w >= 0 the reconciled rows are sorted already, otherwise they are
-    sorted in place first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
+    The forward pass is ``_lineage``, that combination's own ``apply``.
+    The node CRPS comes from the scoring kernel ``_sorted_scores``, which
+    takes sorted rows: when every input row is nondecreasing and w >= 0 the
+    reconciled rows are sorted already, otherwise they are sorted in place
+    first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
     the per-level weights, valid on the sort-free branch, where the
-    objective is convex and piecewise linear in them; its pull-back runs
-    the same two walks in place on the CRPS derivative.
+    objective is convex and piecewise linear in them; its pull-back is
+    ``_lineage`` with unit weights on the CRPS derivative.
     """
     T, _, n = joint_tensor.shape
     rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
@@ -206,26 +203,26 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     node_weight = _node_weights(h, T)
 
     def evaluate(w: np.ndarray, subgradient: bool = False):
-        x = w[:, None] * joint_tensor
-        _push_down(x, h)
-        _fill_means(x, h)
+        x = _lineage(w, joint_tensor, h)
         if not (rows_sorted and (w >= 0).all()):
             x.sort(axis=-1)
         crps, _ = _sorted_scores(x, actuals)
         value = float((crps * node_weight).sum())
         if not subgradient:
             return value
-        # d crps / dx = sign(x - z) / N - rank, weighted per node
-        dev = np.sign(x - actuals[..., None])
+        # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
+        # buffer of x, which is not read again
+        dev = x
+        dev -= actuals[..., None]
+        np.sign(dev, out=dev)
         dev /= n
         dev -= rank
         dev *= node_weight[:, None]
-        # S^T d: the push-down of d / f_l leaves it in the bottom rows; their
-        # window means over a level-l node, times f_l, are the window sums
-        # that v_l pairs with Y_l
+        # S^T d: the unit-weight lineage of d / f_l leaves it in the bottom
+        # rows; their window means over a level-l node, times f_l, are the
+        # window sums that v_l pairs with Y_l
         dev /= h.node_windows[:, None]
-        _push_down(dev, h)
-        _fill_means(dev, h)
+        dev = _lineage(np.ones(h.M), dev, h)
         grad = np.array([
             fl * np.einsum("tkn,tkn->", dev[:, rows], joint_tensor[:, rows])
             for fl, rows in h.levels

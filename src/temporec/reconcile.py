@@ -3,9 +3,9 @@
 A reconciliation method is a linear map P from base forecasts of all M
 nodes to the m bottom-level values; premultiplying a joint sample by S @ P
 yields a sample whose every column satisfies the aggregation constraints.
-A ``WeightMatrix`` holds the map as ``apply``; its dense m x M matrix is a
-reference derived on request. ``reconcile_tensor`` is the one application
-path: ``P.apply(Y)``, then the window-mean aggregation that stands for S.
+A ``WeightMatrix`` holds S @ P as ``apply``, which returns the coherent
+sample; its dense m x M matrix P is a reference derived on request.
+``reconcile_tensor`` is the one application path, ``P.apply(Y)``.
 Fixed methods (bottom-up, bottom average, global average, lineal average,
 weighted least squares) are built here alongside the two sparse data-driven
 layouts whose weights are chosen by cross-validation: one weight per node,
@@ -17,10 +17,10 @@ bottom node r at level l is the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
-One operator, ``_lineage``, applies these layouts and bottom-up and forms
-S'W^-1, and the search evaluator runs its push-down in its own buffer; the
-other methods apply a dense matrix, and the dense S serves only
-``check_coherence``.
+One operator, ``_lineage``, applies these layouts and bottom-up, forms
+S'W^-1, and is the search evaluator's forward pass and pull-back; the
+other methods apply a dense P followed by ``aggregate``, and the dense S
+serves only ``check_coherence``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, ReconcileError
-from .hierarchy import HierarchySpec, SummingMatrix, _push_down, aggregate
+from .hierarchy import HierarchySpec, SummingMatrix, _fill_means, _push_down, aggregate
 from .sampling import JointSample
 
 __all__ = [
     "FIXED_METHODS",
     "WeightMatrix",
-    "ReconciledSample",
     "CoherenceCheck",
     "fixed_weights",
     "wls_weights",
@@ -54,9 +53,10 @@ FIXED_METHODS = ("BU", "BA", "GA", "LA")
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """The combination map of one reconciliation method: ``apply(Y)`` is P @ Y,
-    (..., M, N) -> (..., m, N). ``entries``, the dense m x M matrix
-    ``apply(I_M)``, is a read-only reference built on first access.
+    """The combination map of one reconciliation method: ``apply(Y)`` is the
+    coherent sample S @ P @ Y, (..., M, N) -> (..., M, N). ``entries``, the
+    dense m x M matrix P (the bottom rows of ``apply(I_M)``), is a
+    read-only reference built on first access.
 
     Maps compare and hash by identity: two builds of one method are not
     equal, since their ``apply`` functions are distinct objects."""
@@ -67,19 +67,10 @@ class WeightMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        mat = self.apply(np.eye(self.hierarchy.M))
+        h = self.hierarchy
+        mat = self.apply(np.eye(h.M))[h.levels[-1][1]].copy()
         mat.setflags(write=False)
         return mat
-
-
-@dataclass(frozen=True)
-class ReconciledSample:
-    """Joint sample after projection; columns live in the column space of S."""
-
-    matrix: np.ndarray
-    method: str
-    scheme: str
-    hierarchy: HierarchySpec
 
 
 class CoherenceCheck(NamedTuple):
@@ -98,7 +89,8 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
       at every level, weight 1/L each.
 
     ``BU`` and ``LA`` are lineage maps of the bottom-node indicator and of
-    1/L on every node; ``BA`` and ``GA`` apply their dense matrix.
+    1/L on every node; ``BA`` and ``GA`` apply their dense matrix, then
+    ``aggregate``.
     """
     m, M = h.m, h.M
     if method == "BU":
@@ -111,7 +103,7 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
         entries = np.full((m, M), 1.0 / M)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
-    return WeightMatrix(partial(np.matmul, entries), method, h)
+    return WeightMatrix(partial(_dense, entries, h=h), method, h)
 
 
 def wls_weights(h: HierarchySpec) -> WeightMatrix:
@@ -124,13 +116,13 @@ def wls_weights(h: HierarchySpec) -> WeightMatrix:
     ordinary least squares on the rescaled data. Satisfies P @ S = I.
 
     S' adds y_k / f_l to the row of every bottom node under node k, so
-    S'W^-1 is the lineage map of the node weights f_l^-3 applied to I_M;
-    S is ``aggregate`` applied to I_m. ``numpy.linalg.solve`` solves the
-    m x m normal equations, and the map applies the dense result.
+    S'W^-1 is the bottom rows of the lineage map of the node weights f_l^-3
+    applied to I_M; S is ``aggregate`` applied to I_m. ``numpy.linalg.solve``
+    solves the m x m normal equations, and the map applies the dense result.
     """
-    rhs = _lineage(h.node_windows**-3.0, np.eye(h.M), h)  # S'W^-1
+    rhs = _lineage(h.node_windows**-3.0, np.eye(h.M), h)[h.levels[-1][1]]  # S'W^-1
     gram = rhs @ aggregate(np.eye(h.m), h)  # S'W^-1 S
-    return WeightMatrix(partial(np.matmul, np.linalg.solve(gram, rhs)), "WLS", h)
+    return WeightMatrix(partial(_dense, np.linalg.solve(gram, rhs), h=h), "WLS", h)
 
 
 def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
@@ -164,6 +156,11 @@ def weights_from_nodes(w, h: HierarchySpec) -> WeightMatrix:
     return _lineage_weights(w, "CV-full", h)
 
 
+def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """S @ P @ values for a dense P: the product's bottom level, aggregated."""
+    return aggregate(np.matmul(entries, values), h)
+
+
 def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
     """The map P_w of an M-vector of node weights, applied by ``_lineage``."""
     vec = np.array(w, dtype=float)  # a copy: the map must not see later edits
@@ -175,46 +172,46 @@ def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
 
 
 def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """P_w @ values for a (..., M, N) ``values``, as a new (..., m, N) array.
+    """S @ P_w @ values for a (..., M, N) ``values``, as a new (..., M, N) array.
 
     P_w holds ``w[k]`` in the row of every bottom node that node k contains;
-    it is never formed: ``w[:, None] * values`` fills one (..., M, N) buffer
-    and ``_push_down`` adds each level's accumulated rows into its child's
+    neither it nor S is formed. ``w[:, None] * values`` fills one buffer;
+    ``_push_down`` adds each level's accumulated rows into its child's
     windows along the hierarchy's child map, so each bottom row sums its
-    own weighted row and those of every node that contains it. The bottom
-    rows are returned as a copy, so that the buffer is freed before a caller
-    such as ``reconcile_tensor`` allocates its own.
+    own weighted row and those of every node that contains it, and
+    ``_fill_means`` then overwrites the coarser levels with window means of
+    those bottom rows, as ``aggregate`` does. The buffer is returned.
     """
     buf = w[:, None] * values
     _push_down(buf, h)
-    return buf[..., h.levels[-1][1], :].copy()
+    _fill_means(buf, h)
+    return buf
 
 
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:
     """S @ P @ Y for one M x N joint sample or a (T, M, N) stack of them.
 
-    ``P.apply`` gives the reconciled bottom level and ``aggregate`` fills
-    every coarser level with window means, so neither dense P nor dense S is
-    formed. Raises ``DimensionMismatch`` unless Y has M rows and ``P.apply``
-    returns (..., m, N).
+    ``P.apply`` returns the coherent sample, and dense S is never formed.
+    Raises ``DimensionMismatch`` unless Y has M rows and ``P.apply`` returns
+    Y's shape.
     """
     h = P.hierarchy
     Y = np.asarray(tensor, dtype=float)
     if Y.ndim < 2 or Y.shape[-2] != h.M:
         raise DimensionMismatch(f"P has {h.M} columns, sample has shape {Y.shape}")
-    bottom = P.apply(Y)
-    if bottom.shape != Y.shape[:-2] + (h.m, Y.shape[-1]):
-        raise DimensionMismatch(f"{P.method} map took shape {Y.shape} to {bottom.shape}")
-    return aggregate(bottom, h)
+    out = P.apply(Y)
+    if out.shape != Y.shape:
+        raise DimensionMismatch(f"{P.method} map took shape {Y.shape} to {out.shape}")
+    return out
 
 
-def reconcile(S: SummingMatrix, P: WeightMatrix, Y: JointSample) -> ReconciledSample:
-    """Project a joint sample onto the coherent subspace: S @ (P @ Y)."""
+def reconcile(S: SummingMatrix, P: WeightMatrix, Y: JointSample) -> JointSample:
+    """Project a joint sample onto the coherent subspace: S @ P @ Y, tagged
+    with Y's scheme."""
     if S.hierarchy != P.hierarchy or S.hierarchy != Y.hierarchy:
         raise DimensionMismatch("summing matrix, weights and sample hierarchies differ")
-    return ReconciledSample(
-        matrix=reconcile_tensor(P, Y.matrix), method=P.method, scheme=Y.scheme,
-        hierarchy=Y.hierarchy,
+    return JointSample(
+        matrix=reconcile_tensor(P, Y.matrix), scheme=Y.scheme, hierarchy=Y.hierarchy
     )
 
 
@@ -229,6 +226,8 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy
+    if mat.ndim not in (1, 2):
+        raise DimensionMismatch(f"expected a vector or a matrix, got shape {mat.shape}")
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.shape[0] != h.M:

@@ -52,6 +52,27 @@ def test_only_cvopt_imports_scipy():
     assert importers == {"cvopt.py"}
 
 
+def test_only_hierarchy_and_reconcile_name_the_walks():
+    # the two child-map walks have one owner and one composer: every other
+    # module reaches them through reconcile._lineage or hierarchy.aggregate
+    package = Path(temporec.__file__).resolve().parent
+    walks = {"_push_down", "_fill_means"}
+    namers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & walks:
+                namers.add(path.name)
+    assert namers == {"hierarchy.py", "reconcile.py"}
+
+
 def test_benchmark_imports_resolve():
     # perfbench imports library names inside its functions, so a name a
     # refactor drops would fail only a benchmark run

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from temporec.errors import DimensionMismatch, LengthMismatch, ReconcileError
 from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
+    FIXED_METHODS,
     WeightMatrix,
     _lineage,
     check_coherence,
@@ -350,7 +352,8 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     T, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     w = rng.normal(size=h.M)  # signed per-node weights
     Y = rng.normal(size=(T, h.M, N))
-    bottom = _lineage(w, Y, h)
+    bottom_rows = h.levels[-1][1]
+    bottom = _lineage(w, Y, h)[:, bottom_rows]
     P = weights_from_nodes(w, h)
     np.testing.assert_allclose(bottom, np.matmul(P.entries, Y), rtol=0, atol=1e-12)
     S = build_summing_matrix(h)
@@ -359,7 +362,7 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     # S^T D through the operator: the unit-weight lineage sum of D / f_l
     B = rng.normal(size=(T, h.m, N))
     D = rng.normal(size=(T, h.M, N))
-    StD = _lineage(np.ones(h.M), D / h.node_windows[:, None], h)
+    StD = _lineage(np.ones(h.M), D / h.node_windows[:, None], h)[:, bottom_rows]
     assert np.vdot(aggregate(B, h), D) == pytest.approx(np.vdot(B, StD), rel=1e-12, abs=1e-12)
 
 
@@ -374,7 +377,20 @@ def test_lineage_on_a_chain_equals_level_by_level_accumulation(f):
     expected = np.zeros((3, h.m, 5))
     for fl, rows in h.levels:
         expected += np.repeat(w[rows, None] * Y[:, rows], fl, axis=1)
-    np.testing.assert_array_equal(_lineage(w, Y, h), expected)
+    np.testing.assert_array_equal(_lineage(w, Y, h)[:, h.levels[-1][1]], expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_lineage_returns_the_aggregate_of_its_bottom_rows(seed):
+    # the sample is coherent by construction: its coarser levels are the
+    # window means of its bottom rows, bit for bit, overlapping levels included
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng)
+    T, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    out = _lineage(rng.normal(size=h.M), rng.normal(size=(T, h.M, N)), h)
+    assert out.shape == (T, h.M, N)
+    np.testing.assert_array_equal(out, aggregate(out[:, h.levels[-1][1]], h))
 
 
 def test_weight_maps_compare_by_identity(small_hierarchy):
@@ -391,7 +407,12 @@ def test_reconcile_tensor_is_coherent_and_matches_dense():
         h = build_hierarchy(f)
         S = build_summing_matrix(h)
         tensor = rng.normal(size=(3, h.M, 6))
-        for P in (weights_from_levels(rng.normal(size=h.L), h), wls_weights(h)):
+        maps = [fixed_weights(method, h) for method in FIXED_METHODS] + [
+            wls_weights(h),
+            weights_from_levels(rng.normal(size=h.L), h),
+            weights_from_nodes(rng.normal(size=h.M), h),
+        ]
+        for P in maps:
             out = reconcile_tensor(P, tensor)
             assert out.shape == tensor.shape
             np.testing.assert_allclose(
@@ -400,6 +421,8 @@ def test_reconcile_tensor_is_coherent_and_matches_dense():
             for mat in out:
                 assert check_coherence(mat, S, tol=1e-12).ok
             np.testing.assert_array_equal(reconcile_tensor(P, tensor[1]), out[1])
+            # every map is a module-level function with bound arguments, so it pickles
+            np.testing.assert_array_equal(pickle.loads(pickle.dumps(P)).apply(tensor), out)
 
 
 def test_reconcile_tensor_dimension_mismatch(small_hierarchy):
@@ -419,6 +442,11 @@ def test_fixed_weights_and_coherence_reject_bad_input(small_hierarchy):
         check_coherence(np.zeros(h.M - 1), S)
     with pytest.raises(DimensionMismatch, match="expected 7 rows, got 8"):
         check_coherence(np.zeros((h.M + 1, 3)), S)
+    # a stack of samples is rejected by its shape, whatever its first axis
+    with pytest.raises(DimensionMismatch, match=r"got shape \(7, 7, 3\)"):
+        check_coherence(np.zeros((h.M, h.M, 3)), S)
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 7, 3\)"):
+        check_coherence(np.zeros((2, h.M, 3)), S)
 
 
 def test_reconcile_tensor_rejects_a_map_with_the_wrong_rows(small_hierarchy):
