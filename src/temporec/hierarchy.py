@@ -146,28 +146,30 @@ def build_hierarchy(f: Sequence[int]) -> HierarchySpec:
 
 @dataclass(frozen=True)
 class SummingMatrix:
-    """The M x m aggregation-constraint matrix.
+    """The M x m aggregation-constraint matrix S of a hierarchy.
 
-    The block for level l is (1/f_l) * (I kron row-of-f_l-ones): each row
-    holds the scaled window of bottom periods the node covers, so every row
-    sums to one and the bottom block is the identity. Multiplying a
-    bottom-level vector by this matrix yields the full vector of node values
-    in common (bottom-level) units.
+    Row k of S holds 1/f_l on each of the f_l bottom periods that node k
+    covers, so every row sums to one and the bottom block is the identity:
+    S @ bottom is the full vector of node values in common (bottom-level)
+    units. ``entries``, the dense matrix, is a read-only reference built on
+    first access from ``_window_means`` applied to I_m; a run never builds
+    it (``aggregate`` applies S, and ``check_coherence`` reads window means
+    of the bottom rows).
     """
 
-    entries: np.ndarray
     hierarchy: HierarchySpec
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        eye = np.eye(self.hierarchy.m)
+        mat = np.vstack([_window_means(eye, self.hierarchy), eye])
+        mat.setflags(write=False)
+        return mat
 
 
 def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
-    """Build the summing matrix for a hierarchy."""
-    blocks = [
-        np.kron(np.eye(h.m // fl), np.full(fl, 1.0 / fl))
-        for fl in h.f
-    ]
-    entries = np.vstack(blocks)
-    entries.setflags(write=False)
-    return SummingMatrix(entries=entries, hierarchy=h)
+    """The summing matrix of a hierarchy; its dense entries are built on request."""
+    return SummingMatrix(hierarchy=h)
 
 
 def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -175,9 +177,8 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
 
     The bottom rows are copied in and ``_fill_means`` fills every coarser
     level from its child, so the rows of level l are means over consecutive
-    windows of f_l bottom rows and the result equals
-    ``build_summing_matrix(h).entries @ bottom`` up to rounding, in common
-    units. Leading axes are batch axes.
+    windows of f_l bottom rows, in common units: S @ bottom up to rounding,
+    with the dense S never formed. Leading axes are batch axes.
     """
     values = np.asarray(bottom, dtype=float)
     if values.ndim < 2 or values.shape[-2] != h.m:
@@ -199,7 +200,21 @@ def _fill_means(buf: np.ndarray, h: HierarchySpec) -> None:
     coarse, with the means of its child's windows: the bottom rows,
     aggregated."""
     for rows, child, k in reversed(h.children):
-        np.mean(_windows(buf, child, k), axis=-2, out=buf[..., rows, :])
+        level = buf[..., rows, :]
+        np.add.reduce(_windows(buf, child, k), axis=-2, out=level)
+        level /= k
+
+
+def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """The upper M - m rows of S @ bottom for an (m, N) ``bottom``, as a new
+    array: each level's means over consecutive windows of f_l rows, taken
+    level by level from the bottom rows themselves, not along the child map,
+    so that ``check_coherence`` stays independent of the walks it checks."""
+    out = np.empty((h.M - h.m, bottom.shape[1]))
+    for fl, rows in h.levels[:-1]:
+        np.add.reduce(bottom.reshape(-1, fl, bottom.shape[1]), axis=1, out=out[rows])
+        out[rows] /= fl
+    return out
 
 
 def _push_down(buf: np.ndarray, h: HierarchySpec) -> None:

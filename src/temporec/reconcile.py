@@ -18,9 +18,12 @@ bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
 One operator, ``_lineage``, applies these layouts and bottom-up, forms
-S'W^-1, and is the search evaluator's forward pass and pull-back; the
-other methods apply a dense P followed by ``aggregate``, and the dense S
-serves only ``check_coherence``.
+S'W^-1, and is the search evaluator's forward pass and pull-back. Bottom
+average and global average repeat one mean in every row, and only weighted
+least squares applies a dense P (followed by ``aggregate``): it is the one
+dense matrix a run forms. ``check_coherence`` compares the upper rows with
+window means of the bottom rows, so the dense S, like P, is a reference
+built only on request.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, ReconcileError
-from .hierarchy import HierarchySpec, SummingMatrix, _fill_means, _push_down, aggregate
+from .hierarchy import (
+    HierarchySpec, SummingMatrix, _fill_means, _push_down, _window_means, aggregate,
+)
 from .sampling import JointSample
 
 __all__ = [
@@ -89,21 +94,21 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
       at every level, weight 1/L each.
 
     ``BU`` and ``LA`` are lineage maps of the bottom-node indicator and of
-    1/L on every node; ``BA`` and ``GA`` apply their dense matrix, then
-    ``aggregate``.
+    1/L on every node. S @ P @ Y for ``BA`` and ``GA`` is one row repeated,
+    the mean of Y's bottom rows or of all its rows, so their maps broadcast
+    that mean and build no m x M array.
     """
-    m, M = h.m, h.M
     if method == "BU":
         return _lineage_weights(h.node_windows == 1.0, method, h)
     if method == "LA":
-        return _lineage_weights(np.full(M, 1.0 / h.L), method, h)
+        return _lineage_weights(np.full(h.M, 1.0 / h.L), method, h)
     if method == "BA":
-        entries = np.hstack([np.zeros((m, M - m)), np.full((m, m), 1.0 / m)])
+        rows = h.levels[-1][1]
     elif method == "GA":
-        entries = np.full((m, M), 1.0 / M)
+        rows = slice(0, h.M)
     else:
         raise ReconcileError(f"unknown fixed method {method!r}, expected {FIXED_METHODS}")
-    return WeightMatrix(partial(_dense, entries, h=h), method, h)
+    return WeightMatrix(partial(_mean_of_rows, rows, h=h), method, h)
 
 
 def wls_weights(h: HierarchySpec) -> WeightMatrix:
@@ -159,6 +164,12 @@ def weights_from_nodes(w, h: HierarchySpec) -> WeightMatrix:
 def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """S @ P @ values for a dense P: the product's bottom level, aggregated."""
     return aggregate(np.matmul(entries, values), h)
+
+
+def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """S @ P @ values for a P whose every row averages ``rows`` uniformly:
+    the mean of those rows of values, repeated in all M rows."""
+    return np.repeat(values[..., rows, :].mean(-2, keepdims=True), h.M, -2)
 
 
 def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
@@ -220,9 +231,11 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
 
     A column y is coherent when y equals S @ y_bottom for its own bottom
     block; the check reports the worst absolute violation over all entries
-    and columns. The bottom block of S is the identity, so only S's upper
-    M - m rows are multiplied; the bottom rows' residual, y_bottom -
-    y_bottom, is 0, or NaN where an entry is not finite.
+    and columns. The bottom block of S is the identity, so only the upper
+    M - m rows are compared, each with the mean of its window of f_l bottom
+    rows (``_window_means``); the dense S is not formed. A non-finite entry
+    in the bottom block gives ``(False, nan)``; a NaN above it gives a NaN
+    violation and an infinite one an infinite violation.
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy
@@ -234,9 +247,10 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
         raise DimensionMismatch(f"expected {h.M} rows, got {mat.shape[0]}")
     upper = h.M - h.m
     bottom = mat[upper:, :]
-    # dense S, not aggregate: the check must not share the child-map arithmetic it checks
-    residual = mat[:upper, :] - S.entries[:upper, :] @ bottom
-    max_violation = float(np.abs(residual).max(initial=0.0))
     if not np.isfinite(bottom).all():
-        max_violation = np.nan
+        return CoherenceCheck(ok=False, max_violation=np.nan)
+    # window means, not aggregate: the check must not share the child-map walk it checks
+    residual = _window_means(bottom, h)
+    np.subtract(mat[:upper, :], residual, out=residual)
+    max_violation = float(np.abs(residual, out=residual).max(initial=0.0))
     return CoherenceCheck(ok=max_violation <= tol, max_violation=max_violation)

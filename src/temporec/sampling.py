@@ -74,7 +74,6 @@ class JointSample:
     matrix: np.ndarray
     scheme: str
     hierarchy: HierarchySpec
-    seed: int | None = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -168,7 +167,6 @@ def permute(stacked: JointSample, seed: int) -> JointSample:
         matrix=gen.permuted(stacked.matrix, axis=1),
         scheme="permuted",
         hierarchy=stacked.hierarchy,
-        seed=seed,
     )
 
 

@@ -12,6 +12,18 @@ def random_hierarchy(rng: np.random.Generator, max_cycle: int = 24) -> Hierarchy
     return build_hierarchy(sorted(keep, reverse=True))
 
 
+def oracle_summing_matrix(h: HierarchySpec) -> np.ndarray:
+    """Independent construction: place each node's window entry by entry."""
+    out = np.zeros((h.M, h.m))
+    row = 0
+    for fl in h.f:
+        for j in range(h.m // fl):
+            for k in range(fl):
+                out[row, j * fl + k] = 1.0 / fl
+            row += 1
+    return out
+
+
 @pytest.fixture
 def small_hierarchy() -> HierarchySpec:
     """The three-level example hierarchy used throughout the fixtures."""

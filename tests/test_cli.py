@@ -25,6 +25,7 @@ from temporec.cli import (
     run_experiment,
 )
 from temporec.errors import ConfigError, GapError, NonMonotoneTimestamps, SchemaError
+from temporec.hierarchy import SummingMatrix
 from temporec.reconcile import WeightMatrix
 
 
@@ -603,7 +604,11 @@ def test_run_never_builds_a_dense_weight_matrix(tmp_path, monkeypatch):
     def no_dense(self):
         raise AssertionError(f"{self.method}: dense entries built during a run")
 
+    def no_dense_s(self):
+        raise AssertionError("dense summing matrix built during a run")
+
     monkeypatch.setattr(WeightMatrix, "entries", property(no_dense))
+    monkeypatch.setattr(SummingMatrix, "entries", property(no_dense_s))
     cfg = _quick_config(
         tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
         methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),

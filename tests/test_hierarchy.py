@@ -11,7 +11,7 @@ from temporec.errors import (
 )
 from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 
-from conftest import random_hierarchy
+from conftest import oracle_summing_matrix, random_hierarchy
 
 
 def test_counts_small(small_hierarchy):
@@ -78,22 +78,21 @@ def test_summing_matrix_single():
     np.testing.assert_array_equal(S.entries, np.eye(1))
 
 
-def _oracle_summing_matrix(h):
-    """Independent construction: place each node's window entry by entry."""
-    out = np.zeros((h.M, h.m))
-    row = 0
-    for fl in h.f:
-        for j in range(h.m // fl):
-            for k in range(fl):
-                out[row, j * fl + k] = 1.0 / fl
-            row += 1
-    return out
-
-
 def test_summing_matrix_daily_matches_oracle(daily_hierarchy):
     S = build_summing_matrix(daily_hierarchy)
     assert S.entries.shape == (60, 24)
-    np.testing.assert_array_equal(S.entries, _oracle_summing_matrix(daily_hierarchy))
+    np.testing.assert_array_equal(S.entries, oracle_summing_matrix(daily_hierarchy))
+
+
+def test_summing_matrix_matches_oracle_on_random_hierarchies():
+    # overlapping hierarchies included: the dense S is exact, bit for bit
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        h = random_hierarchy(rng)
+        S = build_summing_matrix(h)
+        assert S.hierarchy == h
+        np.testing.assert_array_equal(S.entries, oracle_summing_matrix(h))
+        assert not S.entries.flags.writeable
 
 
 def test_row_sums_are_one():

@@ -23,7 +23,7 @@ from temporec.reconcile import (
 )
 from temporec.sampling import JointSample, LevelSample, rank, stack
 
-from conftest import random_hierarchy
+from conftest import oracle_summing_matrix, random_hierarchy
 
 
 def test_bu_fixture(small_hierarchy):
@@ -256,12 +256,36 @@ def test_check_coherence_reconciled_and_raw(small_hierarchy):
     bad[1, 0] = np.inf
     ok, violation = check_coherence(bad, S)
     assert not ok and violation == np.inf
+    # an infinite bottom entry gives NaN, without a numpy warning
+    bad = rec.matrix.copy()
+    bad[6, 1] = np.inf
+    ok, violation = check_coherence(bad, S)
+    assert not ok and np.isnan(violation)
+    # NaN in a level below the first propagates through the maximum
+    for row in (1, 2):
+        bad = rec.matrix.copy()
+        bad[row, 3] = np.nan
+        ok, violation = check_coherence(bad, S)
+        assert not ok and np.isnan(violation)
     # a single level has no upper rows: only non-finite entries can fail
     flat = build_hierarchy([1])
     S1 = build_summing_matrix(flat)
     assert check_coherence(rng.normal(size=(1, 4)), S1) == (True, 0.0)
     ok, violation = check_coherence(np.array([[0.0, np.nan, 1.0]]), S1)
     assert not ok and np.isnan(violation)
+
+
+def test_check_coherence_matches_the_oracle_on_random_hierarchies():
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        h = random_hierarchy(rng)
+        O = oracle_summing_matrix(h)
+        Y = rng.normal(size=(h.M, 6))
+        upper = h.M - h.m
+        expected = np.abs(Y[:upper] - O[:upper] @ Y[upper:]).max(initial=0.0)
+        ok, violation = check_coherence(Y, build_summing_matrix(h), tol=0.0)
+        assert violation == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert ok == (upper == 0)
 
 
 def test_projection_idempotent_for_left_inverses():
