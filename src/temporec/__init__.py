@@ -30,7 +30,6 @@ from .reconcile import (
     reconcile,
     reconcile_tensor,
     weights_from_levels,
-    weights_from_nodes,
     wls_weights,
 )
 from .scoring import (
@@ -42,7 +41,7 @@ from .scoring import (
     median_point,
     score_hierarchy,
 )
-from .cvopt import REGIMES, CvResult, optimize_node_weights, optimize_weights
+from .cvopt import REGIMES, CvResult, optimize_weights
 from .simkit import (
     Dataset,
     LevelForecaster,
@@ -62,11 +61,11 @@ __all__ = [
     "SCHEMES", "LevelSample", "JointSample", "OriginData", "stack", "rank",
     "permute", "assemble",
     "FIXED_METHODS", "WeightMatrix", "CoherenceCheck",
-    "fixed_weights", "wls_weights", "weights_from_levels", "weights_from_nodes",
+    "fixed_weights", "wls_weights", "weights_from_levels",
     "reconcile", "reconcile_tensor", "check_coherence",
     "ScoreTable", "crps_sample", "median_point", "score_hierarchy",
     "assemble_origins", "cv_criterion", "cv_objective",
-    "REGIMES", "CvResult", "optimize_weights", "optimize_node_weights",
+    "REGIMES", "CvResult", "optimize_weights",
     "SyntheticScenario", "LevelForecaster", "Dataset", "simulate_truth",
     "fit_level", "sample_paths", "build_dataset", "dataset_from_series",
     "__version__",

@@ -30,7 +30,7 @@ Keys, with defaults:
     cv_maxiter      = 0                   iteration / LP-solve cap (0 = default)
     seed            = 0                   nonnegative
     out             = temporec-out        output directory; not empty
-    coherence_tol   = 1e-9                positive
+    coherence_tol   = 1e-9                positive; relative, see below
 
 Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
 least 2, each cycle count at least 1, cv_starts at least 3 (a search never
@@ -39,6 +39,10 @@ runs fewer starts) and cv_maxiter nonnegative. An empty out (``out =`` or
 it is rejected. A value out of bounds, a key set twice in the config
 file, or a token repeated in schemes, methods or cv_regimes, is a
 configuration error that names the key.
+
+coherence_tol is relative: a reconciled sample passes the coherence check
+when its worst absolute violation (reported in ``diagnostics.csv``) is at
+most coherence_tol times max(1, its largest bottom-level magnitude).
 
 A search under ``simplex`` on sorted samples (the ``ranked`` scheme) is the
 certified cutting-plane search: cv_starts does not apply to it, and
@@ -114,6 +118,7 @@ from .errors import (
 )
 from .hierarchy import build_hierarchy, build_summing_matrix
 from .reconcile import (
+    _coherence_bound,
     check_coherence,
     fixed_weights,
     reconcile_tensor,
@@ -461,10 +466,12 @@ def run_experiment(cfg: RunConfig):
                     ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
                     diagnostics.append((scheme, lab, origin, violation))
                     if not ok:
+                        bound = _coherence_bound(mat[h.M - h.m:], cfg.coherence_tol)
                         raise NumericalError(
                             f"reconciled sample violates coherence: scheme={scheme} "
                             f"method={lab} origin={origin} "
-                            f"violation={violation:.3e} tol={cfg.coherence_tol:.3e}"
+                            f"violation={violation:.3e} bound={bound:.3e} "
+                            f"(coherence_tol={cfg.coherence_tol:.3e} times max(1, max |bottom|))"
                         )
                 results.append((scheme, lab, *score_hierarchy(reconciled, actuals, h)))
     except Exception as exc:

@@ -11,16 +11,9 @@ folded into an unconstrained search by reparameterization:
   taking up the slack.
 * ``free``    - unconstrained.
 
-A second layout, ``optimize_node_weights``, has one unconstrained weight
-per node, an M-vector in the package's node order (levels coarse to fine,
-nodes left to right); it returns a ``CvResult`` under the ``free`` regime.
-Both layouts run one driver, ``_optimize``, whose searched weights each
-cover a group of nodes: a level, or one node. Its evaluator, ``_criterion``,
-takes the M-vector of node weights and reconciles with ``reconcile._lineage``,
-the ``apply`` of the weight map it evaluates; the public
-``cv_criterion`` runs once per search, at the returned weights, for the
-reported objective, which equals the searched value bit for bit: both
-weigh node CRPS by ``scoring._node_weights``.
+Every search evaluates through ``_criterion``; the public ``cv_criterion``
+runs once, at the returned weights, for the reported objective, which
+equals the searched value bit for bit.
 The multi-start search (``_search``) has fixed tolerances (``XATOL`` on the
 point, ``FATOL`` on the objective). The empirical-CRPS objective is
 piecewise smooth and has no useful gradient in general, so each start runs
@@ -40,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,11 +41,11 @@ from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
-from .reconcile import _lineage, weights_from_levels, weights_from_nodes
+from .reconcile import _lineage, weights_from_levels
 from .sampling import OriginData
 from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
-__all__ = ["REGIMES", "CvResult", "optimize_weights", "optimize_node_weights"]
+__all__ = ["REGIMES", "CvResult", "optimize_weights"]
 
 REGIMES = ("simplex", "affine", "free")
 XATOL = 1e-4  # Nelder-Mead tolerance on the search point
@@ -63,9 +57,8 @@ CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
 class CvResult:
     """Optimized weights and the objective they achieve.
 
-    ``v`` holds one weight per level (``optimize_weights``) or one per node
-    in node order (``optimize_node_weights``). ``gap`` is the certified
-    optimality gap (best objective minus the LP lower bound) of a
+    ``v`` holds one weight per level, coarse to fine. ``gap`` is the
+    certified optimality gap (best objective minus the LP lower bound) of a
     cutting-plane search, and None after Nelder-Mead.
     """
 
@@ -88,7 +81,7 @@ def _softmax(u: np.ndarray) -> np.ndarray:
 
 
 class _Regime:
-    """Maps between the vector of searched weights and the unconstrained search space."""
+    """Maps between the L-vector of level weights and the unconstrained search space."""
 
     def __init__(self, tag: str):
         if tag not in REGIMES:
@@ -111,27 +104,25 @@ class _Regime:
         return np.asarray(v, dtype=float)
 
 
-def _start_vectors(h: HierarchySpec, sizes, regime: _Regime, n_starts: int, seed: int):
+def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
     """Search-space start points: bottom-up, equal weights, 1/M, then random.
 
-    Points are in the searched layout, one weight per group of ``sizes``.
-    ``max(n_starts, 3)`` points are returned. Under ``simplex`` the 1/M
-    vector is left out: the softmax maps it to the equal-weight vector, so
-    a random start takes its place.
+    ``max(n_starts, 3)`` images of L-vectors of level weights are returned.
+    Under ``simplex`` the 1/M vector is left out: the softmax maps it to the
+    equal-weight vector, so a random start takes its place.
     """
-    D = len(sizes)
     starts = [
-        (np.cumsum(sizes) > h.M - h.m).astype(float),  # bottom-up
-        np.full(D, 1.0 / h.L),    # lineal-average / equal weights
+        np.eye(h.L)[-1],          # bottom-up
+        np.full(h.L, 1.0 / h.L),  # lineal-average / equal weights
     ]
     if regime.tag != "simplex":
-        starts.append(np.full(D, 1.0 / h.M))  # global-average-like mass
+        starts.append(np.full(h.L, 1.0 / h.M))  # global-average-like mass
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCF]))
     while len(starts) < max(n_starts, 3):
         if regime.tag == "simplex":
-            starts.append(rng.dirichlet(np.ones(D)))
+            starts.append(rng.dirichlet(np.ones(h.L)))
         else:
-            starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=D))
+            starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.L))
     return [regime.from_weights(v0) for v0 in starts]
 
 
@@ -185,26 +176,25 @@ def _search(
 def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     """The objective evaluator of every search, and whether the input rows are sorted.
 
-    ``evaluate(w)`` equals ``cv_criterion`` at the combination that puts
-    ``w[k]`` on node k in the rows of every bottom node it contains; the
-    per-level layout passes each level's weight repeated over its nodes.
-    The forward pass is ``_lineage``, that combination's own ``apply``.
-    The node CRPS comes from the scoring kernel ``_sorted_scores``, which
-    takes sorted rows: when every input row is nondecreasing and w >= 0 the
-    reconciled rows are sorted already, otherwise they are sorted in place
-    first. ``evaluate(w, subgradient=True)`` also returns a subgradient in
-    the per-level weights, valid on the sort-free branch, where the
-    objective is convex and piecewise linear in them; its pull-back is
-    ``_lineage`` with unit weights on the CRPS derivative.
+    ``evaluate(v)`` equals ``cv_criterion(weights_from_levels(v, h), ...)``
+    for level weights ``v``, repeated over each level's nodes and reconciled
+    by ``_lineage``, that map's own ``apply``. The scoring kernel
+    ``_sorted_scores`` takes sorted rows: when every input row is
+    nondecreasing and v >= 0 the reconciled rows are sorted already,
+    otherwise they are sorted in place first. ``evaluate(v,
+    subgradient=True)`` also returns a subgradient in v, valid on that
+    sort-free branch, where the objective is convex and piecewise linear;
+    its pull-back is ``_lineage`` with unit weights on the CRPS derivative.
     """
     T, _, n = joint_tensor.shape
     rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
     rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
+    nodes = h.m // np.array(h.f)
 
-    def evaluate(w: np.ndarray, subgradient: bool = False):
-        x = _lineage(w, joint_tensor, h)
-        if not (rows_sorted and (w >= 0).all()):
+    def evaluate(v: np.ndarray, subgradient: bool = False):
+        x = _lineage(np.repeat(v, nodes), joint_tensor, h)
+        if not (rows_sorted and (v >= 0).all()):
             x.sort(axis=-1)
         crps, _ = _sorted_scores(x, actuals)
         value = float((crps * node_weight).sum())
@@ -292,30 +282,6 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     return best_v, solves, gap
 
 
-def _optimize(origins, scheme: str, reg: _Regime, h: HierarchySpec, sizes: np.ndarray,
-              builder: Callable, seed: int, n_starts: int, maxiter: int | None) -> CvResult:
-    """The weight search of both layouts: searched weight k covers the next
-    ``sizes[k]`` nodes (a level's nodes, or one node), and ``builder``
-    (``weights_from_levels`` or ``weights_from_nodes``) gives the weight
-    matrix whose ``cv_criterion`` is the reported objective."""
-    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
-    gap = None
-    if reg.tag == "simplex" and len(sizes) > 1 and rows_sorted:
-        v, iterations, gap = _cutting_planes(
-            lambda v: evaluate(np.repeat(v, sizes), subgradient=True), len(sizes), maxiter
-        )
-    else:
-        u, _, iterations = _search(
-            lambda u: evaluate(np.repeat(reg.to_weights(u), sizes)),
-            _start_vectors(h, sizes, reg, n_starts, seed), maxiter,
-        )
-        v = reg.to_weights(u)
-    objective = cv_criterion(builder(v, h), joint_tensor, actuals, h)
-    return CvResult(v=v, objective=objective, iterations=iterations,
-                    regime=reg.tag, scheme=scheme, gap=gap)
-
-
 def optimize_weights(
     origins: Sequence[OriginData],
     scheme: str,
@@ -359,28 +325,16 @@ def optimize_weights(
         found is still returned.
     """
     reg = _Regime(regime)  # before assembly, so a bad regime fails first
-    nodes = h.m // np.array(h.f)  # nodes per level: the level layout repeats v_l over them
-    return _optimize(origins, scheme, reg, h, nodes, weights_from_levels, seed, n_starts, maxiter)
-
-
-def optimize_node_weights(
-    origins: Sequence[OriginData],
-    scheme: str,
-    h: HierarchySpec,
-    seed: int = 0,
-    n_starts: int = 6,
-    maxiter: int | None = None,
-) -> CvResult:
-    """Minimize the validation CRPS over one weight per node (unconstrained).
-
-    The search space has M dimensions, so this is only practical for small
-    hierarchies; the row-sum constraint regimes apply to the per-level form
-    and are not offered here. It is the search of ``optimize_weights`` under
-    ``free``, with every node its own group and the same starts in the node
-    layout. The result's ``v`` is the M-vector of node weights in node
-    order, its ``regime`` is ``free`` and its ``gap`` None; ``objective`` is
-    ``cv_criterion`` at ``weights_from_nodes(v, h)``. Raises and warns as
-    ``optimize_weights``.
-    """
-    return _optimize(origins, scheme, _Regime("free"), h, np.ones(h.M, dtype=int),
-                     weights_from_nodes, seed, n_starts, maxiter)
+    joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
+    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
+    gap = None
+    if reg.tag == "simplex" and h.L > 1 and rows_sorted:
+        v, iterations, gap = _cutting_planes(partial(evaluate, subgradient=True), h.L, maxiter)
+    else:
+        u, _, iterations = _search(
+            lambda u: evaluate(reg.to_weights(u)), _start_vectors(h, reg, n_starts, seed), maxiter
+        )
+        v = reg.to_weights(u)
+    objective = cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h)
+    return CvResult(v=v, objective=objective, iterations=iterations,
+                    regime=reg.tag, scheme=scheme, gap=gap)

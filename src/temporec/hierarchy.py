@@ -129,7 +129,10 @@ def build_hierarchy(f: Sequence[int]) -> HierarchySpec:
         NonDivisor: an entry does not divide the cycle length ``f[0]``.
         MissingBottom: the last entry is not 1.
     """
-    freqs = tuple(int(v) for v in f)
+    values = tuple(f)
+    if not all(float(v).is_integer() for v in values):
+        raise NotDecreasing(f"frequencies must be integers, got {values}")
+    freqs = tuple(int(v) for v in values)
     if not freqs:
         raise NotDecreasing("frequency vector must be nonempty")
     if any(v <= 0 for v in freqs):

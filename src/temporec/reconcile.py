@@ -7,18 +7,17 @@ A ``WeightMatrix`` holds S @ P as ``apply``, which returns the coherent
 sample; its dense m x M matrix P is a reference derived on request.
 ``reconcile_tensor`` is the one application path, ``P.apply(Y)``.
 Fixed methods (bottom-up, bottom average, global average, lineal average,
-weighted least squares) are built here alongside the two sparse data-driven
-layouts whose weights are chosen by cross-validation: one weight per node,
-an M-vector in the package's node order, or one weight shared by all nodes
-of a level, which is that vector with each level's weight repeated.
+weighted least squares) are built here alongside the cross-validated one.
 
-For the averaging layouts (lineal and cross-validated) the "ancestor" of
-bottom node r at level l is the unique level-l node whose window of f_l
+Bottom-up, lineal average and the cross-validated method are lineage maps
+of an L-vector of level weights (e_L, 1/L each, and the searched weights):
+row r of P carries the weight of level l in the column of the "ancestor"
+of bottom node r at level l, the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
-One operator, ``_lineage``, applies these layouts and bottom-up, forms
-S'W^-1, and is the search evaluator's forward pass and pull-back. Bottom
+One operator, ``_lineage``, applies these maps, forms S'W^-1, and is the
+search evaluator's forward pass and pull-back. Bottom
 average and global average repeat one mean in every row, and only weighted
 least squares applies a dense P (followed by ``aggregate``): it is the one
 dense matrix a run forms. ``check_coherence`` compares the upper rows with
@@ -47,7 +46,6 @@ __all__ = [
     "fixed_weights",
     "wls_weights",
     "weights_from_levels",
-    "weights_from_nodes",
     "reconcile",
     "reconcile_tensor",
     "check_coherence",
@@ -93,15 +91,15 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
     * ``LA`` lineal average: row r averages bottom node r and its ancestor
       at every level, weight 1/L each.
 
-    ``BU`` and ``LA`` are lineage maps of the bottom-node indicator and of
-    1/L on every node. S @ P @ Y for ``BA`` and ``GA`` is one row repeated,
+    ``BU`` and ``LA`` are lineage maps of the level weights e_L and 1/L
+    each. S @ P @ Y for ``BA`` and ``GA`` is one row repeated,
     the mean of Y's bottom rows or of all its rows, so their maps broadcast
     that mean and build no m x M array.
     """
     if method == "BU":
-        return _lineage_weights(h.node_windows == 1.0, method, h)
+        return _level_map(np.eye(h.L)[-1], method, h)
     if method == "LA":
-        return _lineage_weights(np.full(h.M, 1.0 / h.L), method, h)
+        return _level_map(np.full(h.L, 1.0 / h.L), method, h)
     if method == "BA":
         rows = h.levels[-1][1]
     elif method == "GA":
@@ -134,31 +132,14 @@ def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
     """Sparse combination with one shared weight per level.
 
     Row r carries ``v[l-1]`` in the column of the level-l node containing
-    bottom node r, for every level, and zeros elsewhere: the per-node
-    layout of ``weights_from_nodes`` with each level's weight repeated over
-    the level's nodes. The bottom-up and lineal-average methods are the
-    special cases v = (0, ..., 0, 1) and v = (1/L, ..., 1/L).
+    bottom node r, for every level, and zeros elsewhere. The bottom-up and
+    lineal-average methods are the special cases v = (0, ..., 0, 1) and
+    v = (1/L, ..., 1/L).
 
     Raises:
         LengthMismatch: ``v`` is not an L-vector of finite weights.
     """
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (h.L,):
-        raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
-    return _lineage_weights(np.repeat(vec, h.m // np.array(h.f)), "CVR", h)
-
-
-def weights_from_nodes(w, h: HierarchySpec) -> WeightMatrix:
-    """Sparse combination with one weight per node.
-
-    ``w`` is an M-vector in the package's node order (levels coarse to
-    fine, nodes left to right); ``w[k]`` is placed on node k in the row of
-    every bottom node it contains.
-
-    Raises:
-        LengthMismatch: ``w`` is not an M-vector of finite weights.
-    """
-    return _lineage_weights(w, "CV-full", h)
+    return _level_map(v, "CVR", h)
 
 
 def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -172,14 +153,16 @@ def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarr
     return np.repeat(values[..., rows, :].mean(-2, keepdims=True), h.M, -2)
 
 
-def _lineage_weights(w, method: str, h: HierarchySpec) -> WeightMatrix:
-    """The map P_w of an M-vector of node weights, applied by ``_lineage``."""
-    vec = np.array(w, dtype=float)  # a copy: the map must not see later edits
-    if vec.shape != (h.M,):
-        raise LengthMismatch(f"need {h.M} node weights, got shape {vec.shape}")
+def _level_map(v, method: str, h: HierarchySpec) -> WeightMatrix:
+    """The lineage map of an L-vector of level weights, each repeated over
+    its level's nodes and applied by ``_lineage``."""
+    vec = np.asarray(v, dtype=float)
+    if vec.shape != (h.L,):
+        raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise LengthMismatch("weights must be finite")
-    return WeightMatrix(partial(_lineage, vec, h=h), method, h)
+    # np.repeat copies, so the map does not see later edits of v
+    return WeightMatrix(partial(_lineage, np.repeat(vec, h.m // np.array(h.f)), h=h), method, h)
 
 
 def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -231,11 +214,13 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
 
     A column y is coherent when y equals S @ y_bottom for its own bottom
     block; the check reports the worst absolute violation over all entries
-    and columns. The bottom block of S is the identity, so only the upper
-    M - m rows are compared, each with the mean of its window of f_l bottom
-    rows (``_window_means``); the dense S is not formed. A non-finite entry
-    in the bottom block gives ``(False, nan)``; a NaN above it gives a NaN
-    violation and an infinite one an infinite violation.
+    and columns, and passes when it is at most ``_coherence_bound``: ``tol``
+    relative to the largest bottom magnitude, floored at 1. The bottom block
+    of S is the identity, so only the upper M - m rows are compared, each
+    with the mean of its window of f_l bottom rows (``_window_means``); the
+    dense S is not formed. A non-finite entry in the bottom block gives
+    ``(False, nan)``; a NaN above it gives a NaN violation and an infinite
+    one an infinite violation.
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy
@@ -253,4 +238,11 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
     residual = _window_means(bottom, h)
     np.subtract(mat[:upper, :], residual, out=residual)
     max_violation = float(np.abs(residual, out=residual).max(initial=0.0))
-    return CoherenceCheck(ok=max_violation <= tol, max_violation=max_violation)
+    # the bound is at least tol, so the bottom rows are scanned only past tol
+    ok = max_violation <= tol or max_violation <= _coherence_bound(bottom, tol)
+    return CoherenceCheck(ok=ok, max_violation=max_violation)
+
+
+def _coherence_bound(bottom: np.ndarray, tol: float) -> float:
+    """The largest violation ``check_coherence`` accepts: tol * max(1, max |bottom|)."""
+    return tol * max(1.0, float(np.abs(bottom).max(initial=0.0)))

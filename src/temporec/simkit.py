@@ -64,8 +64,10 @@ class SyntheticScenario:
     def __post_init__(self):
         if not abs(self.phi) < 1:
             raise SimkitError(f"autoregressive coefficient must satisfy |phi| < 1, got {self.phi}")
-        if self.sigma < 0:
-            raise SimkitError(f"innovation scale must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < np.inf:
+            raise SimkitError(f"innovation scale must be finite and nonnegative, got {self.sigma}")
+        if not np.isfinite(self.stationary_mean):  # NaN or infinite mu included
+            raise SimkitError(f"stationary mean mu/(1-phi) must be finite, got mu={self.mu}")
         if min(self.train_cycles, self.val_cycles, self.test_cycles) < 1:
             raise SimkitError("train/val/test cycle counts must all be at least 1")
         if self.cycle_length < 1:
@@ -130,10 +132,13 @@ def fit_level(series: np.ndarray, level: int) -> LevelForecaster:
 
     Raises:
         TooShort: fewer than 10 observations.
+        SimkitError: the series has a NaN or infinite value.
     """
     values = np.asarray(series, dtype=float).ravel()
     if values.size < 10:
         raise TooShort(f"need at least 10 observations to fit, got {values.size}")
+    if not np.isfinite(values).all():
+        raise SimkitError(f"level {level} training series is not finite; cannot fit it")
     lagged = values[:-1]
     target = values[1:]
     design = np.column_stack([np.ones_like(lagged), lagged])

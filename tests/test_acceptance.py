@@ -4,6 +4,7 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ import pytest
 from temporec.cvopt import optimize_weights
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
+    WeightMatrix,
+    _lineage,
     check_coherence,
     fixed_weights,
     reconcile,
     reconcile_tensor,
     weights_from_levels,
-    weights_from_nodes,
     wls_weights,
 )
 from temporec.sampling import JointSample, permute, rank
@@ -47,7 +49,8 @@ def _all_weight_matrices(h, rng):
     yield fixed_weights("LA", h)
     yield wls_weights(h)
     yield weights_from_levels(rng.normal(size=h.L), h)
-    yield weights_from_nodes(rng.normal(size=h.M), h)
+    # the lineage map of signed node weights, one per node
+    yield WeightMatrix(partial(_lineage, rng.normal(size=h.M), h=h), "nodes", h)
 
 
 def test_coherence_suite():

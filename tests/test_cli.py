@@ -331,6 +331,15 @@ def test_main_non_finite_data_exits_3_without_lapack_noise(tmp_path, capfd):
     assert "nan.csv:7:" in err
 
 
+def test_main_overflowing_scenario_exits_2_without_lapack_noise(tmp_path, capfd):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("frequencies = 4,2,1\nmu = 1e308\nn_paths = 8\nmethods = bu\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out and "DLASCL" not in err
+    assert err.startswith("configuration error: ") and "stationary mean" in err
+
+
 def _data_config(tmp_path, data, extra=""):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,12 +15,11 @@ from temporec.cvopt import (
     _cutting_planes,
     _search,
     _start_vectors,
-    optimize_node_weights,
     optimize_weights,
 )
 from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
-from temporec.reconcile import reconcile_tensor, weights_from_levels, weights_from_nodes
+from temporec.reconcile import reconcile_tensor, weights_from_levels
 from temporec.sampling import LevelSample, OriginData
 from temporec.scoring import (
     _node_weights,
@@ -91,9 +91,6 @@ def test_objective_matches_recomputation():
         for regime in ("simplex", "affine", "free"):
             res = optimize_weights(origins, scheme, regime, h, seed=1)
             assert res.objective == cv_objective(res.v, scheme, origins, h, seed=1)
-        res = optimize_node_weights(origins, scheme, h, seed=1, maxiter=400)
-        tensor, actuals = assemble_origins(origins, h, scheme, seed=1)
-        assert res.objective == cv_criterion(weights_from_nodes(res.v, h), tensor, actuals, h)
 
 
 def test_dominates_start_vectors():
@@ -147,11 +144,8 @@ def test_non_finite_objective_raises():
     top = LevelSample(level=1, matrix=np.array([[0.0, 1.0]]))
     bot = LevelSample(level=2, matrix=np.array([[0.0, 1.0], [0.0, 1.0]]))
     origins = [OriginData(levels=(top, bot), actual=np.full(h.M, np.inf))]
-    with np.errstate(all="ignore"):
-        with pytest.raises(NonFinite):
-            optimize_weights(origins, "ranked", "free", h, seed=0)
-        with pytest.raises(NonFinite):
-            optimize_node_weights(origins, "ranked", h, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        optimize_weights(origins, "ranked", "free", h, seed=0)
 
 
 def test_unknown_regime_raises_config_error():
@@ -183,29 +177,14 @@ def test_single_level_hierarchy():
             # one feasible weight leaves nothing to search: the start is
             # returned as converged
             assert res.iterations == 0
-        # with M = L = 1 both layouts search the same one weight from the
-        # same starts through one driver, so they agree bit for bit
-        node = optimize_node_weights(origins, "stacked", h, seed=3)
-        level = optimize_weights(origins, "stacked", "free", h, seed=3)
-        np.testing.assert_array_equal(node.v, level.v)
-        assert (node.objective, node.iterations) == (level.objective, level.iterations)
 
 
-def test_node_weights_toy():
-    h, origins = bottom_only_instance(n_origins=4, n_paths=25)
-    res = optimize_node_weights(origins, "ranked", h, seed=0, maxiter=400)
-    assert res.v.shape == (h.M,)
-    assert (res.regime, res.scheme, res.gap) == ("free", "ranked", None)
-    level_res = optimize_weights(origins, "ranked", "free", h, seed=0)
-    # per-node weights subsume per-level ones, so the optimum is at least as good
-    assert res.objective <= level_res.objective + 1e-6
-
-
-def test_node_weights_warn_when_capped():
+def test_nelder_mead_warns_when_capped():
     h, origins = bottom_only_instance(n_origins=4, n_paths=25)
     with pytest.warns(DidNotConverge, match="within 1 iterations"):
-        res = optimize_node_weights(origins, "ranked", h, seed=0, maxiter=1)
+        res = optimize_weights(origins, "ranked", "free", h, seed=0, maxiter=1)
     assert res.iterations == 6  # one iteration from each of the six starts
+    assert (res.regime, res.scheme, res.gap) == ("free", "ranked", None)
 
 
 def criterion_instance(seed: int, sort: bool = True):
@@ -231,16 +210,12 @@ def criterion_instance(seed: int, sort: bool = True):
 def test_sorted_evaluator_equals_cv_criterion(seed, sort):
     h, tensor, actuals, rng = criterion_instance(seed, sort)
     evaluate, _ = _criterion(tensor, actuals, h)
-    nodes = h.m // np.array(h.f)
     # simplex points take the sort-free branch on sorted rows; signed level
     # weights (affine and free regimes) and unsorted rows take the sort
     level_weights = list(rng.dirichlet(np.ones(h.L), size=2)) + list(rng.normal(size=(2, h.L)))
     for v in level_weights:
         expected = cv_criterion(weights_from_levels(v, h), tensor, actuals, h)
-        assert evaluate(np.repeat(v, nodes)) == expected
-    for w in (rng.random(h.M), rng.normal(size=h.M)):
-        expected = cv_criterion(weights_from_nodes(w, h), tensor, actuals, h)
-        assert evaluate(w) == expected
+        assert evaluate(v) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,11 +224,7 @@ def test_sorted_evaluator_subgradient_inequality(seed):
     h, tensor, actuals, rng = criterion_instance(seed)
     criterion, rows_sorted = _criterion(tensor, actuals, h)
     assert rows_sorted
-    nodes = h.m // np.array(h.f)
-
-    def evaluate(v):
-        return criterion(np.repeat(v, nodes), subgradient=True)
-
+    evaluate = partial(criterion, subgradient=True)
     points = list(rng.dirichlet(np.ones(h.L), size=4)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
     for v in points:
         fv, g = evaluate(v)
@@ -270,7 +241,6 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
     h, tensor, actuals, rng = criterion_instance(seed)
     criterion, _ = _criterion(tensor, actuals, h)
     S = build_summing_matrix(h).entries
-    nodes = h.m // np.array(h.f)
     T, n = tensor.shape[0], tensor.shape[-1]
     for v in list(rng.dirichlet(np.ones(h.L), size=2)) + [np.eye(h.L)[-1]]:
         x = reconcile_tensor(weights_from_levels(v, h), tensor)  # sorted: v >= 0
@@ -280,7 +250,7 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
             np.vdot(StD, np.matmul(weights_from_levels(np.eye(h.L)[lev], h).entries, tensor))
             for lev in range(h.L)
         ]
-        _, grad = criterion(np.repeat(v, nodes), subgradient=True)
+        _, grad = criterion(v, subgradient=True)
         # atol: a component that cancels to zero is left with rounding noise
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
@@ -293,8 +263,7 @@ def nelder_mead_simplex(origins, scheme, h, seed=0):
     def objective(u):
         return cv_criterion(weights_from_levels(reg.to_weights(u), h), tensor, actuals, h)
 
-    nodes = h.m // np.array(h.f)
-    _, best, _ = _search(objective, _start_vectors(h, nodes, reg, 6, seed), maxiter=100_000)
+    _, best, _ = _search(objective, _start_vectors(h, reg, 6, seed), maxiter=100_000)
     return best
 
 
@@ -324,7 +293,7 @@ def test_certified_path_warns_when_capped():
 def test_simplex_start_weights_are_distinct(daily_hierarchy):
     reg = _Regime("simplex")
     h = daily_hierarchy
-    weights = [reg.to_weights(u) for u in _start_vectors(h, h.m // np.array(h.f), reg, 6, seed=0)]
+    weights = [reg.to_weights(u) for u in _start_vectors(h, reg, 6, seed=0)]
     assert len(weights) == 6
     for i, a in enumerate(weights):
         for b in weights[i + 1:]:
@@ -339,12 +308,11 @@ def test_reported_objective_is_the_searched_value(daily_hierarchy):
                             train_cycles=10, val_cycles=3, test_cycles=1, seed=4)
     origins = build_dataset(scn, h, n_paths=30).val_origins
     evaluate, _ = _criterion(*assemble_origins(origins, h, "ranked", seed=4), h)
-    nodes = h.m // np.array(h.f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConverge)
         for regime in ("simplex", "affine", "free"):
             res = optimize_weights(origins, "ranked", regime, h, seed=4, maxiter=30)
-            assert res.objective == evaluate(np.repeat(res.v, nodes))
+            assert res.objective == evaluate(res.v)
 
 
 def test_misaligned_origins_raise_alignment_error():

@@ -201,3 +201,13 @@ def test_child_map_of_the_five_minute_hierarchy():
 def test_non_positive_entry_rejected():
     with pytest.raises(NotDecreasing, match="must be positive"):
         build_hierarchy([4, 0, 1])
+
+
+def test_non_integral_entry_rejected():
+    # a non-integral entry is rejected, not truncated; an integral float passes
+    with pytest.raises(NotDecreasing, match="must be integers"):
+        build_hierarchy([24, 12.5, 1.9])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NotDecreasing, match="must be integers"):
+            build_hierarchy([4, bad, 1])
+    assert build_hierarchy([24, 12.0, 1]).f == (24, 12, 1)

@@ -18,7 +18,6 @@ from temporec.reconcile import (
     reconcile,
     reconcile_tensor,
     weights_from_levels,
-    weights_from_nodes,
     wls_weights,
 )
 from temporec.sampling import JointSample, LevelSample, rank, stack
@@ -156,7 +155,13 @@ def test_weights_from_levels_length_check(small_hierarchy):
         weights_from_levels([1.0, 2.0], small_hierarchy)
 
 
-def test_weights_from_nodes_fixture(small_hierarchy):
+def _node_layout(w, h):
+    """The m x M matrix of the lineage map of an M-vector of node weights:
+    the bottom rows of ``_lineage(w, I_M, h)``."""
+    return _lineage(np.asarray(w, dtype=float), np.eye(h.M), h)[h.levels[-1][1]]
+
+
+def test_lineage_node_layout_fixture(small_hierarchy):
     v = [11.0, 21.0, 22.0, 31.0, 32.0, 33.0, 34.0]  # node order: levels coarse to fine
     expected = np.array(
         [
@@ -167,30 +172,27 @@ def test_weights_from_nodes_fixture(small_hierarchy):
         ],
         dtype=float,
     )
-    np.testing.assert_array_equal(weights_from_nodes(v, small_hierarchy).entries, expected)
+    np.testing.assert_array_equal(_node_layout(v, small_hierarchy), expected)
 
 
-def test_weights_from_nodes_special_cases(small_hierarchy):
+def test_lineage_node_layout_special_cases(small_hierarchy):
     h = small_hierarchy
     bu = np.concatenate([np.zeros(h.M - h.m), np.ones(h.m)])
+    np.testing.assert_array_equal(_node_layout(bu, h), fixed_weights("BU", h).entries)
     np.testing.assert_array_equal(
-        weights_from_nodes(bu, h).entries, fixed_weights("BU", h).entries
-    )
-    np.testing.assert_array_equal(
-        weights_from_nodes(np.full(h.M, 1.0 / 3.0), h).entries, fixed_weights("LA", h).entries
+        _node_layout(np.full(h.M, 1.0 / 3.0), h), fixed_weights("LA", h).entries
     )
 
 
-def test_weights_from_nodes_length_and_finite_check(small_hierarchy):
+def test_weights_from_levels_shape_and_finite_check(small_hierarchy):
     h = small_hierarchy
-    for w in (np.ones(h.M - 1), np.ones(h.M + 1), np.ones((1, h.M)), np.ones(h.L)):
-        with pytest.raises(LengthMismatch):
-            weights_from_nodes(w, h)
+    with pytest.raises(LengthMismatch):
+        weights_from_levels(np.ones((1, h.L)), h)
     for bad in (np.nan, np.inf, -np.inf):
-        w = np.ones(h.M)
-        w[2] = bad
-        with pytest.raises(LengthMismatch):
-            weights_from_nodes(w, h)
+        v = np.ones(h.L)
+        v[1] = bad
+        with pytest.raises(LengthMismatch, match="finite"):
+            weights_from_levels(v, h)
 
 
 def _random_joint(h, rng, n=8):
@@ -273,6 +275,22 @@ def test_check_coherence_reconciled_and_raw(small_hierarchy):
     assert check_coherence(rng.normal(size=(1, 4)), S1) == (True, 0.0)
     ok, violation = check_coherence(np.array([[0.0, np.nan, 1.0]]), S1)
     assert not ok and np.isnan(violation)
+
+
+def test_check_coherence_tolerance_is_relative_to_the_bottom_scale(small_hierarchy):
+    # rounding on data in large units exceeds an absolute 1e-9; the bound is
+    # tol times the largest bottom magnitude, floored at 1
+    h = small_hierarchy
+    S = build_summing_matrix(h)
+    rng = np.random.default_rng(21)
+    Y = rng.uniform(0.5e9, 1.5e9, size=(h.M, 200))
+    coherent = reconcile_tensor(fixed_weights("BU", h), Y)
+    ok, violation = check_coherence(coherent, S)
+    assert ok and violation > 1e-9  # the absolute violation is reported as is
+    off = coherent.copy()
+    off[0, 3] += 1e-6 * np.abs(coherent[h.M - h.m:]).max()
+    ok, violation = check_coherence(off, S)
+    assert not ok and violation >= 1e-6 * 0.5e9
 
 
 def test_check_coherence_matches_the_oracle_on_random_hierarchies():
@@ -358,14 +376,10 @@ def test_lineage_weights_match_loop_reference(f):
     )
     # the level layout is the node layout with each level's weight repeated
     np.testing.assert_array_equal(
-        weights_from_nodes(np.repeat(v, h.m // np.array(h.f)), h).entries,
-        weights_from_levels(v, h).entries,
+        _node_layout(np.repeat(v, h.m // np.array(h.f)), h), weights_from_levels(v, h).entries
     )
     w = rng.normal(size=h.M)
-    np.testing.assert_array_equal(
-        weights_from_nodes(w, h).entries,
-        _lineage_loop(lambda lev, k: w[k], h),
-    )
+    np.testing.assert_array_equal(_node_layout(w, h), _lineage_loop(lambda lev, k: w[k], h))
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,7 +392,7 @@ def test_lineage_operator_matches_matrix_and_its_transpose(seed):
     Y = rng.normal(size=(T, h.M, N))
     bottom_rows = h.levels[-1][1]
     bottom = _lineage(w, Y, h)[:, bottom_rows]
-    P = weights_from_nodes(w, h)
+    P = WeightMatrix(partial(_lineage, w, h=h), "nodes", h)
     np.testing.assert_allclose(bottom, np.matmul(P.entries, Y), rtol=0, atol=1e-12)
     S = build_summing_matrix(h)
     for sample in aggregate(bottom, h):
@@ -434,7 +448,7 @@ def test_reconcile_tensor_is_coherent_and_matches_dense():
         maps = [fixed_weights(method, h) for method in FIXED_METHODS] + [
             wls_weights(h),
             weights_from_levels(rng.normal(size=h.L), h),
-            weights_from_nodes(rng.normal(size=h.M), h),
+            WeightMatrix(partial(_lineage, rng.normal(size=h.M), h=h), "nodes", h),
         ]
         for P in maps:
             out = reconcile_tensor(P, tensor)

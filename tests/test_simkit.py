@@ -199,3 +199,26 @@ def test_scenario_forecaster_and_paths_bounds():
         sample_paths(fc, 0.0, horizon=0, n_paths=4, seed=0)
     with pytest.raises(SimkitError, match="at least 2 sample paths"):
         sample_paths(fc, 0.0, horizon=3, n_paths=1, seed=0)
+
+
+def test_non_finite_inputs_raise_simkit_error_without_lapack_noise(capfd):
+    # a non-finite series reaching the least-squares fit made LAPACK print
+    # to stdout and raise a bare LinAlgError
+    with pytest.raises(SimkitError, match="innovation scale"):
+        SyntheticScenario(phi=0.5, sigma=float("nan"))
+    with pytest.raises(SimkitError, match="stationary mean"):
+        SyntheticScenario(phi=0.5, sigma=1.0, mu=float("inf"))
+    with pytest.raises(SimkitError, match="stationary mean"):
+        SyntheticScenario(phi=0.7, sigma=1.0, mu=1e308)
+    series = np.arange(20.0)
+    series[4] = np.nan
+    with pytest.raises(SimkitError, match="level 3"):
+        fit_level(series, 3)
+    # window means of a series near the float range overflow to inf
+    h = build_hierarchy([4, 2, 1])
+    scn = SyntheticScenario(phi=0.0, sigma=1.0, mu=1e308, cycle_length=4,
+                            train_cycles=12, val_cycles=1, test_cycles=1)
+    with np.errstate(over="ignore"), pytest.raises(SimkitError, match="level 1"):
+        build_dataset(scn, h, n_paths=4)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out and "DLASCL" not in err
