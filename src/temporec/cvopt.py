@@ -11,14 +11,12 @@ folded into an unconstrained search by reparameterization:
   taking up the slack.
 * ``free``    - unconstrained.
 
-Every search evaluates through ``_criterion``; the public ``cv_criterion``
-runs once, at the returned weights, for the reported objective, which
-equals the searched value bit for bit.
-The multi-start search (``_search``) has fixed tolerances (``XATOL`` on the
-point, ``FATOL`` on the objective). The empirical-CRPS objective is
-piecewise smooth and has no useful gradient in general, so each start runs
-a Nelder-Mead simplex search; starts always include the bottom-up and
-equal-weight vectors, whose objectives the returned point never exceeds.
+The multi-start search (``_search``) minimizes the public ``cv_criterion``
+itself, with fixed tolerances (``XATOL`` on the point, ``FATOL`` on the
+objective). The empirical-CRPS objective is piecewise smooth and has no
+useful gradient in general, so each start runs a Nelder-Mead simplex
+search; starts always include the bottom-up and equal-weight vectors,
+whose objectives the returned point never exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
@@ -26,14 +24,15 @@ every reconciled row stays sorted, so the energy-form CRPS is convex and
 piecewise linear in v. Kelley's cutting-plane method (``_cutting_planes``)
 then minimizes it with one small linear program per iteration and stops
 once the best objective is within ``CUT_GAP`` of the LP lower bound; the
-result carries that gap as a certificate of optimality.
+result carries that gap as a certificate of optimality. Its oracle,
+``_criterion``, also returns a subgradient. Either search reports the best
+value it evaluated; no criterion runs after it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,32 +173,24 @@ def _search(
 
 
 def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
-    """The objective evaluator of every search, and whether the input rows are sorted.
+    """The cutting-plane oracle: ``evaluate(v)`` returns (objective, subgradient in v).
 
-    ``evaluate(v)`` equals ``cv_criterion(weights_from_levels(v, h), ...)``
-    for level weights ``v``, repeated over each level's nodes and reconciled
-    by ``_lineage``, that map's own ``apply``. The scoring kernel
-    ``_sorted_scores`` takes sorted rows: when every input row is
-    nondecreasing and v >= 0 the reconciled rows are sorted already,
-    otherwise they are sorted in place first. ``evaluate(v,
-    subgradient=True)`` also returns a subgradient in v, valid on that
-    sort-free branch, where the objective is convex and piecewise linear;
-    its pull-back is ``_lineage`` with unit weights on the CRPS derivative.
+    Precondition: every input row is nondecreasing and v lies on the
+    simplex, so the reconciled rows are sorted already and are scored as
+    they are; the objective is convex and piecewise linear in v and equals
+    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. The kernel
+    scores a copy of the ``_lineage`` buffer; the buffer then carries the
+    pull-back, ``_lineage`` with unit weights on the CRPS derivative.
     """
     T, _, n = joint_tensor.shape
-    rows_sorted = bool((np.diff(joint_tensor, axis=-1) >= 0).all())
     rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
     nodes = h.m // np.array(h.f)
 
-    def evaluate(v: np.ndarray, subgradient: bool = False):
+    def evaluate(v: np.ndarray):
         x = _lineage(np.repeat(v, nodes), joint_tensor, h)
-        if not (rows_sorted and (v >= 0).all()):
-            x.sort(axis=-1)
-        crps, _ = _sorted_scores(x, actuals)
+        crps, _ = _sorted_scores(x.copy(), actuals)
         value = float((crps * node_weight).sum())
-        if not subgradient:
-            return value
         # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
         # buffer of x, which is not read again
         dev = x
@@ -219,7 +210,7 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         ])
         return value, grad
 
-    return evaluate, rows_sorted
+    return evaluate
 
 
 def _cutting_planes(evaluate, L: int, maxiter: int | None):
@@ -231,7 +222,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     the objective, and its point is evaluated for the next cut. The search
     stops when the best objective is within ``CUT_GAP * max(1, |best|)`` of
     the bound or after ``maxiter`` LP solves (``None``: 80 per level).
-    Returns (best evaluated v, LP solves, gap).
+    Returns (best evaluated v, its objective, LP solves, gap).
 
     Raises:
         NonFinite: the objective is NaN or infinite at both starting cuts.
@@ -279,7 +270,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
             f"gap {gap:.3e}; returning best point",
             DidNotConverge,
         )
-    return best_v, solves, gap
+    return best_v, best_f, solves, gap
 
 
 def optimize_weights(
@@ -312,7 +303,8 @@ def optimize_weights(
     assembled validation sample is nondecreasing, the search is the
     cutting-plane method and the result carries its optimality ``gap``;
     otherwise it is the Nelder-Mead multi-start search and ``gap`` is None.
-    Either way ``objective`` is ``cv_criterion`` at the returned weights.
+    Either way ``objective`` is the searched value, which equals
+    ``cv_criterion`` at the returned weights bit for bit.
 
     Raises:
         ConfigError: ``regime`` is not one of ``REGIMES``; raised before any
@@ -326,15 +318,17 @@ def optimize_weights(
     """
     reg = _Regime(regime)  # before assembly, so a bad regime fails first
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    evaluate, rows_sorted = _criterion(joint_tensor, actuals, h)
-    gap = None
-    if reg.tag == "simplex" and h.L > 1 and rows_sorted:
-        v, iterations, gap = _cutting_planes(partial(evaluate, subgradient=True), h.L, maxiter)
+    certified = reg.tag == "simplex" and h.L > 1
+    if certified and (joint_tensor[..., 1:] >= joint_tensor[..., :-1]).all():
+        oracle = _criterion(joint_tensor, actuals, h)
+        v, objective, iterations, gap = _cutting_planes(oracle, h.L, maxiter)
     else:
-        u, _, iterations = _search(
-            lambda u: evaluate(reg.to_weights(u)), _start_vectors(h, reg, n_starts, seed), maxiter
-        )
-        v = reg.to_weights(u)
-    objective = cv_criterion(weights_from_levels(v, h), joint_tensor, actuals, h)
+        def criterion(u):
+            P = weights_from_levels(reg.to_weights(u), h)
+            return cv_criterion(P, joint_tensor, actuals, h)
+
+        starts = _start_vectors(h, reg, n_starts, seed)
+        u, objective, iterations = _search(criterion, starts, maxiter)
+        v, gap = reg.to_weights(u), None
     return CvResult(v=v, objective=objective, iterations=iterations,
                     regime=reg.tag, scheme=scheme, gap=gap)

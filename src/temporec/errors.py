@@ -53,7 +53,7 @@ class ReconcileError(TemporecError):
 
 
 class LengthMismatch(ReconcileError):
-    """Level- or node-weight vector has the wrong length or a non-finite entry."""
+    """Level-weight vector has the wrong length or a non-finite entry."""
 
 
 class DimensionMismatch(ReconcileError):

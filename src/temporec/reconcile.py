@@ -17,7 +17,7 @@ bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
 One operator, ``_lineage``, applies these maps, forms S'W^-1, and is the
-search evaluator's forward pass and pull-back. Bottom
+cutting-plane oracle's forward pass and pull-back. Bottom
 average and global average repeat one mean in every row, and only weighted
 least squares applies a dense P (followed by ``aggregate``): it is the one
 dense matrix a run forms. ``check_coherence`` compares the upper rows with
@@ -57,9 +57,9 @@ FIXED_METHODS = ("BU", "BA", "GA", "LA")
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """The combination map of one reconciliation method: ``apply(Y)`` is the
-    coherent sample S @ P @ Y, (..., M, N) -> (..., M, N). ``entries``, the
-    dense m x M matrix P (the bottom rows of ``apply(I_M)``), is a
-    read-only reference built on first access.
+    coherent sample S @ P @ Y, (..., M, N) -> (..., M, N), as a new array
+    the caller may overwrite. ``entries``, the dense m x M matrix P, the
+    bottom rows of ``apply(I_M)``, is a read-only reference built on first access.
 
     Maps compare and hash by identity: two builds of one method are not
     equal, since their ``apply`` functions are distinct objects."""

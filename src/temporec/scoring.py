@@ -10,16 +10,18 @@ On a row sorted ascending the double sum telescopes into the single sum
 point forecast the MAE scores) is the middle order statistic, or the mean
 of the central pair for even N. One private kernel, ``_sorted_scores``,
 computes both from sorted rows, and every score in the package comes from
-it: ``score_hierarchy`` sorts its (T, M, N) stack once and returns the CRPS
-and MAE tables together, and the weight searches' evaluator calls it on
-rows that are sorted already. Scores for a hierarchy are averaged per node
+it. It scores in the buffer it is handed, so no score allocates a
+sample-sized temporary: ``score_hierarchy`` sorts one copy of its
+(T, M, N) stack, ``cv_criterion`` sorts its reconciled sample in place,
+and the cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
+sorted already. Scores for a hierarchy are averaged per node
 over forecast origins, then per level over nodes, then over levels; that
 triple average is both the reported table layout and the objective the
 cross-validated weights minimize. Evaluation tables report each node in its
 level's native units, its common-unit score times the window f_l; the
 cross-validation criterion stays in common units and weighs each node's
 CRPS by its share of that average, ``_node_weights``, the one definition
-that ``cv_criterion`` and the searches' evaluator share.
+that ``cv_criterion`` and the cutting-plane oracle share.
 """
 
 from __future__ import annotations
@@ -91,14 +93,15 @@ def _sorted_scores(xs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     shape (...,); returns two arrays of shape (...,). The median equals
     ``np.median`` bit for bit: the middle order statistic for odd N (read,
     not averaged with itself), the mean of the central pair for even N,
-    and 0.0 where those are -0.0 (``np.median`` sums from +0.0).
+    and 0.0 where those are -0.0 (``np.median`` sums from +0.0). ``xs`` is
+    consumed: once the median and the pair term are read, it holds ``|xs - z|``.
     """
     n = xs.shape[-1]
-    dev = xs - z[..., None]
-    crps = np.abs(dev, out=dev).mean(axis=-1) - xs @ _rank_weights(n)
     mid = n // 2
-    median = xs[..., mid] if n % 2 else (xs[..., mid - 1] + xs[..., mid]) / 2
-    return crps, median + 0.0
+    median = (xs[..., mid] if n % 2 else (xs[..., mid - 1] + xs[..., mid]) / 2) + 0.0
+    pair = xs @ _rank_weights(n)
+    xs -= z[..., None]
+    return np.abs(xs, out=xs).mean(axis=-1) - pair, median
 
 
 def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -115,7 +118,7 @@ def score_hierarchy(
 
     Args:
         samples: one M x N sample per origin, reconciled or raw, as a
-            (T, M, N) array; each row is sorted once and gives both scores.
+            (T, M, N) array; one sorted copy of it gives both scores.
         actuals: realized node values per origin, a (T, M) array in common
             units.
         h: the hierarchy.
@@ -202,22 +205,24 @@ def assemble_origins(
                 f"origin label {repeated[0]} appears more than once; the permuted "
                 "scheme needs a distinct label per origin"
             )
-    joints = [
-        assemble(origin.levels, h, scheme, seed=_origin_seed(seed, origin.origin)).matrix
-        for origin in origins
-    ]
-    for origin, joint in zip(origins, joints):
-        if joint.shape != joints[0].shape:
+    tensor = None
+    for t, origin in enumerate(origins):
+        origin_seed = _origin_seed(seed, origin.origin)
+        joint = assemble(origin.levels, h, scheme, seed=origin_seed).matrix
+        if tensor is None:
+            tensor = np.empty((len(origins),) + joint.shape)
+        if joint.shape != tensor.shape[1:]:
             raise AlignmentError(
                 f"origin {origin.origin} has a joint sample of shape {joint.shape}, "
-                f"origin {origins[0].origin} one of shape {joints[0].shape}"
+                f"origin {origins[0].origin} one of shape {tensor.shape[1:]}"
             )
         if origin.actual.shape != (h.M,):
             raise AlignmentError(
                 f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
                 f"expected {(h.M,)}"
             )
-    return np.stack(joints), np.stack([origin.actual for origin in origins])
+        tensor[t] = joint
+    return tensor, np.stack([origin.actual for origin in origins])
 
 
 def _origin_seed(base: int, label: int) -> int:
@@ -233,16 +238,17 @@ def cv_criterion(
     """Level-averaged CRPS of the reconciled samples in common units.
 
     Every origin's joint sample is projected through S @ P by
-    ``reconcile_tensor``, its rows are sorted once, and each node's CRPS
-    against its realized value is weighted by ``_node_weights``: the
-    average over origins, then over nodes within a level, then over
-    levels, in one weighted sum. Origin averaging (in place of summing) is
-    a monotone rescaling that keeps objective values comparable across
-    validation lengths without moving the minimizer. Raises as
-    ``score_hierarchy`` on misaligned or empty input.
+    ``reconcile_tensor``; the rows of that new array are sorted and scored
+    in its own buffer, and each node's CRPS against its realized value is
+    weighted by ``_node_weights``: the average over origins, then over
+    nodes within a level, then over levels, in one weighted sum. Origin
+    averaging (in place of summing) is a monotone rescaling that keeps
+    objective values comparable across validation lengths without moving
+    the minimizer. Raises as ``score_hierarchy`` on misaligned or empty input.
     """
     tensor, acts = _aligned(reconcile_tensor(P, joint_tensor), actuals, h)
-    crps, _ = _sorted_scores(np.sort(tensor, axis=-1), acts)
+    tensor.sort(axis=-1)
+    crps, _ = _sorted_scores(tensor, acts)
     return float((crps * _node_weights(h, len(tensor))).sum())
 
 

@@ -212,7 +212,9 @@ def dataset_from_series(
 
     One ``aggregate`` call turns the cycles into an (M, cycles) table of
     common-unit node values; each level's training series, each origin's
-    starting state and the actuals are read from it.
+    starting state and the actuals are read from it. Its window sums are
+    bounded by max |value| * f_1; a series for which that bound is not
+    finite raises ``SimkitError`` before any sum is taken.
     """
     values = np.asarray(bottom, dtype=float).ravel()
     f1 = h.cycle_length
@@ -223,6 +225,11 @@ def dataset_from_series(
             f"got {values.size}"
         )
     values = values[: total * f1]
+    largest = float(np.abs(values).max(initial=0.0))
+    if not np.isfinite(largest * f1):
+        raise SimkitError(
+            f"level 1 window sums are not finite: max |value| * f_1 = {largest:.6g} * {f1}"
+        )
 
     nodes = aggregate(values.reshape(total, f1).T, h)
     # a level's series runs through its nodes cycle by cycle

@@ -340,6 +340,22 @@ def test_main_overflowing_scenario_exits_2_without_lapack_noise(tmp_path, capfd)
     assert err.startswith("configuration error: ") and "stationary mean" in err
 
 
+def test_main_overflowing_window_sums_exit_2_without_runtime_warning(tmp_path):
+    # a child process with default warning filters: numpy's overflow warning
+    # would reach its stderr, where an in-process run hands it to pytest
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("frequencies = 4,2,1\nphi = 0\nmu = 1e308\nn_paths = 8\nmethods = bu\n")
+    src = Path(temporec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "temporec.cli",
+         "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error: level 1 window sums are not finite")
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def _data_config(tmp_path, data, extra=""):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(

@@ -1,5 +1,4 @@
 import warnings
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,44 +186,43 @@ def test_nelder_mead_warns_when_capped():
     assert (res.regime, res.scheme, res.gap) == ("free", "ranked", None)
 
 
-def criterion_instance(seed: int, sort: bool = True):
+def criterion_instance(seed: int):
     """A random hierarchy with a (T, M, N) sample tensor and realizations.
 
     Paths are drawn on a coarse grid so that rows carry ties, and some
-    realizations coincide with a path. With ``sort`` every row is
-    nondecreasing, as the ranked scheme leaves it; without, the rows are in
-    draw order, as the stacked scheme leaves them.
+    realizations coincide with a path. Every row is nondecreasing, as the
+    ranked scheme leaves it: the cutting-plane oracle's precondition.
     """
     rng = np.random.default_rng(seed)
     h = random_hierarchy(rng, max_cycle=12)
     T, n = int(rng.integers(1, 4)), int(rng.integers(2, 12))
-    tensor = rng.integers(-3, 4, size=(T, h.M, n)) * 0.5
-    if sort:
-        tensor = np.sort(tensor, axis=-1)
+    tensor = np.sort(rng.integers(-3, 4, size=(T, h.M, n)) * 0.5, axis=-1)
     actuals = rng.integers(-3, 4, size=(T, h.M)) * 0.5 + rng.choice([0.0, 0.3], size=(T, h.M))
     return h, tensor, actuals, rng
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_sorted_evaluator_equals_cv_criterion(seed, sort):
-    h, tensor, actuals, rng = criterion_instance(seed, sort)
-    evaluate, _ = _criterion(tensor, actuals, h)
-    # simplex points take the sort-free branch on sorted rows; signed level
-    # weights (affine and free regimes) and unsorted rows take the sort
-    level_weights = list(rng.dirichlet(np.ones(h.L), size=2)) + list(rng.normal(size=(2, h.L)))
-    for v in level_weights:
+@given(st.integers(0, 2**32 - 1))
+def test_sorted_evaluator_equals_cv_criterion(seed):
+    # simplex points on sorted rows, the oracle's precondition: the rows it
+    # scores without sorting give the public criterion bit for bit
+    # the scoring kernel overwrites the buffer it is handed; neither caller
+    # hands it the inputs
+    h, tensor, actuals, rng = criterion_instance(seed)
+    before = tensor.copy(), actuals.copy()
+    evaluate = _criterion(tensor, actuals, h)
+    for v in list(rng.dirichlet(np.ones(h.L), size=3)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]:
         expected = cv_criterion(weights_from_levels(v, h), tensor, actuals, h)
-        assert evaluate(v) == expected
+        assert evaluate(v)[0] == expected
+    np.testing.assert_array_equal(tensor, before[0])
+    np.testing.assert_array_equal(actuals, before[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sorted_evaluator_subgradient_inequality(seed):
     h, tensor, actuals, rng = criterion_instance(seed)
-    criterion, rows_sorted = _criterion(tensor, actuals, h)
-    assert rows_sorted
-    evaluate = partial(criterion, subgradient=True)
+    evaluate = _criterion(tensor, actuals, h)
     points = list(rng.dirichlet(np.ones(h.L), size=4)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
     for v in points:
         fv, g = evaluate(v)
@@ -239,7 +237,7 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
     # dense E_l Y, so a wrong window on any level, overlapping ones included,
     # shows in that level's component
     h, tensor, actuals, rng = criterion_instance(seed)
-    criterion, _ = _criterion(tensor, actuals, h)
+    evaluate = _criterion(tensor, actuals, h)
     S = build_summing_matrix(h).entries
     T, n = tensor.shape[0], tensor.shape[-1]
     for v in list(rng.dirichlet(np.ones(h.L), size=2)) + [np.eye(h.L)[-1]]:
@@ -250,7 +248,7 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
             np.vdot(StD, np.matmul(weights_from_levels(np.eye(h.L)[lev], h).entries, tensor))
             for lev in range(h.L)
         ]
-        _, grad = criterion(v, subgradient=True)
+        _, grad = evaluate(v)
         # atol: a component that cancels to zero is left with rounding noise
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
@@ -300,19 +298,33 @@ def test_simplex_start_weights_are_distinct(daily_hierarchy):
             assert not np.allclose(a, b, atol=1e-6)
 
 
-def test_reported_objective_is_the_searched_value(daily_hierarchy):
-    # the evaluator and cv_criterion run the same arithmetic, so the
-    # reported objective is the value the search saw at the returned weights
+def test_reported_objective_is_the_searched_value(daily_hierarchy, monkeypatch):
+    # the objective is the smallest value the search evaluated, with no
+    # criterion call after it: the oracle's value on the certified path,
+    # the public criterion's under Nelder-Mead
     h = daily_hierarchy
     scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=h.m,
                             train_cycles=10, val_cycles=3, test_cycles=1, seed=4)
     origins = build_dataset(scn, h, n_paths=30).val_origins
-    evaluate, _ = _criterion(*assemble_origins(origins, h, "ranked", seed=4), h)
+    seen = []
+
+    def recorded(*args):
+        seen.append(cv_criterion(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cvopt, "cv_criterion", recorded)
+    evaluate = _criterion(*assemble_origins(origins, h, "ranked", seed=4), h)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConverge)
-        for regime in ("simplex", "affine", "free"):
+        res = optimize_weights(origins, "ranked", "simplex", h, seed=4, maxiter=30)
+        assert res.gap is not None and not seen
+        assert res.objective == evaluate(res.v)[0]
+        for regime in ("affine", "free"):
+            seen.clear()
             res = optimize_weights(origins, "ranked", regime, h, seed=4, maxiter=30)
-            assert res.objective == evaluate(res.v)
+            assert res.gap is None and seen
+            assert res.objective == min(seen)
+            assert res.objective == cv_objective(res.v, "ranked", origins, h, seed=4)
 
 
 def test_misaligned_origins_raise_alignment_error():
@@ -340,8 +352,9 @@ def test_cutting_planes_non_finite_start_cuts_raise():
 def test_cutting_planes_stops_on_a_failed_lp(monkeypatch):
     monkeypatch.setattr(cvopt, "linprog", lambda *a, **k: SimpleNamespace(success=False))
     with pytest.warns(DidNotConverge, match="after 1 LP solves"):
-        v, solves, gap = _cutting_planes(_linear_cuts([0.0, 1.0, 2.0]), 3, None)
+        v, best_f, solves, gap = _cutting_planes(_linear_cuts([0.0, 1.0, 2.0]), 3, None)
     np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))  # the better start
+    assert best_f == _linear_cuts([0.0, 1.0, 2.0])(v)[0]
     assert (solves, gap) == (1, np.inf)
 
 
@@ -349,6 +362,7 @@ def test_cutting_planes_stops_on_a_non_finite_lp_point():
     # the LP optimum is the first vertex, where the objective is NaN
     evaluate = _linear_cuts([0.0, 1.0, 2.0], finite=lambda v: v[0] < 0.5)
     with pytest.warns(DidNotConverge, match="after 1 LP solves with optimality gap 1.000e"):
-        v, solves, gap = _cutting_planes(evaluate, 3, None)
+        v, best_f, solves, gap = _cutting_planes(evaluate, 3, None)
     np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))
+    assert best_f == evaluate(v)[0]
     assert solves == 1 and gap == pytest.approx(1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from temporec.errors import AlignmentError, EmptySample
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
-from temporec.reconcile import fixed_weights, reconcile
+from temporec.reconcile import fixed_weights, reconcile, weights_from_levels
 from temporec.sampling import LevelSample, OriginData, assemble
 from temporec.scoring import (
     _sorted_scores,
     assemble_origins,
     crps_sample,
+    cv_criterion,
     cv_objective,
     median_point,
     score_hierarchy,
@@ -383,3 +386,50 @@ def test_misaligned_origins_raise_alignment_error(small_hierarchy):
         assemble_origins([long], h, "ranked")
     with pytest.raises(AlignmentError, match=r"origin 5 has actuals"):
         cv_objective([0.0, 0.0, 1.0], "stacked", [a, long], h)
+
+
+def _scoring_instance(h, shape=(5, 300), seed=21):
+    """A (T, M, N) stack of unsorted paths and (T, M) realizations."""
+    rng = np.random.default_rng(seed)
+    T, n = shape
+    return rng.normal(size=(T, h.M, n)), rng.normal(size=(T, h.M))
+
+
+def test_scores_leave_their_inputs_unchanged(daily_hierarchy):
+    # the scoring kernel overwrites the buffer it is handed, so every
+    # public score must hand it one of its own
+    h = daily_hierarchy
+    tensor, actuals = _scoring_instance(h, shape=(3, 41))
+    row = tensor[0, 0].copy()
+    before = tensor.copy(), actuals.copy(), row.copy()
+    score_hierarchy(tensor, actuals, h)
+    cv_criterion(weights_from_levels(np.full(h.L, 1.0 / h.L), h), tensor, actuals, h)
+    cv_criterion(fixed_weights("GA", h), tensor, actuals, h)
+    crps_sample(row, 0.25)
+    median_point(row)
+    for now, then in zip((tensor, actuals, row), before):
+        np.testing.assert_array_equal(now, then)
+
+
+def _peak_in_samples(fn, sample_bytes: int) -> float:
+    """Peak memory ``fn()`` allocates, traced by tracemalloc, in samples."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / sample_bytes
+
+
+def test_scores_allocate_one_sample_sized_buffer(daily_hierarchy):
+    # the kernel scores in the buffer it is handed: cv_criterion holds only
+    # its reconciled sample, score_hierarchy only its sorted copy, where a
+    # kernel with its own deviation temporary needs one more of each (and
+    # cv_criterion a second for an out-of-place sort)
+    h = daily_hierarchy
+    tensor, actuals = _scoring_instance(h)
+    P = weights_from_levels(np.full(h.L, 1.0 / h.L), h)
+    assert _peak_in_samples(lambda: cv_criterion(P, tensor, actuals, h), tensor.nbytes) < 1.5
+    assert _peak_in_samples(lambda: score_hierarchy(tensor, actuals, h), tensor.nbytes) < 1.5

@@ -214,11 +214,13 @@ def test_non_finite_inputs_raise_simkit_error_without_lapack_noise(capfd):
     series[4] = np.nan
     with pytest.raises(SimkitError, match="level 3"):
         fit_level(series, 3)
-    # window means of a series near the float range overflow to inf
+    # window sums of a series near the float range would overflow, with
+    # numpy's RuntimeWarning (an error under this suite's filter); the bound
+    # max |value| * f_1 is checked before any sum is taken
     h = build_hierarchy([4, 2, 1])
     scn = SyntheticScenario(phi=0.0, sigma=1.0, mu=1e308, cycle_length=4,
                             train_cycles=12, val_cycles=1, test_cycles=1)
-    with np.errstate(over="ignore"), pytest.raises(SimkitError, match="level 1"):
+    with pytest.raises(SimkitError, match=r"level 1 .* max \|value\| \* f_1 = 1e\+308 \* 4"):
         build_dataset(scn, h, n_paths=4)
     out, err = capfd.readouterr()
     assert "DLASCL" not in out and "DLASCL" not in err
