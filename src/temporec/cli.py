@@ -19,7 +19,7 @@ Keys, with defaults:
     sigma           = 1.0                 innovation scale
     mu              = 1.0                 AR intercept
     clip_at_zero    = false               floor the truth path at zero
-    train_cycles    = 30                  cycles used for model fitting
+    train_cycles    = 30                  cycles used for model fitting (at least 10)
     val_cycles      = 10                  cycles used for weight selection
     test_cycles     = 10                  cycles used for evaluation
     n_paths         = 200                 sample paths per level per origin
@@ -33,12 +33,13 @@ Keys, with defaults:
     coherence_tol   = 1e-9                positive; relative, see below
 
 Float values (phi, sigma, mu, coherence_tol) must be finite; n_paths is at
-least 2, each cycle count at least 1, cv_starts at least 3 (a search never
-runs fewer starts) and cv_maxiter nonnegative. An empty out (``out =`` or
-``TEMPOREC_OUT=``) would write the reports into the current directory, so
-it is rejected. A value out of bounds, a key set twice in the config
-file, or a token repeated in schemes, methods or cv_regimes, is a
-configuration error that names the key.
+least 2, train_cycles at least 10 (a fit needs 10 observations, and level 1
+has one per cycle), the other cycle counts at least 1, cv_starts at least 3
+(a search never runs fewer starts) and cv_maxiter nonnegative. An empty out
+(``out =`` or ``TEMPOREC_OUT=``) would write the reports into the current
+directory, so it is rejected. A value out of bounds, a key set twice in
+the config file, or a token repeated in schemes, methods or cv_regimes, is
+a configuration error that names the key.
 
 coherence_tol is relative: a reconciled sample passes the coherence check
 when its worst absolute violation (reported in ``diagnostics.csv``) is at
@@ -78,7 +79,7 @@ failure. Every package error maps to one of them by its family
        cannot be written; a failed run keeps its own error's code),
        HierarchyError (bad frequencies), SimkitError (a synthetic
        scenario or training window that cannot be fitted, e.g.
-       ``train_cycles = 1``)
+       ``phi = 1``)
     3  DataError (unreadable, malformed, non-finite, non-hourly-step,
        gapped or too short CSV input)
     4  NumericalError, SamplingError, ReconcileError, ScoringError, and
@@ -160,7 +161,7 @@ EXIT_LABELS = {
 FIXED_METHOD_TOKENS = ("bu", "ba", "ga", "la", "wls")
 # Smallest accepted value of each bounded integer setting.
 MINIMA = {
-    "n_paths": 2, "train_cycles": 1, "val_cycles": 1, "test_cycles": 1,
+    "n_paths": 2, "train_cycles": 10, "val_cycles": 1, "test_cycles": 1,
     "cv_starts": 3, "cv_maxiter": 0, "seed": 0,
 }
 
@@ -448,6 +449,9 @@ def run_experiment(cfg: RunConfig):
                     maxiter=cfg.cv_maxiter or None,
                 )
 
+        # a fixed map does not depend on the scheme, so each is built once
+        fixed = {lab: wls_weights(h) if lab == "wls" else fixed_weights(lab.upper(), h)
+                 for lab in labels if lab in FIXED_METHOD_TOKENS}
         for scheme in cfg.schemes:
             tensor, actuals = assemble_origins(dataset.test_origins, h, scheme, seed=cfg.seed)
             if not results:
@@ -455,10 +459,8 @@ def run_experiment(cfg: RunConfig):
                 # scheme only reorders each row's paths, so every one scores the same
                 results.append(("none", "none", *score_hierarchy(tensor, actuals, h)))
             for lab in labels:
-                if lab == "wls":
-                    P = wls_weights(h)
-                elif lab in FIXED_METHOD_TOKENS:
-                    P = fixed_weights(lab.upper(), h)
+                if lab in fixed:
+                    P = fixed[lab]
                 else:
                     P = weights_from_levels(cv_results[(scheme, lab.removeprefix("cv-"))].v, h)
                 reconciled = reconcile_tensor(P, tensor)

@@ -12,21 +12,23 @@ folded into an unconstrained search by reparameterization:
 * ``free``    - unconstrained.
 
 The multi-start search (``_search``) minimizes the public ``cv_criterion``
-itself, with fixed tolerances (``XATOL`` on the point, ``FATOL`` on the
-objective). The empirical-CRPS objective is piecewise smooth and has no
-useful gradient in general, so each start runs a Nelder-Mead simplex
-search; starts always include the bottom-up and equal-weight vectors,
-whose objectives the returned point never exceeds.
+itself, with tolerances ``XATOL`` on the point and ``FATOL`` on the
+objective, relative to max(1, |objective|) at the first finite start. The
+empirical-CRPS objective is piecewise smooth and has no useful gradient in
+general, so each start runs a Nelder-Mead simplex search; starts always
+include the bottom-up and equal-weight vectors, whose objectives the
+returned point never exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
 every reconciled row stays sorted, so the energy-form CRPS is convex and
 piecewise linear in v. Kelley's cutting-plane method (``_cutting_planes``)
 then minimizes it with one small linear program per iteration and stops
-once the best objective is within ``CUT_GAP`` of the LP lower bound; the
-result carries that gap as a certificate of optimality. Its oracle,
-``_criterion``, also returns a subgradient. Either search reports the best
-value it evaluated; no criterion runs after it.
+once the best objective is within ``CUT_GAP`` of the LP lower bound, also
+relative; the result carries that gap as a certificate of optimality. Its
+oracle, ``_criterion``, builds its maps with ``weights_from_levels`` and
+also returns a subgradient. Either search reports the best value it
+evaluated; no criterion runs after it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
-from .reconcile import _lineage, weights_from_levels
+from .reconcile import weights_from_levels
 from .sampling import OriginData
 from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
 
@@ -48,7 +50,7 @@ __all__ = ["REGIMES", "CvResult", "optimize_weights"]
 
 REGIMES = ("simplex", "affine", "free")
 XATOL = 1e-4  # Nelder-Mead tolerance on the search point
-FATOL = 1e-7  # Nelder-Mead tolerance on the objective
+FATOL = 1e-7  # Nelder-Mead tolerance on the objective, relative to max(1, |first value|)
 CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
 
 
@@ -115,7 +117,7 @@ def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
         np.full(h.L, 1.0 / h.L),  # lineal-average / equal weights
     ]
     if regime.tag != "simplex":
-        starts.append(np.full(h.L, 1.0 / h.M))  # global-average-like mass
+        starts.append(np.full(h.L, 1.0 / h.M))  # affine: (1/M, ..., 1 - (L-1)/M), near bottom-up
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCF]))
     while len(starts) < max(n_starts, 3):
         if regime.tag == "simplex":
@@ -132,7 +134,8 @@ def _search(
 
     Each start is evaluated first and skipped if its objective is not
     finite; a search whose final objective is not finite falls back to its
-    start. ``maxiter`` is the cap per start (``None``: 80 per search
+    start. The objective tolerance is ``FATOL * max(1, |f|)`` at the first
+    finite start. ``maxiter`` is the cap per start (``None``: 80 per search
     dimension). An empty search space returns the start, converged, after
     0 iterations.
 
@@ -144,15 +147,17 @@ def _search(
     """
     if maxiter is None:
         maxiter = 80 * len(starts[0])
-    best_u, best_obj, total_iters, converged = None, np.inf, 0, False
+    best_u, best_obj, total_iters, converged, fatol = None, np.inf, 0, False, None
     for u in starts:
         f = objective(u)
         if not np.isfinite(f):
             continue
+        if fatol is None:
+            fatol = FATOL * max(1.0, abs(f))
         if len(u):
             res = minimize(
                 objective, u, method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": XATOL, "fatol": FATOL},
+                options={"maxiter": maxiter, "xatol": XATOL, "fatol": fatol},
             )
             total_iters += int(res.nit)
             converged = converged or bool(res.success)
@@ -179,16 +184,16 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     simplex, so the reconciled rows are sorted already and are scored as
     they are; the objective is convex and piecewise linear in v and equals
     ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. The kernel
-    scores a copy of the ``_lineage`` buffer; the buffer then carries the
-    pull-back, ``_lineage`` with unit weights on the CRPS derivative.
+    scores a copy of that map's output; the buffer then carries the
+    pull-back, the map of unit level weights, on the CRPS derivative.
     """
     T, _, n = joint_tensor.shape
     rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
-    nodes = h.m // np.array(h.f)
+    pull_back = weights_from_levels(np.ones(h.L), h)
 
     def evaluate(v: np.ndarray):
-        x = _lineage(np.repeat(v, nodes), joint_tensor, h)
+        x = weights_from_levels(v, h).apply(joint_tensor)
         crps, _ = _sorted_scores(x.copy(), actuals)
         value = float((crps * node_weight).sum())
         # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
@@ -199,11 +204,11 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         dev /= n
         dev -= rank
         dev *= node_weight[:, None]
-        # S^T d: the unit-weight lineage of d / f_l leaves it in the bottom
+        # S^T d: the unit-weight map of d / f_l leaves it in the bottom
         # rows; their window means over a level-l node, times f_l, are the
         # window sums that v_l pairs with Y_l
         dev /= h.node_windows[:, None]
-        dev = _lineage(np.ones(h.M), dev, h)
+        dev = pull_back.apply(dev)
         grad = np.array([
             fl * np.einsum("tkn,tkn->", dev[:, rows], joint_tensor[:, rows])
             for fl, rows in h.levels
@@ -222,6 +227,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     the objective, and its point is evaluated for the next cut. The search
     stops when the best objective is within ``CUT_GAP * max(1, |best|)`` of
     the bound or after ``maxiter`` LP solves (``None``: 80 per level).
+    The LP reads the cuts in units of max(1, |f|) at the better start.
     Returns (best evaluated v, its objective, LP solves, gap).
 
     Raises:
@@ -240,21 +246,22 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     if not cuts:
         raise NonFinite("objective was NaN or infinite at the bottom-up and equal-weight vectors")
     best_v, best_f, _ = min(cuts, key=lambda cut: cut[1])
+    scale = max(1.0, abs(best_f))
     cost = np.append(np.zeros(L), 1.0)
     bounds = [(0.0, None)] * L + [(None, None)]
     lower, solves = -np.inf, 0
     while best_f - lower > CUT_GAP * max(1.0, abs(best_f)) and solves < maxiter:
         lp = linprog(
             cost,
-            A_ub=np.array([np.append(g, -1.0) for _, _, g in cuts]),
-            b_ub=np.array([g @ v - f for v, f, g in cuts]),
+            A_ub=np.array([np.append(g / scale, -1.0) for _, _, g in cuts]),
+            b_ub=np.array([(g @ v - f) / scale for v, f, g in cuts]),
             A_eq=np.append(np.ones(L), 0.0)[None, :], b_eq=[1.0],
             bounds=bounds, method="highs",
         )
         solves += 1
         if not lp.success:
             break
-        lower = lp.fun
+        lower = lp.fun * scale
         v = np.clip(lp.x[:L], 0.0, None)
         v /= v.sum()
         f, g = evaluate(v)

@@ -107,13 +107,13 @@ def test_config_validation():
     # out-of-bounds run settings name their key
     for key, value in [
         ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_starts", 2), ("cv_maxiter", -3),
-        ("val_cycles", 0), ("coherence_tol", float("nan")), ("sigma", float("nan")),
-        ("mu", float("inf")), ("phi", float("-inf")), ("out", ""),
+        ("train_cycles", 9), ("val_cycles", 0), ("coherence_tol", float("nan")),
+        ("sigma", float("nan")), ("mu", float("inf")), ("phi", float("-inf")), ("out", ""),
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
             RunConfig(**{key: value}).validate()
     # the bounds are inclusive
-    RunConfig(seed=0, cv_starts=3, cv_maxiter=0, n_paths=2, train_cycles=1).validate()
+    RunConfig(seed=0, cv_starts=3, cv_maxiter=0, n_paths=2, train_cycles=10).validate()
     # a repeated token would duplicate report rows; the error names key and token
     for key, value, token in [
         ("schemes", ("ranked", "stacked", "ranked"), "ranked"),
@@ -639,3 +639,25 @@ def test_run_never_builds_a_dense_weight_matrix(tmp_path, monkeypatch):
         methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),
     )
     assert len(run_experiment(cfg)) == 1 + 3 * 8
+
+
+def test_run_builds_each_fixed_map_once(tmp_path, monkeypatch):
+    # a fixed map does not depend on the scheme, so three schemes share one
+    # build of each; WLS's is a dense solve
+    built = []
+
+    def recorded(builder):
+        def build(*args):
+            P = builder(*args)
+            built.append(P.method)
+            return P
+        return build
+
+    monkeypatch.setattr(cli, "fixed_weights", recorded(cli.fixed_weights))
+    monkeypatch.setattr(cli, "wls_weights", recorded(cli.wls_weights))
+    cfg = _quick_config(
+        tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
+        methods=("bu", "ba", "ga", "la", "wls"),
+    )
+    assert len(run_experiment(cfg)) == 1 + 3 * 5
+    assert sorted(built) == ["BA", "BU", "GA", "LA", "WLS"]

@@ -327,6 +327,26 @@ def test_reported_objective_is_the_searched_value(daily_hierarchy, monkeypatch):
             assert res.objective == cv_objective(res.v, "ranked", origins, h, seed=4)
 
 
+def test_oracle_builds_its_maps_with_weights_from_levels(monkeypatch):
+    # one map per oracle evaluation (two start cuts, then one per LP solve)
+    # and one pull-back map per search, all through the public builder
+    h, origins = balanced_instance()
+    expected = optimize_weights(origins, "ranked", "simplex", h, seed=0)
+    built = []
+
+    def recorded(v, hierarchy):
+        built.append(np.array(v, dtype=float))
+        return weights_from_levels(v, hierarchy)
+
+    monkeypatch.setattr(cvopt, "weights_from_levels", recorded)
+    res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
+    assert res.gap is not None
+    assert len(built) == 2 + res.iterations + 1
+    np.testing.assert_array_equal(built[0], np.ones(h.L))  # the pull-back
+    np.testing.assert_array_equal(res.v, expected.v)
+    assert (res.objective, res.gap) == (expected.objective, expected.gap)
+
+
 def test_misaligned_origins_raise_alignment_error():
     h, origins = balanced_instance(n_origins=3)
     _, (fewer,) = balanced_instance(n_origins=1, n_paths=20)
@@ -366,3 +386,38 @@ def test_cutting_planes_stops_on_a_non_finite_lp_point():
     np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))
     assert best_f == evaluate(v)[0]
     assert solves == 1 and gap == pytest.approx(1.0)
+
+
+def _scaled(origins, factor):
+    return [
+        OriginData(levels=[LevelSample(s.level, s.matrix * factor) for s in o.levels],
+                   actual=o.actual * factor, origin=o.origin)
+        for o in origins
+    ]
+
+
+@pytest.mark.parametrize("frequencies, scheme, regime", [
+    ((6, 3, 2, 1), "stacked", "affine"),
+    ((6, 3, 2, 1), "permuted", "free"),
+    ((6, 3, 2, 1), "stacked", "simplex"),
+    ((24, 12, 8, 6, 4, 3, 2, 1), "ranked", "simplex"),
+])
+def test_search_is_invariant_to_the_units_of_the_data(frequencies, scheme, regime):
+    # the objective is positively homogeneous and a power of two scales
+    # every step exactly, so relative stopping rules make the same steps
+    h = build_hierarchy(frequencies)
+    scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=h.m,
+                            train_cycles=10, val_cycles=3, test_cycles=1, seed=3)
+    small = _scaled(build_dataset(scn, h, n_paths=20).val_origins, 4.0)
+    large = _scaled(small, 2.0**20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConverge)
+        a = optimize_weights(small, scheme, regime, h, seed=5)
+        b = optimize_weights(large, scheme, regime, h, seed=5)
+    assert a.objective >= 1.0  # so max(1, |objective|) scales too
+    assert a.iterations == b.iterations
+    np.testing.assert_array_equal(a.v, b.v)
+    assert b.objective == a.objective * 2.0**20
+    assert (a.gap is None) == (regime != "simplex" or scheme != "ranked")
+    if a.gap is not None:
+        assert b.gap == a.gap * 2.0**20

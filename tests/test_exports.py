@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import temporec
@@ -16,6 +19,18 @@ def test_package_exports_equal_module_exports():
     assert sorted(temporec.__all__) == sorted(names)
     for name in temporec.__all__:
         assert hasattr(temporec, name), name
+
+
+def test_package_binds_functions_and_leaves_out_the_cli():
+    # the star import of the reconcile module rebinds the package attribute
+    # from the submodule to the function of that name
+    assert temporec.reconcile is sys.modules["temporec.reconcile"].reconcile
+    src = Path(temporec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, temporec; print('temporec.cli' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_names_are_bound():
@@ -52,25 +67,34 @@ def test_only_cvopt_imports_scipy():
     assert importers == {"cvopt.py"}
 
 
-def test_only_hierarchy_and_reconcile_name_the_walks():
-    # the two child-map walks have one owner and one composer: every other
-    # module reaches them through reconcile._lineage or hierarchy.aggregate
+def _modules_naming(names: set) -> set:
+    """The package files that import, read or call any of ``names``."""
     package = Path(temporec.__file__).resolve().parent
-    walks = {"_push_down", "_fill_means"}
     namers = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
+                found = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name):
-                names = {node.id}
+                found = {node.id}
             elif isinstance(node, ast.Attribute):
-                names = {node.attr}
+                found = {node.attr}
             else:
                 continue
-            if names & walks:
+            if found & names:
                 namers.add(path.name)
-    assert namers == {"hierarchy.py", "reconcile.py"}
+    return namers
+
+
+def test_only_reconcile_names_the_lineage_operator():
+    # every other module builds its level maps with weights_from_levels
+    assert _modules_naming({"_lineage"}) == {"reconcile.py"}
+
+
+def test_only_hierarchy_and_reconcile_name_the_walks():
+    # the two child-map walks have one owner and one composer: every other
+    # module reaches them through reconcile._lineage or hierarchy.aggregate
+    assert _modules_naming({"_push_down", "_fill_means"}) == {"hierarchy.py", "reconcile.py"}
 
 
 def test_benchmark_imports_resolve():
