@@ -15,20 +15,23 @@ The multi-start search (``_search``) minimizes the public ``cv_criterion``
 itself, with tolerances ``XATOL`` on the point and ``FATOL`` on the
 objective, relative to max(1, |objective|) at the first finite start. The
 empirical-CRPS objective is piecewise smooth and has no useful gradient in
-general, so each start runs a Nelder-Mead simplex search; starts always
-include the bottom-up and equal-weight vectors, whose objectives the
-returned point never exceeds.
+general, so each start runs a Nelder-Mead simplex search (``_nelder_mead``,
+scipy's algorithm ported step for step); starts always include the
+bottom-up and equal-weight vectors, whose objectives the returned point
+never exceeds.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
 every reconciled row stays sorted, so the energy-form CRPS is convex and
 piecewise linear in v. Kelley's cutting-plane method (``_cutting_planes``)
-then minimizes it with one small linear program per iteration and stops
-once the best objective is within ``CUT_GAP`` of the LP lower bound, also
-relative; the result carries that gap as a certificate of optimality. Its
+then minimizes it with one small linear program per iteration, solved
+through its dual by a revised simplex (``_master_lp``), and stops once the
+best objective is within ``CUT_GAP`` of the LP lower bound, also relative;
+the result carries that gap as a certificate of optimality. Its
 oracle, ``_criterion``, builds its maps with ``weights_from_levels`` and
 also returns a subgradient. Either search reports the best value it
-evaluated; no criterion runs after it.
+evaluated; no criterion runs after it. Both solvers are numpy code, so the
+package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
@@ -127,6 +129,65 @@ def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
     return [regime.from_weights(v0) for v0 in starts]
 
 
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(objective, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Nelder-Mead from ``x0``: scipy 1.17's ``minimize(method="Nelder-Mead")``
+    without bounds or ``adaptive``, ported step for step so that it takes the
+    same steps bit for bit: the 5% / 0.00025 initial simplex, reflection 1,
+    expansion 2, contraction and shrink 1/2, and scipy's centroid, ordering
+    and stopping tests. The iteration count starts at 1. Returns (x, least
+    value of the final simplex, iterations, whether the tolerances were met
+    before ``maxiter``); the objective gets a copy of each point.
+    """
+    def f(x):
+        return objective(np.copy(x))
+
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.repeat(x0[None, :], N + 1, axis=0)
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    sim, fsim = _sort_simplex(sim, fsim)
+    sim, fsim = _sort_simplex(sim, fsim)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _sort_simplex(sim, fsim)
+    return sim[0], np.min(fsim), iterations, iterations < maxiter
+
+
 def _search(
     objective: Callable[[np.ndarray], float], starts: list[np.ndarray], maxiter: int | None
 ):
@@ -155,14 +216,11 @@ def _search(
         if fatol is None:
             fatol = FATOL * max(1.0, abs(f))
         if len(u):
-            res = minimize(
-                objective, u, method="Nelder-Mead",
-                options={"maxiter": maxiter, "xatol": XATOL, "fatol": fatol},
-            )
-            total_iters += int(res.nit)
-            converged = converged or bool(res.success)
-            if np.isfinite(res.fun):
-                u, f = res.x, res.fun
+            x, fun, nit, success = _nelder_mead(objective, u, maxiter, XATOL, fatol)
+            total_iters += nit
+            converged = converged or success
+            if np.isfinite(fun):
+                u, f = x, fun
         else:
             converged = True
         if f < best_obj:
@@ -218,6 +276,45 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     return evaluate
 
 
+def _master_lp(A: np.ndarray, b: np.ndarray):
+    """Kelley's master LP: min t over v on the simplex subject to A v - t <= b.
+
+    Solves the dual, max -b·λ + ν over λ on the K-simplex subject to
+    Aᵀλ >= ν·1, by a revised simplex with Bland's rule: L+1 rows however
+    many cuts there are. The basis of the cut k minimizing b_k - min_j A_kj,
+    ν = A_kj at its least entry j and every slack but j's is feasible, and
+    the free ν never leaves. The simplex multipliers y give the primal
+    solution, v = y[1:] and t = -y[0]. Returns (v, t), or None when the dual
+    is unbounded or the pivot cap is reached.
+    """
+    K, L = A.shape
+    # columns λ_1..λ_K, ν, slacks σ_1..σ_L; rows Σλ = 1 and Aᵀλ - ν·1 - σ = 0;
+    # the simplex minimizes b·λ - ν
+    cols = np.block([[np.ones((1, K)), np.zeros((1, L + 1))],
+                     [A.T, -np.ones((L, 1)), -np.eye(L)]])
+    cost = np.concatenate([b, [-1.0], np.zeros(L)])
+    tol = 1e-12 * (1.0 + np.abs(A).max() + np.abs(b).max())
+    k = int(np.argmin(b - A.min(1)))
+    j = int(np.argmin(A[k]))
+    basis = np.array([k, K] + [K + 1 + i for i in range(L) if i != j])
+    for _ in range(10 * (K + L + 1)):
+        inverse = np.linalg.inv(cols[:, basis])
+        y = cost[basis] @ inverse
+        reduced = cost - y @ cols
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced < -tol)
+        if not entering.size:
+            return y[1:], -y[0]
+        direction = inverse @ cols[:, entering[0]]
+        rows = np.flatnonzero((direction > tol) & (basis != K))
+        if not rows.size:
+            return None
+        ratios = np.maximum(inverse[rows, 0], 0.0) / direction[rows]
+        ties = rows[ratios <= ratios.min()]
+        basis[ties[np.argmin(basis[ties])]] = entering[0]
+    return None
+
+
 def _cutting_planes(evaluate, L: int, maxiter: int | None):
     """Kelley's method for a convex objective over the simplex of L weights.
 
@@ -247,22 +344,18 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
         raise NonFinite("objective was NaN or infinite at the bottom-up and equal-weight vectors")
     best_v, best_f, _ = min(cuts, key=lambda cut: cut[1])
     scale = max(1.0, abs(best_f))
-    cost = np.append(np.zeros(L), 1.0)
-    bounds = [(0.0, None)] * L + [(None, None)]
     lower, solves = -np.inf, 0
     while best_f - lower > CUT_GAP * max(1.0, abs(best_f)) and solves < maxiter:
-        lp = linprog(
-            cost,
-            A_ub=np.array([np.append(g / scale, -1.0) for _, _, g in cuts]),
-            b_ub=np.array([(g @ v - f) / scale for v, f, g in cuts]),
-            A_eq=np.append(np.ones(L), 0.0)[None, :], b_eq=[1.0],
-            bounds=bounds, method="highs",
+        lp = _master_lp(
+            np.array([g / scale for _, _, g in cuts]),
+            np.array([(g @ v - f) / scale for v, f, g in cuts]),
         )
         solves += 1
-        if not lp.success:
+        if lp is None:
             break
-        lower = lp.fun * scale
-        v = np.clip(lp.x[:L], 0.0, None)
+        v, t = lp
+        lower = t * scale
+        v = np.clip(v, 0.0, None)
         v /= v.sum()
         f, g = evaluate(v)
         if not np.isfinite(f):

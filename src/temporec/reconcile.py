@@ -112,11 +112,13 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
 def wls_weights(h: HierarchySpec) -> WeightMatrix:
     """Weighted-least-squares combination, P = (S'W^-1 S)^-1 S'W^-1.
 
-    W is diagonal with entry f_l^2 for every node at level l: a structural
+    W is diagonal with entry f_l^2 for every node at level l, applied to
+    node values in common units (window means, so S averages): a structural
     proxy for the (unidentifiable) error covariance in which standard
-    deviations scale with the aggregation window. Because the node values
-    are already expressed in common units, this choice coincides with
-    ordinary least squares on the rescaled data. Satisfies P @ S = I.
+    deviations scale with the aggregation window. On native window sums
+    (S of zeros and ones) the same P is W = diag(f_l^4). It is not ordinary
+    least squares on either scale: that would be W = I in common units,
+    which is W = diag(f_l^2) on native sums. Satisfies P @ S = I.
 
     S' adds y_k / f_l to the row of every bottom node under node k, so
     S'W^-1 is the bottom rows of the lineage map of the node weights f_l^-3

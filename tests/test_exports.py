@@ -49,9 +49,8 @@ def test_benchmark_tracer_names_are_bound():
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
-def test_only_cvopt_imports_scipy():
-    # the weight search is the one place that needs scipy; every other
-    # module stays on numpy
+def test_no_module_imports_scipy():
+    # both weight searches are numpy code; scipy is a test oracle only
     package = Path(temporec.__file__).resolve().parent
     importers = set()
     for path in sorted(package.glob("*.py")):
@@ -64,7 +63,31 @@ def test_only_cvopt_imports_scipy():
                 continue
             if any(module.split(".")[0] == "scipy" for module in modules):
                 importers.add(path.name)
-    assert importers == {"cvopt.py"}
+    assert importers == set()
+
+
+def test_a_run_never_loads_scipy(tmp_path):
+    # a run that takes both search paths, the certified one (ranked,
+    # simplex) and Nelder-Mead (stacked, affine), in a fresh interpreter
+    src = Path(temporec.__file__).resolve().parents[1]
+    script = (
+        "import sys, warnings\n"
+        "import temporec.cli as cli\n"
+        "warnings.simplefilter('ignore')\n"
+        "cli.run_experiment(cli.RunConfig(out=sys.argv[1], frequencies=(4, 2, 1),\n"
+        "    train_cycles=10, val_cycles=2, test_cycles=1, n_paths=10,\n"
+        "    schemes=('ranked', 'stacked'), methods=('bu', 'cv'),\n"
+        "    cv_regimes=('simplex', 'affine'), cv_maxiter=5))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.strip() == "[]"
+    header, *rows = (tmp_path / "cv_weights.csv").read_text().splitlines()
+    gaps = {tuple(r.split(",")[:2]): r.split(",")[header.split(",").index("gap")] for r in rows}
+    assert gaps[("ranked", "simplex")] and not gaps[("stacked", "affine")]
 
 
 def _modules_naming(names: set) -> set:

@@ -125,6 +125,28 @@ def test_wls_left_inverse_of_s():
         np.testing.assert_allclose(P @ S, np.eye(h.m), atol=1e-10)
 
 
+def _gls(S, w):
+    """(S' W^-1 S)^-1 S' W^-1 for W = diag(w), densely."""
+    rhs = S.T / w
+    return np.linalg.solve(rhs @ S, rhs)
+
+
+def test_wls_weighting_as_documented_in_both_units():
+    # W = diag(f_l^2) on common-unit nodes is W = diag(f_l^4) on native
+    # window sums, and it is not OLS (W = I) on common units
+    rng = np.random.default_rng(23)
+    for h in [random_hierarchy(rng) for _ in range(20)] + [build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])]:
+        P = wls_weights(h).entries
+        S = oracle_summing_matrix(h)
+        f = h.node_windows
+        np.testing.assert_allclose(P, _gls(S, f**2), atol=1e-10)
+        # native sums are f * common values; a bottom node is its own sum
+        np.testing.assert_allclose(P, _gls(f[:, None] * S, f**4) * f, atol=1e-10)
+        np.testing.assert_allclose(P @ S, np.eye(h.m), atol=1e-10)
+        if h.L > 1:
+            assert np.abs(P - _gls(S, np.ones(h.M))).max() > 1e-3
+
+
 def test_weights_from_levels_fixture(small_hierarchy):
     v = np.array([0.2, 0.3, 0.5])
     expected = np.array(
