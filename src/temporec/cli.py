@@ -126,8 +126,8 @@ from .reconcile import (
     weights_from_levels,
     wls_weights,
 )
-from .sampling import SCHEMES
-from .scoring import ScoreTable, assemble_origins, score_hierarchy
+from .sampling import SCHEMES, assemble_origins
+from .scoring import ScoreTable, score_hierarchy
 from .simkit import SyntheticScenario, build_dataset, dataset_from_series
 
 __all__ = [
@@ -301,14 +301,13 @@ def load_config(
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
             raw[name] = env[env_key]
-    unknown = set(raw) - set(kinds)
+    given = {name: value for name, value in (overrides or {}).items() if value is not None}
+    unknown = (set(raw) | set(given)) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     resolved = {name: _parse_value(name, value, kinds[name]) for name, value in raw.items()}
-    for name, value in (overrides or {}).items():
-        if value is None:
-            continue
+    for name, value in given.items():
         resolved[name] = (
             _parse_value(name, value, kinds[name]) if isinstance(value, str) else value
         )

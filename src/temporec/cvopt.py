@@ -45,8 +45,8 @@ import numpy as np
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
 from .reconcile import weights_from_levels
-from .sampling import OriginData
-from .scoring import _node_weights, _rank_weights, _sorted_scores, assemble_origins, cv_criterion
+from .sampling import OriginData, assemble_origins
+from .scoring import _node_weights, _rank_weights, _sorted_scores, cv_criterion
 
 __all__ = ["REGIMES", "CvResult", "optimize_weights"]
 
@@ -134,14 +134,15 @@ def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _nelder_mead(objective, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+def _nelder_mead(objective, x0: np.ndarray, f0: float, maxiter: int, xatol: float, fatol: float):
     """Nelder-Mead from ``x0``: scipy 1.17's ``minimize(method="Nelder-Mead")``
     without bounds or ``adaptive``, ported step for step so that it takes the
     same steps bit for bit: the 5% / 0.00025 initial simplex, reflection 1,
     expansion 2, contraction and shrink 1/2, and scipy's centroid, ordering
-    and stopping tests. The iteration count starts at 1. Returns (x, least
-    value of the final simplex, iterations, whether the tolerances were met
-    before ``maxiter``); the objective gets a copy of each point.
+    and stopping tests. ``f0`` is the objective at ``x0``, which the caller
+    has already computed; the other points are evaluated on copies. The
+    iteration count starts at 1. Returns (x, least value of the final
+    simplex, iterations, whether the tolerances were met before ``maxiter``).
     """
     def f(x):
         return objective(np.copy(x))
@@ -151,7 +152,7 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int, xatol: float, fatol: f
     sim = np.repeat(x0[None, :], N + 1, axis=0)
     for k in range(N):
         sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
+    fsim = np.array([f0] + [f(x) for x in sim[1:]], dtype=float)
     sim, fsim = _sort_simplex(sim, fsim)
     sim, fsim = _sort_simplex(sim, fsim)
     iterations = 1
@@ -193,12 +194,12 @@ def _search(
 ):
     """Run Nelder-Mead from every start; return (best u, its objective, iterations).
 
-    Each start is evaluated first and skipped if its objective is not
-    finite; a search whose final objective is not finite falls back to its
-    start. The objective tolerance is ``FATOL * max(1, |f|)`` at the first
-    finite start. ``maxiter`` is the cap per start (``None``: 80 per search
-    dimension). An empty search space returns the start, converged, after
-    0 iterations.
+    Each start is evaluated once, skipped if its objective is not finite
+    and otherwise handed with its value to Nelder-Mead; a search whose final
+    objective is not finite falls back to its start. The objective
+    tolerance is ``FATOL * max(1, |f|)`` at the first finite start.
+    ``maxiter`` is the cap per start (``None``: 80 per search dimension).
+    An empty search space returns the start, converged, after 0 iterations.
 
     Raises:
         NonFinite: the objective is NaN or infinite at every start.
@@ -216,7 +217,7 @@ def _search(
         if fatol is None:
             fatol = FATOL * max(1.0, abs(f))
         if len(u):
-            x, fun, nit, success = _nelder_mead(objective, u, maxiter, XATOL, fatol)
+            x, fun, nit, success = _nelder_mead(objective, u, f, maxiter, XATOL, fatol)
             total_iters += nit
             converged = converged or success
             if np.isfinite(fun):

@@ -12,16 +12,23 @@ units. Three schemes turn those blocks into one M x N joint sample:
 
 Sorting and shuffling act within rows only, so the marginal (per node)
 distribution of every scheme is identical; only the coupling differs.
+
+``assemble`` builds one origin's sample, ``assemble_origins`` a (T, M, N)
+tensor of them; both write each level into its rows of the output and
+couple the rows there, so no scheme copies a sample. ``assemble`` keys the
+permuted scheme with ``seed``, ``assemble_origins`` each origin with
+``SeedSequence([seed, label])``, so the two shuffle differently.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ColumnMismatch, MissingLevel, RowCountMismatch, SamplingError
+from .errors import AlignmentError, ColumnMismatch, MissingLevel, RowCountMismatch, SamplingError
 from .hierarchy import HierarchySpec
 
 __all__ = [
@@ -29,10 +36,8 @@ __all__ = [
     "LevelSample",
     "JointSample",
     "OriginData",
-    "stack",
-    "rank",
-    "permute",
     "assemble",
+    "assemble_origins",
 ]
 
 SCHEMES = ("stacked", "ranked", "permuted")
@@ -105,18 +110,82 @@ class OriginData:
         object.__setattr__(self, "actual", actual)
 
 
-def stack(levels: Sequence[LevelSample], h: HierarchySpec) -> JointSample:
-    """Concatenate per-level sample matrices into the stacked joint sample.
-
-    Args:
-        levels: exactly one ``LevelSample`` per hierarchy level, any order.
-        h: hierarchy the samples belong to.
+def assemble(
+    levels: Sequence[LevelSample],
+    h: HierarchySpec,
+    scheme: str,
+    seed: int | None = None,
+) -> JointSample:
+    """One origin's joint sample: its level matrices stacked and coupled
+    under ``scheme``. The permuted scheme needs a ``seed``, which keys its
+    Philox generator as given.
 
     Raises:
         MissingLevel: a level is absent or duplicated.
         ColumnMismatch: levels disagree on the number of paths.
         RowCountMismatch: a matrix has the wrong number of rows for its level.
+        SamplingError: the scheme is unknown, or permuted without a seed.
     """
+    ordered = _in_level_order(levels, h)
+    out = np.empty((h.M, ordered[0].n_paths))
+    _couple(out, ordered, h, scheme, seed)
+    return JointSample(matrix=out, scheme=scheme, hierarchy=h)
+
+
+def assemble_origins(
+    origins: Sequence[OriginData],
+    h: HierarchySpec,
+    scheme: str,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble every origin's joint sample under one scheme.
+
+    Returns the (T, M, N) tensor of joint samples, each coupled in its own
+    slot, and the (T, M) matrix of common-unit actuals. For the permuted
+    scheme each origin shuffles under its own key,
+    ``SeedSequence([seed, origin.origin])``, so its rows depend neither on
+    its position in the list nor on other origins, and validation and test
+    origins (different cycles) never share a permutation; a label that
+    repeats raises ``AlignmentError``, and so do origins whose path counts
+    differ or whose actuals are not M-vectors. Raises as ``assemble`` on a
+    bad level set or scheme.
+    """
+    if not origins:
+        raise AlignmentError("no forecast origins supplied")
+    if scheme == "permuted":
+        repeated = [label for label, n in Counter(o.origin for o in origins).items() if n > 1]
+        if repeated:
+            raise AlignmentError(
+                f"origin label {repeated[0]} appears more than once; the permuted "
+                "scheme needs a distinct label per origin"
+            )
+    tensor = None
+    for t, origin in enumerate(origins):
+        ordered = _in_level_order(origin.levels, h)
+        shape = (h.M, ordered[0].n_paths)
+        if tensor is None:
+            tensor = np.empty((len(origins),) + shape)
+        if shape != tensor.shape[1:]:
+            raise AlignmentError(
+                f"origin {origin.origin} has a joint sample of shape {shape}, "
+                f"origin {origins[0].origin} one of shape {tensor.shape[1:]}"
+            )
+        _couple(tensor[t], ordered, h, scheme, _origin_seed(seed, origin.origin))
+        if origin.actual.shape != (h.M,):
+            raise AlignmentError(
+                f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
+                f"expected {(h.M,)}"
+            )
+    return tensor, np.stack([origin.actual for origin in origins])
+
+
+def _origin_seed(base: int, label: int) -> int:
+    return int(np.random.SeedSequence([base % 2**64, label % 2**64]).generate_state(1)[0])
+
+
+def _in_level_order(levels: Sequence[LevelSample], h: HierarchySpec) -> list[LevelSample]:
+    """Exactly one sample per level of ``h``, levels 1..L, checked to share
+    one path count and to have each level's node count as rows."""
     by_level = {}
     for ls in levels:
         if ls.level in by_level:
@@ -138,55 +207,21 @@ def stack(levels: Sequence[LevelSample], h: HierarchySpec) -> JointSample:
             raise RowCountMismatch(
                 f"level {ls.level} has {ls.matrix.shape[0]} rows, expected {want}"
             )
-    return JointSample(
-        matrix=np.vstack([ls.matrix for ls in ordered]), scheme="stacked", hierarchy=h
-    )
+    return ordered
 
 
-def rank(stacked: JointSample) -> JointSample:
-    """Sort each row of a stacked sample ascending (comonotonic coupling)."""
-    _require_stacked(stacked, "rank")
-    return JointSample(
-        matrix=np.sort(stacked.matrix, axis=1),
-        scheme="ranked",
-        hierarchy=stacked.hierarchy,
-    )
-
-
-def permute(stacked: JointSample, seed: int) -> JointSample:
-    """Shuffle each row of a stacked sample independently.
-
-    One Philox 4x64 counter-based generator keyed by ``seed`` shuffles every
-    row, so the result is reproducible across platforms.
-    """
-    _require_stacked(stacked, "permute")
-    if seed is None:
-        raise SamplingError("permute requires a seed")
-    gen = np.random.Generator(np.random.Philox(key=seed % 2**64))
-    return JointSample(
-        matrix=gen.permuted(stacked.matrix, axis=1),
-        scheme="permuted",
-        hierarchy=stacked.hierarchy,
-    )
-
-
-def assemble(
-    levels: Sequence[LevelSample],
-    h: HierarchySpec,
-    scheme: str,
-    seed: int | None = None,
-) -> JointSample:
-    """Stack per-level samples and apply the requested scheme."""
-    joint = stack(levels, h)
-    if scheme == "stacked":
-        return joint
+def _couple(out, ordered: list[LevelSample], h: HierarchySpec, scheme: str, seed) -> None:
+    """Write each level's matrix into its rows of the (M, N) ``out`` and
+    couple the rows there: sorted for ranked, shuffled by one Philox 4x64
+    counter-based generator keyed by ``seed`` for permuted, so the result is
+    reproducible across platforms."""
+    if scheme not in SCHEMES:
+        raise SamplingError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme == "permuted" and seed is None:
+        raise SamplingError("the permuted scheme requires a seed")
+    for ls, (_, rows) in zip(ordered, h.levels):
+        out[rows] = ls.matrix
     if scheme == "ranked":
-        return rank(joint)
-    if scheme == "permuted":
-        return permute(joint, seed=seed)
-    raise SamplingError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-
-def _require_stacked(sample: JointSample, op: str) -> None:
-    if sample.scheme != "stacked":
-        raise SamplingError(f"{op} expects a stacked sample, got {sample.scheme!r}")
+        out.sort(axis=-1)
+    elif scheme == "permuted":
+        np.random.Generator(np.random.Philox(key=seed % 2**64)).permuted(out, axis=-1, out=out)

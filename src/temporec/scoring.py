@@ -21,12 +21,13 @@ cross-validated weights minimize. Evaluation tables report each node in its
 level's native units, its common-unit score times the window f_l; the
 cross-validation criterion stays in common units and weighs each node's
 CRPS by its share of that average, ``_node_weights``, the one definition
-that ``cv_criterion`` and the cutting-plane oracle share.
+that ``cv_criterion`` and the cutting-plane oracle share. Scoring takes
+joint samples as given: ``sampling.assemble_origins`` builds and seeds
+them, and ``cv_objective`` only chains it with ``cv_criterion``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,14 +36,13 @@ import numpy as np
 from .errors import AlignmentError, EmptySample
 from .hierarchy import HierarchySpec
 from .reconcile import WeightMatrix, reconcile_tensor, weights_from_levels
-from .sampling import OriginData, assemble
+from .sampling import OriginData, assemble_origins
 
 __all__ = [
     "ScoreTable",
     "crps_sample",
     "median_point",
     "score_hierarchy",
-    "assemble_origins",
     "cv_criterion",
     "cv_objective",
 ]
@@ -178,55 +178,6 @@ def _table(node_scores: np.ndarray, h: HierarchySpec, metric: str) -> ScoreTable
             tuple(float(s) for s in row) for row in _level_means(node_scores, h)
         ),
     )
-
-
-def assemble_origins(
-    origins: Sequence[OriginData],
-    h: HierarchySpec,
-    scheme: str,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble every origin's joint sample under one scheme.
-
-    Returns the (T, M, N) tensor of joint samples and the (T, M) matrix of
-    common-unit actuals. For the permuted scheme each origin shuffles under
-    its own substream derived from (seed, ``origin.origin``), so its rows
-    depend neither on its position in the list nor on other origins, and
-    validation and test origins (different cycles) never share a
-    permutation; a label that repeats raises ``AlignmentError``, and so do
-    origins whose path counts differ or whose actuals are not M-vectors.
-    """
-    if not origins:
-        raise AlignmentError("no forecast origins supplied")
-    if scheme == "permuted":
-        repeated = [label for label, n in Counter(o.origin for o in origins).items() if n > 1]
-        if repeated:
-            raise AlignmentError(
-                f"origin label {repeated[0]} appears more than once; the permuted "
-                "scheme needs a distinct label per origin"
-            )
-    tensor = None
-    for t, origin in enumerate(origins):
-        origin_seed = _origin_seed(seed, origin.origin)
-        joint = assemble(origin.levels, h, scheme, seed=origin_seed).matrix
-        if tensor is None:
-            tensor = np.empty((len(origins),) + joint.shape)
-        if joint.shape != tensor.shape[1:]:
-            raise AlignmentError(
-                f"origin {origin.origin} has a joint sample of shape {joint.shape}, "
-                f"origin {origins[0].origin} one of shape {tensor.shape[1:]}"
-            )
-        if origin.actual.shape != (h.M,):
-            raise AlignmentError(
-                f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
-                f"expected {(h.M,)}"
-            )
-        tensor[t] = joint
-    return tensor, np.stack([origin.actual for origin in origins])
-
-
-def _origin_seed(base: int, label: int) -> int:
-    return int(np.random.SeedSequence([base % 2**64, label % 2**64]).generate_state(1)[0])
 
 
 def cv_criterion(

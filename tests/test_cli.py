@@ -95,6 +95,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(cfg_file), env={})
 
 
+@pytest.mark.parametrize("value", ["1", 1], ids=["str", "int"])
+def test_load_config_rejects_unknown_override_keys(value):
+    # a parsed (str) and a typed override value take the same path
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['bogus'\]"):
+        load_config(overrides={"bogus": value}, env={})
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(schemes=("bogus",)).validate()

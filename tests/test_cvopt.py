@@ -18,14 +18,8 @@ from temporec.cvopt import (
 from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import reconcile_tensor, weights_from_levels
-from temporec.sampling import LevelSample, OriginData
-from temporec.scoring import (
-    _node_weights,
-    _rank_weights,
-    assemble_origins,
-    cv_criterion,
-    cv_objective,
-)
+from temporec.sampling import LevelSample, OriginData, assemble_origins
+from temporec.scoring import _node_weights, _rank_weights, cv_criterion, cv_objective
 from temporec.simkit import SyntheticScenario, build_dataset
 
 from conftest import random_hierarchy
@@ -183,6 +177,20 @@ def test_nelder_mead_warns_when_capped():
         res = optimize_weights(origins, "ranked", "free", h, seed=0, maxiter=1)
     assert res.iterations == 6  # one iteration from each of the six starts
     assert (res.regime, res.scheme, res.gap) == ("free", "ranked", None)
+
+
+def test_search_evaluates_each_start_once():
+    # Nelder-Mead takes the start's value from the search instead of
+    # evaluating vertex 0 of its first simplex again
+    starts = [np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([-1.0, 0.5])]
+    points = []
+
+    def objective(u):
+        points.append(np.array(u, dtype=float))
+        return float((u[0] - 0.3) ** 2 + (u[1] + 0.2) ** 2)
+
+    _search(objective, starts, maxiter=200)
+    assert [sum(np.array_equal(p, u) for p in points) for u in starts] == [1, 1, 1]
 
 
 def criterion_instance(seed: int):

@@ -114,6 +114,12 @@ def test_only_reconcile_names_the_lineage_operator():
     assert _modules_naming({"_lineage"}) == {"reconcile.py"}
 
 
+def test_only_sampling_names_the_coupling_draws():
+    # one module owns how a permuted sample is drawn and how each origin
+    # is keyed; every other module reaches them through assemble_origins
+    assert _modules_naming({"Philox", "permuted", "_origin_seed"}) == {"sampling.py"}
+
+
 def test_only_hierarchy_and_reconcile_name_the_walks():
     # the two child-map walks have one owner and one composer: every other
     # module reaches them through reconcile._lineage or hierarchy.aggregate

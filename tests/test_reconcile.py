@@ -20,7 +20,7 @@ from temporec.reconcile import (
     weights_from_levels,
     wls_weights,
 )
-from temporec.sampling import JointSample, LevelSample, rank, stack
+from temporec.sampling import JointSample, LevelSample, assemble
 
 from conftest import oracle_summing_matrix, random_hierarchy
 
@@ -355,9 +355,9 @@ def test_bu_of_ranked_sorts_bottom_block():
         LevelSample(level=lev, matrix=rng.normal(size=(h.nodes_at(lev), 7)))
         for lev in range(1, h.L + 1)
     ]
-    joint = stack(levels, h)
+    joint = assemble(levels, h, "stacked")
     S = build_summing_matrix(h)
-    rec = reconcile(S, fixed_weights("BU", h), rank(joint))
+    rec = reconcile(S, fixed_weights("BU", h), assemble(levels, h, "ranked"))
     bottom = joint.matrix[h.M - h.m :]
     np.testing.assert_allclose(
         rec.matrix[h.M - h.m :], np.sort(bottom, axis=1), atol=1e-12

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from temporec.errors import ColumnMismatch, MissingLevel, RowCountMismatch, SamplingError
 from temporec.hierarchy import build_hierarchy
-from temporec.sampling import JointSample, LevelSample, assemble, permute, rank, stack
+from temporec.sampling import SCHEMES, JointSample, LevelSample, assemble, assemble_origins
 
 from conftest import random_hierarchy
+from test_scoring import _make_origins
 
 
 def _two_level():
@@ -15,9 +18,15 @@ def _two_level():
     return h, z1, z2
 
 
+def _levels(h, matrix):
+    """The level samples whose stacked joint sample is ``matrix``."""
+    matrix = np.asarray(matrix, dtype=float)
+    return [LevelSample(level=lev, matrix=matrix[rows]) for lev, (_, rows) in enumerate(h.levels, 1)]
+
+
 def test_stack_concatenates():
     h, z1, z2 = _two_level()
-    joint = stack([z2, z1], h)  # order of inputs must not matter
+    joint = assemble([z2, z1], h, "stacked")  # order of inputs must not matter
     np.testing.assert_array_equal(joint.matrix, [[1, 2], [3, 4], [5, 6]])
     assert joint.scheme == "stacked"
 
@@ -25,29 +34,29 @@ def test_stack_concatenates():
 def test_stack_single_level():
     h = build_hierarchy([1])
     z = LevelSample(level=1, matrix=[[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(stack([z], h).matrix, z.matrix)
+    np.testing.assert_array_equal(assemble([z], h, "stacked").matrix, z.matrix)
 
 
 def test_stack_column_mismatch():
     h, z1, _ = _two_level()
     z2 = LevelSample(level=2, matrix=np.zeros((2, 3)))
     with pytest.raises(ColumnMismatch):
-        stack([z1, z2], h)
+        assemble([z1, z2], h, "stacked")
 
 
 def test_stack_missing_and_duplicate_levels():
     h, z1, z2 = _two_level()
     with pytest.raises(MissingLevel):
-        stack([z1], h)
+        assemble([z1], h, "stacked")
     with pytest.raises(MissingLevel):
-        stack([z1, z1, z2], h)
+        assemble([z1, z1, z2], h, "stacked")
 
 
 def test_stack_row_count_mismatch():
     h, z1, _ = _two_level()
     bad = LevelSample(level=2, matrix=np.zeros((3, 2)))
     with pytest.raises(RowCountMismatch):
-        stack([z1, bad], h)
+        assemble([z1, bad], h, "stacked")
 
 
 def test_level_sample_validation():
@@ -57,55 +66,41 @@ def test_level_sample_validation():
         LevelSample(level=1, matrix=[[1.0, np.inf]])
 
 
-def _joint(h, matrix):
-    return JointSample(matrix=np.asarray(matrix, float), scheme="stacked", hierarchy=h)
-
-
 def test_rank_sorts_rows():
     h = build_hierarchy([2, 1])
-    joint = _joint(h, [[3, 1, 2], [0.5, 0.2, 0.9], [2, 2, 1]])
-    ranked = rank(joint)
+    levels = _levels(h, [[3, 1, 2], [0.5, 0.2, 0.9], [2, 2, 1]])
+    ranked = assemble(levels, h, "ranked")
     np.testing.assert_array_equal(ranked.matrix, [[1, 2, 3], [0.2, 0.5, 0.9], [1, 2, 2]])
     assert ranked.scheme == "ranked"
 
 
 def test_rank_idempotent_on_sorted():
     h = build_hierarchy([2, 1])
-    joint = _joint(h, [[1, 2, 3], [1, 1, 2], [0, 0, 0]])
-    np.testing.assert_array_equal(rank(joint).matrix, joint.matrix)
-
-
-def test_rank_requires_stacked():
-    h = build_hierarchy([2, 1])
-    ranked = rank(_joint(h, np.zeros((3, 2))))
-    with pytest.raises(SamplingError):
-        rank(ranked)
+    matrix = [[1, 2, 3], [1, 1, 2], [0, 0, 0]]
+    np.testing.assert_array_equal(assemble(_levels(h, matrix), h, "ranked").matrix, matrix)
 
 
 def test_permute_deterministic():
     h = build_hierarchy([2, 1])
-    joint = _joint(h, np.arange(12.0).reshape(3, 4))
-    first = permute(joint, seed=99)
-    second = permute(joint, seed=99)
+    levels = _levels(h, np.arange(12.0).reshape(3, 4))
+    first = assemble(levels, h, "permuted", seed=99)
+    second = assemble(levels, h, "permuted", seed=99)
     np.testing.assert_array_equal(first.matrix, second.matrix)
     assert first.scheme == "permuted"
-    other = permute(joint, seed=100)
+    other = assemble(levels, h, "permuted", seed=100)
     assert not np.array_equal(first.matrix, other.matrix)
 
 
-def test_permute_single_column_and_constant_row():
+def test_permute_constant_row():
     h = build_hierarchy([1])
-    one_col = JointSample(matrix=np.array([[5.0]]), scheme="stacked", hierarchy=h)
-    np.testing.assert_array_equal(permute(one_col, seed=1).matrix, one_col.matrix)
-    const = JointSample(matrix=np.array([[2.0, 2.0, 2.0]]), scheme="stacked", hierarchy=h)
-    np.testing.assert_array_equal(permute(const, seed=3).matrix, const.matrix)
+    const = _levels(h, [[2.0, 2.0, 2.0]])
+    np.testing.assert_array_equal(assemble(const, h, "permuted", seed=3).matrix, [[2.0, 2.0, 2.0]])
 
 
 def test_permute_requires_seed():
     h = build_hierarchy([1])
-    joint = JointSample(matrix=np.array([[1.0, 2.0]]), scheme="stacked", hierarchy=h)
-    with pytest.raises(SamplingError):
-        permute(joint, seed=None)
+    with pytest.raises(SamplingError, match="permuted scheme requires a seed"):
+        assemble(_levels(h, [[1.0, 2.0]]), h, "permuted")
 
 
 def test_row_multisets_preserved():
@@ -113,8 +108,8 @@ def test_row_multisets_preserved():
     for _ in range(10):
         h = random_hierarchy(rng)
         matrix = rng.normal(size=(h.M, 17))
-        joint = _joint(h, matrix)
-        for out in (rank(joint), permute(joint, seed=4)):
+        levels = _levels(h, matrix)
+        for out in (assemble(levels, h, "ranked"), assemble(levels, h, "permuted", seed=4)):
             np.testing.assert_array_equal(
                 np.sort(out.matrix, axis=1), np.sort(matrix, axis=1)
             )
@@ -141,10 +136,9 @@ def test_schemes_share_marginals():
 def test_rank_idempotence_property():
     rng = np.random.default_rng(8)
     h = random_hierarchy(rng)
-    joint = _joint(h, rng.normal(size=(h.M, 11)))
-    once = rank(joint)
-    again = np.sort(once.matrix, axis=1)
-    np.testing.assert_array_equal(once.matrix, again)
+    once = assemble(_levels(h, rng.normal(size=(h.M, 11))), h, "ranked")
+    np.testing.assert_array_equal(once.matrix, np.sort(once.matrix, axis=1))
+    np.testing.assert_array_equal(assemble(_levels(h, once.matrix), h, "ranked").matrix, once.matrix)
 
 
 def test_assemble_rejects_unknown_scheme(small_hierarchy):
@@ -160,3 +154,34 @@ def test_sample_shapes_rejected():
         LevelSample(level=1, matrix=[1.0, 2.0, 3.0])
     with pytest.raises(SamplingError, match="joint sample has 2 rows, hierarchy has 3 nodes"):
         JointSample(matrix=np.zeros((2, 4)), scheme="stacked", hierarchy=h)
+
+
+def test_assemble_origins_slots_equal_assemble(daily_hierarchy):
+    # the two entry points share one path: for the schemes that draw no
+    # randomness, each tensor slot is that origin's own sample bit for bit
+    h = daily_hierarchy
+    origins = _make_origins(h, np.random.default_rng(61), n_origins=3, n_paths=9)
+    for scheme in ("stacked", "ranked"):
+        tensor, actuals = assemble_origins(origins, h, scheme)
+        for t, origin in enumerate(origins):
+            np.testing.assert_array_equal(tensor[t], assemble(origin.levels, h, scheme).matrix)
+            np.testing.assert_array_equal(actuals[t], origin.actual)
+
+
+def test_assemble_origins_couples_in_its_tensor(daily_hierarchy):
+    # each origin is written and coupled in its own slot of the returned
+    # tensor, so no scheme holds an origin-sized copy on the side
+    h = daily_hierarchy
+    n_paths = 200
+    origins = _make_origins(h, np.random.default_rng(67), n_origins=5, n_paths=n_paths)
+    sample_bytes = h.M * n_paths * 8
+    for scheme in SCHEMES:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tensor, actuals = assemble_origins(origins, h, scheme, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = (peak - base - tensor.nbytes - actuals.nbytes) / sample_bytes
+        assert extra < 0.5, (scheme, extra)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from temporec.errors import AlignmentError, EmptySample
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
 from temporec.reconcile import fixed_weights, reconcile, weights_from_levels
-from temporec.sampling import LevelSample, OriginData, assemble
+from temporec.sampling import LevelSample, OriginData, assemble, assemble_origins
 from temporec.scoring import (
     _sorted_scores,
-    assemble_origins,
     crps_sample,
     cv_criterion,
     cv_objective,

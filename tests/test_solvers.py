@@ -15,7 +15,8 @@ from scipy.optimize import linprog, minimize
 
 from temporec.cvopt import _master_lp, _nelder_mead, _Regime
 from temporec.reconcile import weights_from_levels
-from temporec.scoring import assemble_origins, cv_criterion
+from temporec.sampling import assemble_origins
+from temporec.scoring import cv_criterion
 from temporec.simkit import SyntheticScenario, build_dataset
 
 
@@ -33,7 +34,7 @@ def _recorded(objective):
 def _assert_same_trajectory(objective, x0, maxiter, xatol=1e-4, fatol=1e-7):
     ours, our_points = _recorded(objective)
     theirs, their_points = _recorded(objective)
-    x, fun, nit, success = _nelder_mead(ours, x0, maxiter, xatol, fatol)
+    x, fun, nit, success = _nelder_mead(ours, x0, ours(x0), maxiter, xatol, fatol)
     res = minimize(theirs, x0, method="Nelder-Mead",
                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
     np.testing.assert_array_equal(x, res.x)
