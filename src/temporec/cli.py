@@ -4,7 +4,10 @@ A run ingests a bottom-level series (CSV) or simulates one, splits it into
 train/validation/test by whole cycles, fits one forecaster per level on the
 training window, selects cross-validated weights on the validation origins,
 then reconciles and scores every test origin for each requested scheme and
-method. Everything up to scoring is in common units (window means); the
+method. A run builds the validation origins only when it searches, and the
+test origins after the search; the test pass holds one scheme's assembled
+test tensor at a time and reconciles, checks and scores it one origin at a
+time. Everything up to scoring is in common units (window means); the
 reported scores are in each level's native units (window sums). Outputs
 are plain CSV files plus a manifest of the resolved configuration;
 identical configurations produce byte-identical files.
@@ -433,7 +436,8 @@ def run_experiment(cfg: RunConfig):
                 bottom, h, cfg.train_cycles, cfg.val_cycles, cfg.test_cycles,
                 cfg.n_paths, seed=cfg.seed,
             )
-        origins = tuple(origin.origin for origin in dataset.test_origins)
+        # the labels, not the split: the test origins are built after the search
+        origins = tuple(dataset.test_range)
 
         # weight selection sees only validation origins
         for scheme in cfg.schemes:
@@ -447,6 +451,22 @@ def run_experiment(cfg: RunConfig):
                     n_starts=cfg.cv_starts,
                     maxiter=cfg.cv_maxiter or None,
                 )
+
+        def coherent(scheme, lab, P, tensor):
+            """Each test origin reconciled by P, checked and logged, one at a time."""
+            for origin, sample in zip(origins, tensor):
+                mat = reconcile_tensor(P, sample)
+                ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
+                diagnostics.append((scheme, lab, origin, violation))
+                if not ok:
+                    bound = _coherence_bound(mat[h.M - h.m:], cfg.coherence_tol)
+                    raise NumericalError(
+                        f"reconciled sample violates coherence: scheme={scheme} "
+                        f"method={lab} origin={origin} "
+                        f"violation={violation:.3e} bound={bound:.3e} "
+                        f"(coherence_tol={cfg.coherence_tol:.3e} times max(1, max |bottom|))"
+                    )
+                yield mat
 
         # a fixed map does not depend on the scheme, so each is built once
         fixed = {lab: wls_weights(h) if lab == "wls" else fixed_weights(lab.upper(), h)
@@ -462,19 +482,9 @@ def run_experiment(cfg: RunConfig):
                     P = fixed[lab]
                 else:
                     P = weights_from_levels(cv_results[(scheme, lab.removeprefix("cv-"))].v, h)
-                reconciled = reconcile_tensor(P, tensor)
-                for origin, mat in zip(origins, reconciled):
-                    ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
-                    diagnostics.append((scheme, lab, origin, violation))
-                    if not ok:
-                        bound = _coherence_bound(mat[h.M - h.m:], cfg.coherence_tol)
-                        raise NumericalError(
-                            f"reconciled sample violates coherence: scheme={scheme} "
-                            f"method={lab} origin={origin} "
-                            f"violation={violation:.3e} bound={bound:.3e} "
-                            f"(coherence_tol={cfg.coherence_tol:.3e} times max(1, max |bottom|))"
-                        )
+                reconciled = coherent(scheme, lab, P, tensor)
                 results.append((scheme, lab, *score_hierarchy(reconciled, actuals, h)))
+            del tensor  # so the next scheme's tensor is built without this one alive
     except Exception as exc:
         # the run's own error is the one raised, even if its reports cannot be written
         with contextlib.suppress(ConfigError):

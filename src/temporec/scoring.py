@@ -11,9 +11,10 @@ point forecast the MAE scores) is the middle order statistic, or the mean
 of the central pair for even N. One private kernel, ``_sorted_scores``,
 computes both from sorted rows, and every score in the package comes from
 it. It scores in the buffer it is handed, so no score allocates a
-sample-sized temporary: ``score_hierarchy`` sorts one copy of its
-(T, M, N) stack, ``cv_criterion`` sorts its reconciled sample in place,
-and the cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
+sample-sized temporary: ``score_hierarchy`` reads its origins one at a
+time, from a (T, M, N) stack or a generator, and sorts one copy of each,
+``cv_criterion`` sorts its reconciled sample in place, and the
+cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
 sorted already. Scores for a hierarchy are averaged per node
 over forecast origins, then per level over nodes, then over levels; that
 triple average is both the reported table layout and the objective the
@@ -29,7 +30,7 @@ them, and ``cv_objective`` only chains it with ``cv_criterion``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,15 +111,16 @@ def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
 
 
 def score_hierarchy(
-    samples: np.ndarray,
+    samples: Iterable[np.ndarray],
     actuals: np.ndarray,
     h: HierarchySpec,
 ) -> tuple[ScoreTable, ScoreTable]:
     """Score joint samples over forecast origins, level by level, in native units.
 
     Args:
-        samples: one M x N sample per origin, reconciled or raw, as a
-            (T, M, N) array; one sorted copy of it gives both scores.
+        samples: one M x N sample per origin, reconciled or raw: a (T, M, N)
+            array or any iterable of T such samples, read one at a time;
+            one sorted copy of each gives both its scores.
         actuals: realized node values per origin, a (T, M) array in common
             units.
         h: the hierarchy.
@@ -132,24 +134,46 @@ def score_hierarchy(
             counts or shapes do not line up.
         EmptySample: the samples have no paths.
 
-    Each table also carries every origin's own level scores, equal to
-    scoring that origin alone. Both scores are positively homogeneous,
+    An error raised while iterating ``samples`` propagates, and no table is
+    returned. Each table also carries every origin's own level scores, equal
+    to scoring that origin alone. Both scores are positively homogeneous,
     score(c x, c z) = c score(x, z), so native units are the common-unit
     node scores times each node's window f_l.
     """
-    tensor, acts = _aligned(samples, actuals, h)
-    crps, median = _sorted_scores(np.sort(tensor, axis=-1), acts)
+    acts = _regular(actuals)
+    if acts.ndim != 2 or acts.shape[1] != h.M:
+        raise AlignmentError(f"actuals shape {acts.shape} is not (T, {h.M})")
+    if not len(acts):
+        raise AlignmentError("no forecast origins to score")
+    crps, median = np.empty_like(acts), np.empty_like(acts)
+    expected, t = f"({h.M}, N)", -1
+    for t, sample in enumerate(samples):
+        if t == len(acts):
+            raise AlignmentError(f"more samples than the {len(acts)} origins of actuals")
+        mat = _regular(sample)
+        if mat.ndim != 2 or mat.shape[0] != h.M or (t and mat.shape != expected):
+            raise AlignmentError(f"origin {t}'s sample has shape {mat.shape}, expected {expected}")
+        if not mat.shape[1]:
+            raise EmptySample("cannot score samples without paths")
+        expected = mat.shape
+        crps[t], median[t] = _sorted_scores(np.sort(mat, axis=-1), acts[t])
+    if t + 1 != len(acts):
+        raise AlignmentError(f"{t + 1} samples for the {len(acts)} origins of actuals")
     native = h.node_windows
     return _table(crps * native, h, "CRPS"), _table(np.abs(median - acts) * native, h, "MAE")
 
 
-def _aligned(samples, actuals, h: HierarchySpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, M, N) samples and (T, M) actuals as float arrays, shapes checked."""
+def _regular(values) -> np.ndarray:
+    """``values`` as a float array; a ragged nesting raises ``AlignmentError``."""
     try:
-        tensor = np.asarray(samples, dtype=float)
-        acts = np.asarray(actuals, dtype=float)
+        return np.asarray(values, dtype=float)
     except ValueError as exc:
         raise AlignmentError(f"samples and actuals must be regular arrays: {exc}") from exc
+
+
+def _aligned(samples, actuals, h: HierarchySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, M, N) samples and (T, M) actuals as float arrays, shapes checked."""
+    tensor, acts = _regular(samples), _regular(actuals)
     if tensor.ndim != 3 or tensor.shape[1] != h.M:
         raise AlignmentError(f"samples shape {tensor.shape} is not (T, {h.M}, N)")
     if acts.shape != tensor.shape[:2]:

@@ -22,6 +22,8 @@ fitted once, on the training window only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -184,12 +186,23 @@ def sample_paths(
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fitted forecasters plus assembled validation and test origins."""
+    """Fitted forecasters plus the validation and test origins, each split
+    built on first access by ``make_origin`` from the cycles that label its
+    origins, ``val_range`` or ``test_range``."""
 
     bottom: np.ndarray
     forecasters: tuple[LevelForecaster, ...]
-    val_origins: tuple[OriginData, ...]
-    test_origins: tuple[OriginData, ...]
+    val_range: range
+    test_range: range
+    make_origin: Callable[[int], OriginData]
+
+    @cached_property
+    def val_origins(self) -> tuple[OriginData, ...]:
+        return tuple(map(self.make_origin, self.val_range))
+
+    @cached_property
+    def test_origins(self) -> tuple[OriginData, ...]:
+        return tuple(map(self.make_origin, self.test_range))
 
 
 def dataset_from_series(
@@ -201,14 +214,16 @@ def dataset_from_series(
     n_paths: int,
     seed: int = 0,
 ) -> Dataset:
-    """Split a bottom-level series, fit per-level models on the training
-    window, and generate base samples for every validation and test origin.
+    """Split a bottom-level series and fit per-level models on the training
+    window; the dataset generates each split's base samples on first access.
 
     The split is by whole cycles in chronological order: the first
     ``train_cycles`` cycles train the models, the next ``val_cycles`` are
     validation origins, the following ``test_cycles`` are test origins.
     Per-origin sample paths use independent substreams of ``seed``, so a
-    given origin's samples do not depend on how many origins follow it.
+    given origin's samples do not depend on how many origins follow it, nor
+    on which split is built first. The fits and the checks of the series
+    and of ``n_paths`` run here, before any split is built.
 
     One ``aggregate`` call turns the cycles into an (M, cycles) table of
     common-unit node values; each level's training series, each origin's
@@ -224,6 +239,8 @@ def dataset_from_series(
             f"need {total} cycles of {f1} periods ({total * f1} values), "
             f"got {values.size}"
         )
+    if n_paths < 2:
+        raise SimkitError(f"need at least 2 sample paths, got {n_paths}")
     values = values[: total * f1]
     largest = float(np.abs(values).max(initial=0.0))
     if not np.isfinite(largest * f1):
@@ -246,17 +263,12 @@ def dataset_from_series(
             samples.append(sample_paths(fc, state, h.nodes_at(fc.level), n_paths, path_seed))
         return OriginData(levels=tuple(samples), actual=nodes[:, cycle], origin=cycle)
 
-    val_origins = tuple(
-        make_origin(c) for c in range(train_cycles, train_cycles + val_cycles)
-    )
-    test_origins = tuple(
-        make_origin(c) for c in range(train_cycles + val_cycles, total)
-    )
     return Dataset(
         bottom=values,
         forecasters=forecasters,
-        val_origins=val_origins,
-        test_origins=test_origins,
+        val_range=range(train_cycles, train_cycles + val_cycles),
+        test_range=range(train_cycles + val_cycles, total),
+        make_origin=make_origin,
     )
 
 

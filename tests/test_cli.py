@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import temporec
-from temporec import cli, errors
+from temporec import cli, errors, simkit
 from temporec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -25,7 +26,7 @@ from temporec.cli import (
     run_experiment,
 )
 from temporec.errors import ConfigError, GapError, NonMonotoneTimestamps, SchemaError
-from temporec.hierarchy import SummingMatrix
+from temporec.hierarchy import SummingMatrix, build_hierarchy
 from temporec.reconcile import WeightMatrix
 
 
@@ -560,7 +561,7 @@ def test_mid_run_failure_keeps_finished_rows(tmp_path, monkeypatch):
     def incoherent_for_la(P, tensor):
         reconciled = real(P, tensor)
         if P.method == "LA":
-            reconciled[:, 0, :] += 1.0
+            reconciled[..., 0, :] += 1.0
         return reconciled
 
     monkeypatch.setattr(cli, "reconcile_tensor", incoherent_for_la)
@@ -668,3 +669,53 @@ def test_run_builds_each_fixed_map_once(tmp_path, monkeypatch):
     )
     assert len(run_experiment(cfg)) == 1 + 3 * 5
     assert sorted(built) == ["BA", "BU", "GA", "LA", "WLS"]
+
+
+def test_test_pass_holds_one_tensor_and_a_few_origin_samples(tmp_path):
+    # the test pass holds the test split and one scheme's tensor, and each
+    # method reconciles, checks and scores one origin at a time; a run that
+    # also builds the validation split, holds two tensors at a scheme switch
+    # and a reconciled stack with its sorted copy needs four tensors more
+    cfg = RunConfig(
+        frequencies=(24, 12, 8, 6, 4, 3, 2, 1), synthetic=True, train_cycles=10,
+        val_cycles=8, test_cycles=8, n_paths=800, schemes=("stacked", "ranked", "permuted"),
+        methods=cli.FIXED_METHOD_TOKENS, out=str(tmp_path / "run"),
+    )
+    sample = build_hierarchy(cfg.frequencies).M * cfg.n_paths * 8  # one origin's M x N floats
+    tensor = cfg.test_cycles * sample
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tensor + 4 * sample, (peak / sample, "origin samples")
+
+
+def _counted_sample_paths(monkeypatch):
+    calls = []
+
+    def counted(fc, *args):
+        calls.append(fc.level)
+        return real(fc, *args)
+
+    real = simkit.sample_paths
+    monkeypatch.setattr(simkit, "sample_paths", counted)
+    return calls
+
+
+def test_run_without_cv_builds_only_the_test_split(tmp_path, monkeypatch):
+    calls = _counted_sample_paths(monkeypatch)
+    cfg = _quick_config(tmp_path / "run", methods=("bu", "la"), val_cycles=5, test_cycles=3)
+    run_experiment(cfg)
+    # one call per level and test origin, none for a validation origin
+    assert len(calls) == len(cfg.frequencies) * cfg.test_cycles
+
+
+def test_cv_run_builds_each_split_once(tmp_path, monkeypatch):
+    calls = _counted_sample_paths(monkeypatch)
+    cfg = _quick_config(tmp_path / "run", schemes=("stacked", "ranked"), methods=("bu", "cv"),
+                        cv_regimes=("simplex", "affine"), val_cycles=5, test_cycles=3)
+    run_experiment(cfg)
+    assert len(calls) == len(cfg.frequencies) * (cfg.val_cycles + cfg.test_cycles)

@@ -424,11 +424,32 @@ def _peak_in_samples(fn, sample_bytes: int) -> float:
 
 def test_scores_allocate_one_sample_sized_buffer(daily_hierarchy):
     # the kernel scores in the buffer it is handed: cv_criterion holds only
-    # its reconciled sample, score_hierarchy only its sorted copy, where a
-    # kernel with its own deviation temporary needs one more of each (and
-    # cv_criterion a second for an out-of-place sort)
+    # its reconciled sample, score_hierarchy only the sorted copy of one
+    # origin's sample at a time, where a kernel with its own deviation
+    # temporary needs one more of each (and cv_criterion a second for an
+    # out-of-place sort, score_hierarchy a whole sorted stack); the origin
+    # bound also covers numpy's fixed 64 KB buffer for the broadcast
+    # subtraction, half an origin sample at this size
     h = daily_hierarchy
     tensor, actuals = _scoring_instance(h)
     P = weights_from_levels(np.full(h.L, 1.0 / h.L), h)
     assert _peak_in_samples(lambda: cv_criterion(P, tensor, actuals, h), tensor.nbytes) < 1.5
-    assert _peak_in_samples(lambda: score_hierarchy(tensor, actuals, h), tensor.nbytes) < 1.5
+    assert _peak_in_samples(lambda: score_hierarchy(tensor, actuals, h), tensor[0].nbytes) < 2.0
+
+
+def test_score_hierarchy_reads_any_iterable_of_origins(daily_hierarchy):
+    h = daily_hierarchy
+    tensor, actuals = _scoring_instance(h, shape=(4, 41))
+    tables = score_hierarchy(tensor, actuals, h)
+    assert score_hierarchy((mat for mat in tensor), actuals, h) == tables  # bit for bit
+
+    def failing():
+        yield tensor[0]
+        raise ZeroDivisionError("origin 1")
+
+    with pytest.raises(ZeroDivisionError, match="origin 1"):
+        score_hierarchy(failing(), actuals, h)
+    with pytest.raises(AlignmentError, match="3 samples for the 4 origins"):
+        score_hierarchy(iter(tensor[:3]), actuals, h)
+    with pytest.raises(AlignmentError, match="more samples than the 3 origins"):
+        score_hierarchy(iter(tensor), actuals[:3], h)

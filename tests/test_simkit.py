@@ -174,6 +174,31 @@ def test_dataset_deterministic():
             np.testing.assert_array_equal(la.matrix, lb.matrix)
 
 
+def test_dataset_splits_do_not_depend_on_build_order():
+    # each origin is seeded by cycle and level, so a split built first or
+    # second holds the same samples, bit for bit, and is built once
+    h = build_hierarchy([4, 2, 1])
+    scn = SyntheticScenario(phi=0.6, sigma=1.0, mu=1.0, cycle_length=4,
+                            train_cycles=12, val_cycles=3, test_cycles=4, seed=5)
+    a = build_dataset(scn, h, n_paths=8)
+    b = build_dataset(scn, h, n_paths=8)
+    a_val, a_test = a.val_origins, a.test_origins
+    b_test, b_val = b.test_origins, b.val_origins
+    assert [o.origin for o in a_val + a_test] == list(a.val_range) + list(a.test_range)
+    for oa, ob in zip(a_val + a_test, b_val + b_test):
+        assert oa.origin == ob.origin
+        assert oa.actual.tobytes() == ob.actual.tobytes()
+        for la, lb in zip(oa.levels, ob.levels):
+            assert la.matrix.tobytes() == lb.matrix.tobytes()
+    assert a.val_origins is a_val and b.test_origins is b_test
+
+
+def test_dataset_checks_paths_before_any_split():
+    h = build_hierarchy([2, 1])
+    with pytest.raises(SimkitError, match="at least 2 sample paths, got 1"):
+        dataset_from_series(np.arange(40.0), h, 10, 5, 5, n_paths=1)
+
+
 def test_dataset_needs_enough_cycles():
     h = build_hierarchy([2, 1])
     with pytest.raises(Exception) as err:
