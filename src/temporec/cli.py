@@ -4,9 +4,10 @@ A run ingests a bottom-level series (CSV) or simulates one, splits it into
 train/validation/test by whole cycles, fits one forecaster per level on the
 training window, selects cross-validated weights on the validation origins,
 then reconciles and scores every test origin for each requested scheme and
-method. A run builds the validation origins only when it searches, and the
-test origins after the search; the test pass holds one scheme's assembled
-test tensor at a time and reconciles, checks and scores it one origin at a
+method. A run draws the validation origins only when it searches, once per
+search, and keeps none of them. Its test pass draws each test origin once
+and couples, reconciles, checks and scores it under every scheme and method
+before it draws the next, so it holds a few single-origin samples at a
 time. Everything up to scoring is in common units (window means); the
 reported scores are in each level's native units (window sums). Outputs
 are plain CSV files plus a manifest of the resolved configuration;
@@ -130,7 +131,8 @@ from .reconcile import (
     wls_weights,
 )
 from .sampling import SCHEMES, assemble_origins
-from .scoring import ScoreTable, score_hierarchy
+# perfbench/runner.py times the scoring layer as cli.score_hierarchy, so it stays bound
+from .scoring import ScoreTable, score_hierarchy, score_origin, score_tables  # noqa: F401
 from .simkit import SyntheticScenario, build_dataset, dataset_from_series
 
 __all__ = [
@@ -436,7 +438,7 @@ def run_experiment(cfg: RunConfig):
                 bottom, h, cfg.train_cycles, cfg.val_cycles, cfg.test_cycles,
                 cfg.n_paths, seed=cfg.seed,
             )
-        # the labels, not the split: the test origins are built after the search
+        # the labels, not the split: each test origin is drawn once, in the test pass
         origins = tuple(dataset.test_range)
 
         # weight selection sees only validation origins
@@ -452,39 +454,61 @@ def run_experiment(cfg: RunConfig):
                     maxiter=cfg.cv_maxiter or None,
                 )
 
-        def coherent(scheme, lab, P, tensor):
-            """Each test origin reconciled by P, checked and logged, one at a time."""
-            for origin, sample in zip(origins, tensor):
-                mat = reconcile_tensor(P, sample)
-                ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
-                diagnostics.append((scheme, lab, origin, violation))
-                if not ok:
-                    bound = _coherence_bound(mat[h.M - h.m:], cfg.coherence_tol)
-                    raise NumericalError(
-                        f"reconciled sample violates coherence: scheme={scheme} "
-                        f"method={lab} origin={origin} "
-                        f"violation={violation:.3e} bound={bound:.3e} "
-                        f"(coherence_tol={cfg.coherence_tol:.3e} times max(1, max |bottom|))"
-                    )
-                yield mat
-
         # a fixed map does not depend on the scheme, so each is built once
         fixed = {lab: wls_weights(h) if lab == "wls" else fixed_weights(lab.upper(), h)
                  for lab in labels if lab in FIXED_METHOD_TOKENS}
-        for scheme in cfg.schemes:
-            tensor, actuals = assemble_origins(dataset.test_origins, h, scheme, seed=cfg.seed)
-            if not results:
-                # no-reconciliation baseline, scored on the first raw tensor: a
-                # scheme only reorders each row's paths, so every one scores the same
-                results.append(("none", "none", *score_hierarchy(tensor, actuals, h)))
-            for lab in labels:
-                if lab in fixed:
-                    P = fixed[lab]
-                else:
-                    P = weights_from_levels(cv_results[(scheme, lab.removeprefix("cv-"))].v, h)
-                reconciled = coherent(scheme, lab, P, tensor)
-                results.append((scheme, lab, *score_hierarchy(reconciled, actuals, h)))
-            del tensor  # so the next scheme's tensor is built without this one alive
+        pairs = [
+            (scheme, lab, fixed[lab] if lab in fixed
+             else weights_from_levels(cv_results[(scheme, lab.removeprefix("cv-"))].v, h))
+            for scheme in cfg.schemes for lab in labels
+        ]
+        logs: list[list] = [[] for _ in pairs]  # each pair's diagnostics rows
+
+        def reconciled_scores(k, label, sample, actual):
+            """Pair k's map applied to one origin's sample, checked, logged and scored."""
+            scheme, lab, P = pairs[k]
+            mat = reconcile_tensor(P, sample)
+            ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
+            logs[k].append((scheme, lab, label, violation))
+            if not ok:
+                bound = _coherence_bound(mat[h.M - h.m:], cfg.coherence_tol)
+                raise NumericalError(
+                    f"reconciled sample violates coherence: scheme={scheme} "
+                    f"method={lab} origin={label} "
+                    f"violation={violation:.3e} bound={bound:.3e} "
+                    f"(coherence_tol={cfg.coherence_tol:.3e} times max(1, max |bottom|))"
+                )
+            return score_origin(mat, actual, overwrite=True)
+
+        # common-unit node scores per origin: the baseline, then each pair
+        node_crps = np.empty((1 + len(pairs), len(origins), h.M))
+        node_errors = np.empty_like(node_crps)
+        live, failure = len(pairs), None  # pairs[live:] stopped at failure
+        for t, origin in enumerate(dataset.test_origins):
+            for s, scheme in enumerate(cfg.schemes):
+                tensor, actual = assemble_origins([origin], h, scheme, seed=cfg.seed)
+                sample, actual = tensor[0], actual[0]
+                if not s:
+                    # no-reconciliation baseline, scored on the first scheme's raw
+                    # sample: a scheme only reorders each row's paths
+                    node_crps[0, t], node_errors[0, t] = score_origin(sample, actual)
+                for k in range(s * len(labels), min((s + 1) * len(labels), live)):
+                    try:
+                        node_crps[k + 1, t], node_errors[k + 1, t] = reconciled_scores(
+                            k, origin.origin, sample, actual
+                        )
+                    except (TemporecError, np.linalg.LinAlgError) as exc:
+                        # this pair and the ones after it stop; the earlier ones
+                        # finish, as in a pass that ran each pair in turn
+                        live, failure = k, exc
+                        break
+        results = [("none", "none", *score_tables(node_crps[0], node_errors[0], h))] + [
+            (scheme, lab, *score_tables(node_crps[k + 1], node_errors[k + 1], h))
+            for k, (scheme, lab, _) in enumerate(pairs[:live])
+        ]
+        diagnostics = [row for log in logs[: live + 1] for row in log]
+        if failure is not None:
+            raise failure
     except Exception as exc:
         # the run's own error is the one raised, even if its reports cannot be written
         with contextlib.suppress(ConfigError):

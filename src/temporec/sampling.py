@@ -22,7 +22,6 @@ permuted scheme with ``seed``, ``assemble_origins`` each origin with
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,34 +140,38 @@ def assemble_origins(
     """Assemble every origin's joint sample under one scheme.
 
     Returns the (T, M, N) tensor of joint samples, each coupled in its own
-    slot, and the (T, M) matrix of common-unit actuals. For the permuted
-    scheme each origin shuffles under its own key,
-    ``SeedSequence([seed, origin.origin])``, so its rows depend neither on
-    its position in the list nor on other origins, and validation and test
-    origins (different cycles) never share a permutation; a label that
-    repeats raises ``AlignmentError``, and so do origins whose path counts
-    differ or whose actuals are not M-vectors. Raises as ``assemble`` on a
-    bad level set or scheme.
+    slot, and the (T, M) matrix of common-unit actuals. Each origin is read
+    once, so a sequence that draws its origins on access draws each
+    straight into its slot. For the permuted scheme each origin shuffles
+    under its own key, ``SeedSequence([seed, origin.origin])``, so its rows
+    depend neither on its position in the list nor on other origins, and
+    validation and test origins (different cycles) never share a
+    permutation; a label that repeats raises ``AlignmentError``, and so do
+    origins whose path counts differ or whose actuals are not M-vectors.
+    Raises as ``assemble`` on a bad level set or scheme.
     """
     if not origins:
         raise AlignmentError("no forecast origins supplied")
-    if scheme == "permuted":
-        repeated = [label for label, n in Counter(o.origin for o in origins).items() if n > 1]
-        if repeated:
-            raise AlignmentError(
-                f"origin label {repeated[0]} appears more than once; the permuted "
-                "scheme needs a distinct label per origin"
-            )
-    tensor = None
+    tensor = actuals = first = None
+    labels = set()
     for t, origin in enumerate(origins):
+        if scheme == "permuted":
+            if origin.origin in labels:
+                raise AlignmentError(
+                    f"origin label {origin.origin} appears more than once; the permuted "
+                    "scheme needs a distinct label per origin"
+                )
+            labels.add(origin.origin)
         ordered = _in_level_order(origin.levels, h)
         shape = (h.M, ordered[0].n_paths)
         if tensor is None:
             tensor = np.empty((len(origins),) + shape)
+            actuals = np.empty((len(origins), h.M))
+            first = origin.origin
         if shape != tensor.shape[1:]:
             raise AlignmentError(
                 f"origin {origin.origin} has a joint sample of shape {shape}, "
-                f"origin {origins[0].origin} one of shape {tensor.shape[1:]}"
+                f"origin {first} one of shape {tensor.shape[1:]}"
             )
         _couple(tensor[t], ordered, h, scheme, _origin_seed(seed, origin.origin))
         if origin.actual.shape != (h.M,):
@@ -176,7 +179,8 @@ def assemble_origins(
                 f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
                 f"expected {(h.M,)}"
             )
-    return tensor, np.stack([origin.actual for origin in origins])
+        actuals[t] = origin.actual
+    return tensor, actuals
 
 
 def _origin_seed(base: int, label: int) -> int:

@@ -11,20 +11,23 @@ point forecast the MAE scores) is the middle order statistic, or the mean
 of the central pair for even N. One private kernel, ``_sorted_scores``,
 computes both from sorted rows, and every score in the package comes from
 it. It scores in the buffer it is handed, so no score allocates a
-sample-sized temporary: ``score_hierarchy`` reads its origins one at a
-time, from a (T, M, N) stack or a generator, and sorts one copy of each,
-``cv_criterion`` sorts its reconciled sample in place, and the
-cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
-sorted already. Scores for a hierarchy are averaged per node
-over forecast origins, then per level over nodes, then over levels; that
-triple average is both the reported table layout and the objective the
-cross-validated weights minimize. Evaluation tables report each node in its
-level's native units, its common-unit score times the window f_l; the
-cross-validation criterion stays in common units and weighs each node's
-CRPS by its share of that average, ``_node_weights``, the one definition
-that ``cv_criterion`` and the cutting-plane oracle share. Scoring takes
-joint samples as given: ``sampling.assemble_origins`` builds and seeds
-them, and ``cv_objective`` only chains it with ``cv_criterion``.
+sample-sized temporary: ``score_origin`` sorts one copy of one origin's
+(M, N) sample, ``cv_criterion`` sorts its reconciled sample in place, and
+the cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
+sorted already. Scores for a hierarchy are averaged per node over
+forecast origins, then per level over nodes, then over levels; that
+triple average is both the reported table layout (``score_tables``) and
+the objective the cross-validated weights minimize. ``score_hierarchy``
+chains the two steps over a (T, M, N) stack or any iterable of origins,
+read one at a time; the experiment driver calls them itself, so that it
+scores each test origin under every scheme and method before it draws the
+next. Evaluation tables report each node in its level's native units, its
+common-unit score times the window f_l; the cross-validation criterion
+stays in common units and weighs each node's CRPS by its share of that
+average, ``_node_weights``, the one definition that ``cv_criterion`` and
+the cutting-plane oracle share. Scoring takes joint samples as given:
+``sampling.assemble_origins`` builds and seeds them, and ``cv_objective``
+only chains it with ``cv_criterion``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "ScoreTable",
     "crps_sample",
     "median_point",
+    "score_origin",
+    "score_tables",
     "score_hierarchy",
     "cv_criterion",
     "cv_objective",
@@ -110,6 +115,45 @@ def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
     return np.stack([node_scores[..., rows].mean(axis=-1) for _, rows in h.levels], axis=-1)
 
 
+def score_origin(sample, actual, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One origin's node scores in common units.
+
+    ``sample`` is an (M, N) joint sample, reconciled or raw, and ``actual``
+    the M realized values. Returns each node's CRPS and the absolute error
+    of its ensemble median, two (M,) arrays, both from one sort of the
+    rows: of a copy, or with ``overwrite`` of the sample itself, which is
+    then left holding scratch values.
+
+    Raises:
+        AlignmentError: the sample is not 2-D, or its rows do not match the
+            actuals.
+        EmptySample: the sample has no paths.
+    """
+    mat, act = _regular(sample), _regular(actual)
+    if mat.ndim != 2 or act.shape != mat.shape[:1]:
+        raise AlignmentError(f"sample shape {mat.shape} does not match actuals shape {act.shape}")
+    if not mat.shape[1]:
+        raise EmptySample("cannot score samples without paths")
+    if overwrite:
+        mat.sort(axis=-1)
+    else:
+        mat = np.sort(mat, axis=-1)
+    crps, median = _sorted_scores(mat, act)
+    return crps, np.abs(median - act)
+
+
+def score_tables(
+    crps: np.ndarray,
+    errors: np.ndarray,
+    h: HierarchySpec,
+) -> tuple[ScoreTable, ScoreTable]:
+    """The CRPS and MAE tables of (T, M) node scores in common units, one
+    ``score_origin`` result per row, each node reported in its level's
+    native units."""
+    native = h.node_windows
+    return _table(crps * native, h, "CRPS"), _table(errors * native, h, "MAE")
+
+
 def score_hierarchy(
     samples: Iterable[np.ndarray],
     actuals: np.ndarray,
@@ -119,15 +163,16 @@ def score_hierarchy(
 
     Args:
         samples: one M x N sample per origin, reconciled or raw: a (T, M, N)
-            array or any iterable of T such samples, read one at a time;
-            one sorted copy of each gives both its scores.
+            array or any iterable of T such samples, read one at a time
+            and scored by ``score_origin``.
         actuals: realized node values per origin, a (T, M) array in common
             units.
         h: the hierarchy.
 
     Returns:
         The CRPS table and the table of absolute errors of the ensemble
-        median (MAE), in that order, each node in its level's native units.
+        median (MAE), in that order, each node in its level's native units
+        (``score_tables``).
 
     Raises:
         AlignmentError: the samples or actuals are ragged, or their origin
@@ -145,7 +190,7 @@ def score_hierarchy(
         raise AlignmentError(f"actuals shape {acts.shape} is not (T, {h.M})")
     if not len(acts):
         raise AlignmentError("no forecast origins to score")
-    crps, median = np.empty_like(acts), np.empty_like(acts)
+    crps, errors = np.empty_like(acts), np.empty_like(acts)
     expected, t = f"({h.M}, N)", -1
     for t, sample in enumerate(samples):
         if t == len(acts):
@@ -153,14 +198,11 @@ def score_hierarchy(
         mat = _regular(sample)
         if mat.ndim != 2 or mat.shape[0] != h.M or (t and mat.shape != expected):
             raise AlignmentError(f"origin {t}'s sample has shape {mat.shape}, expected {expected}")
-        if not mat.shape[1]:
-            raise EmptySample("cannot score samples without paths")
         expected = mat.shape
-        crps[t], median[t] = _sorted_scores(np.sort(mat, axis=-1), acts[t])
+        crps[t], errors[t] = score_origin(mat, acts[t])
     if t + 1 != len(acts):
         raise AlignmentError(f"{t + 1} samples for the {len(acts)} origins of actuals")
-    native = h.node_windows
-    return _table(crps * native, h, "CRPS"), _table(np.abs(median - acts) * native, h, "MAE")
+    return score_tables(crps, errors, h)
 
 
 def _regular(values) -> np.ndarray:

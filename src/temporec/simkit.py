@@ -21,8 +21,8 @@ fitted once, on the training window only.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -184,11 +184,32 @@ def sample_paths(
     return LevelSample(level=fc.level, matrix=paths)
 
 
+class _Split(Sequence):
+    """The origins of one split, labelled by ``cycles``: every read draws
+    its origins with ``make_origin``, and none is kept. A slice is the
+    split of the sliced cycles."""
+
+    def __init__(self, cycles: range, make_origin: Callable[[int], OriginData]):
+        self.cycles, self.make_origin = cycles, make_origin
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Split(self.cycles[index], self.make_origin)
+        return self.make_origin(self.cycles[index])
+
+    def __iter__(self):
+        return map(self.make_origin, self.cycles)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Fitted forecasters plus the validation and test origins, each split
-    built on first access by ``make_origin`` from the cycles that label its
-    origins, ``val_range`` or ``test_range``."""
+    """Fitted forecasters plus the validation and test origins. Each split
+    is a sequence over the cycles that label its origins, ``val_range`` or
+    ``test_range``, that draws an origin with ``make_origin`` on every read
+    and keeps none: read an origin once and bind it."""
 
     bottom: np.ndarray
     forecasters: tuple[LevelForecaster, ...]
@@ -196,13 +217,13 @@ class Dataset:
     test_range: range
     make_origin: Callable[[int], OriginData]
 
-    @cached_property
-    def val_origins(self) -> tuple[OriginData, ...]:
-        return tuple(map(self.make_origin, self.val_range))
+    @property
+    def val_origins(self) -> Sequence[OriginData]:
+        return _Split(self.val_range, self.make_origin)
 
-    @cached_property
-    def test_origins(self) -> tuple[OriginData, ...]:
-        return tuple(map(self.make_origin, self.test_range))
+    @property
+    def test_origins(self) -> Sequence[OriginData]:
+        return _Split(self.test_range, self.make_origin)
 
 
 def dataset_from_series(
@@ -215,15 +236,15 @@ def dataset_from_series(
     seed: int = 0,
 ) -> Dataset:
     """Split a bottom-level series and fit per-level models on the training
-    window; the dataset generates each split's base samples on first access.
+    window; the dataset draws an origin's base samples each time it is read.
 
     The split is by whole cycles in chronological order: the first
     ``train_cycles`` cycles train the models, the next ``val_cycles`` are
     validation origins, the following ``test_cycles`` are test origins.
     Per-origin sample paths use independent substreams of ``seed``, so a
     given origin's samples do not depend on how many origins follow it, nor
-    on which split is built first. The fits and the checks of the series
-    and of ``n_paths`` run here, before any split is built.
+    on which origin is read first or how often. The fits and the checks of
+    the series and of ``n_paths`` run here, before any origin is drawn.
 
     One ``aggregate`` call turns the cycles into an (M, cycles) table of
     common-unit node values; each level's training series, each origin's

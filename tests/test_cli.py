@@ -671,18 +671,18 @@ def test_run_builds_each_fixed_map_once(tmp_path, monkeypatch):
     assert sorted(built) == ["BA", "BU", "GA", "LA", "WLS"]
 
 
-def test_test_pass_holds_one_tensor_and_a_few_origin_samples(tmp_path):
-    # the test pass holds the test split and one scheme's tensor, and each
-    # method reconciles, checks and scores one origin at a time; a run that
-    # also builds the validation split, holds two tensors at a scheme switch
-    # and a reconciled stack with its sorted copy needs four tensors more
+def test_test_pass_holds_a_few_origin_samples(tmp_path):
+    # the test pass draws one origin at a time and couples, reconciles,
+    # checks and scores it under every scheme and method before the next, so
+    # its peak is a few single-origin samples whatever the number of test
+    # origins; a pass that keeps the test split or a (T, M, N) tensor of it
+    # needs two samples more per test origin
     cfg = RunConfig(
         frequencies=(24, 12, 8, 6, 4, 3, 2, 1), synthetic=True, train_cycles=10,
         val_cycles=8, test_cycles=8, n_paths=800, schemes=("stacked", "ranked", "permuted"),
         methods=cli.FIXED_METHOD_TOKENS, out=str(tmp_path / "run"),
     )
     sample = build_hierarchy(cfg.frequencies).M * cfg.n_paths * 8  # one origin's M x N floats
-    tensor = cfg.test_cycles * sample
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -690,7 +690,7 @@ def test_test_pass_holds_one_tensor_and_a_few_origin_samples(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * tensor + 4 * sample, (peak / sample, "origin samples")
+    assert peak < 10 * sample, (peak / sample, "origin samples")
 
 
 def _counted_sample_paths(monkeypatch):
@@ -707,15 +707,61 @@ def _counted_sample_paths(monkeypatch):
 
 def test_run_without_cv_builds_only_the_test_split(tmp_path, monkeypatch):
     calls = _counted_sample_paths(monkeypatch)
-    cfg = _quick_config(tmp_path / "run", methods=("bu", "la"), val_cycles=5, test_cycles=3)
+    cfg = _quick_config(tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
+                        methods=("bu", "la"), val_cycles=5, test_cycles=3)
     run_experiment(cfg)
-    # one call per level and test origin, none for a validation origin
+    # one call per level and test origin, whatever the number of schemes,
+    # and none for a validation origin
     assert len(calls) == len(cfg.frequencies) * cfg.test_cycles
 
 
-def test_cv_run_builds_each_split_once(tmp_path, monkeypatch):
+def test_cv_run_draws_validation_per_search_and_test_once(tmp_path, monkeypatch):
+    # the validation split is not kept: each search draws it into its one
+    # tensor; each test origin is drawn once for every scheme and method
     calls = _counted_sample_paths(monkeypatch)
     cfg = _quick_config(tmp_path / "run", schemes=("stacked", "ranked"), methods=("bu", "cv"),
                         cv_regimes=("simplex", "affine"), val_cycles=5, test_cycles=3)
     run_experiment(cfg)
-    assert len(calls) == len(cfg.frequencies) * (cfg.val_cycles + cfg.test_cycles)
+    searches = len(cfg.schemes) * len(cfg.cv_regimes)
+    assert len(calls) == len(cfg.frequencies) * (searches * cfg.val_cycles + cfg.test_cycles)
+
+
+def test_failure_stops_the_failing_pair_and_the_ones_after_it(tmp_path, monkeypatch):
+    # WLS fails at its third stacked origin and BU at its first ranked one
+    # (a ranked sample has sorted rows); the reports are those of a pass
+    # that runs each (scheme, method) pair over every origin in turn: the
+    # stacked WLS failure is raised, and no ranked row or diagnostic is left
+    real = cli.reconcile_tensor
+    stacked_wls = []
+
+    def failing(P, sample):
+        reconciled = real(P, sample)
+        ranked = bool(np.all(np.diff(sample, axis=-1) >= 0))
+        if P.method == "WLS" and not ranked:
+            stacked_wls.append(P.method)
+            if len(stacked_wls) == 3:
+                reconciled[..., 0, :] += 1.0
+        if P.method == "BU" and ranked:
+            reconciled[..., 0, :] += 1.0
+        return reconciled
+
+    monkeypatch.setattr(cli, "reconcile_tensor", failing)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "frequencies = 4,2,1\nsynthetic = true\ntrain_cycles = 15\nval_cycles = 4\n"
+        "test_cycles = 4\nn_paths = 12\nschemes = stacked,ranked\nmethods = bu,la,wls\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_file), "--out", str(out)]) == EXIT_NUMERIC
+    failure = (out / "failure.txt").read_text()
+    third = 15 + 4 + 2  # the cycle of the third test origin
+    assert failure.startswith("NumericalError: ")
+    assert f"scheme=stacked method=wls origin={third} " in failure
+    rows = [line.split(",")[:2] for line in (out / "crps.csv").read_text().splitlines()[1:]]
+    assert rows == [["none", "none"], ["stacked", "bu"], ["stacked", "la"]]
+    lines = (out / "diagnostics.csv").read_text().splitlines()[1:]
+    diagnostics = [line.split(",") for line in lines]
+    assert [(d[0], d[1]) for d in diagnostics] == (
+        [("stacked", "bu")] * 4 + [("stacked", "la")] * 4 + [("stacked", "wls")] * 3
+    )
+    assert [int(d[2]) for d in diagnostics[-3:]] == [19, 20, third]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -428,3 +429,25 @@ def test_search_is_invariant_to_the_units_of_the_data(frequencies, scheme, regim
     assert (a.gap is None) == (regime != "simplex" or scheme != "ranked")
     if a.gap is not None:
         assert b.gap == a.gap * 2.0**20
+
+
+def test_search_holds_one_validation_tensor_and_no_split():
+    # a dataset draws its validation origins on access and keeps none, so a
+    # search draws them straight into its one tensor; a kept split is one
+    # tensor's worth more, and the Nelder-Mead search reconciles into one
+    # more tensor per evaluation
+    h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
+    scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=24, train_cycles=10,
+                            val_cycles=6, test_cycles=1, seed=3)
+    ds = build_dataset(scn, h, n_paths=400)
+    tensor_bytes = len(ds.val_range) * h.M * 400 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DidNotConverge)
+            optimize_weights(ds.val_origins, "stacked", "affine", h, seed=3, n_starts=3, maxiter=5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * tensor_bytes, (peak / tensor_bytes, "validation tensors")

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -185,3 +186,32 @@ def test_assemble_origins_couples_in_its_tensor(daily_hierarchy):
             tracemalloc.stop()
         extra = (peak - base - tensor.nbytes - actuals.nbytes) / sample_bytes
         assert extra < 0.5, (scheme, extra)
+
+
+class _CountedOrigins(Sequence):
+    """Prebuilt origins that count how often each one is read."""
+
+    def __init__(self, origins):
+        self.origins, self.reads = origins, [0] * len(origins)
+
+    def __len__(self):
+        return len(self.origins)
+
+    def __getitem__(self, index):
+        origin = self.origins[index]  # IndexError ends a default iteration
+        self.reads[index] += 1
+        return origin
+
+
+def test_assemble_origins_reads_each_origin_once(daily_hierarchy):
+    # a split that draws its origins on access draws each one once per
+    # assembly, straight into its tensor slot
+    h = daily_hierarchy
+    origins = _make_origins(h, np.random.default_rng(71), n_origins=4, n_paths=7)
+    for scheme in SCHEMES:
+        counted = _CountedOrigins(origins)
+        tensor, actuals = assemble_origins(counted, h, scheme, seed=2)
+        assert counted.reads == [1] * len(origins), scheme
+        expected, expected_actuals = assemble_origins(origins, h, scheme, seed=2)
+        np.testing.assert_array_equal(tensor, expected)
+        np.testing.assert_array_equal(actuals, expected_actuals)

@@ -16,6 +16,8 @@ from temporec.scoring import (
     cv_objective,
     median_point,
     score_hierarchy,
+    score_origin,
+    score_tables,
 )
 
 from conftest import random_hierarchy
@@ -402,6 +404,7 @@ def test_scores_leave_their_inputs_unchanged(daily_hierarchy):
     row = tensor[0, 0].copy()
     before = tensor.copy(), actuals.copy(), row.copy()
     score_hierarchy(tensor, actuals, h)
+    score_origin(tensor[1], actuals[1])
     cv_criterion(weights_from_levels(np.full(h.L, 1.0 / h.L), h), tensor, actuals, h)
     cv_criterion(fixed_weights("GA", h), tensor, actuals, h)
     crps_sample(row, 0.25)
@@ -453,3 +456,20 @@ def test_score_hierarchy_reads_any_iterable_of_origins(daily_hierarchy):
         score_hierarchy(iter(tensor[:3]), actuals, h)
     with pytest.raises(AlignmentError, match="more samples than the 3 origins"):
         score_hierarchy(iter(tensor), actuals[:3], h)
+
+
+def test_score_hierarchy_is_its_two_steps(daily_hierarchy):
+    # per-origin node scores stacked into the table step give the tables bit
+    # for bit, whether each origin is sorted as a copy or in its own buffer
+    h = daily_hierarchy
+    tensor, actuals = _scoring_instance(h, shape=(4, 41))
+    tables = score_hierarchy(tensor, actuals, h)
+    copied = [score_origin(mat, act) for mat, act in zip(tensor, actuals)]
+    owned = [score_origin(mat.copy(), act, overwrite=True) for mat, act in zip(tensor, actuals)]
+    for steps in (copied, owned):
+        crps, errors = (np.stack(scores) for scores in zip(*steps))
+        assert score_tables(crps, errors, h) == tables
+    with pytest.raises(AlignmentError, match=r"sample shape \(60, 41\) does not match"):
+        score_origin(tensor[0], actuals[0, :-1])
+    with pytest.raises(EmptySample):
+        score_origin(tensor[0, :, :0], actuals[0])

@@ -153,7 +153,7 @@ def test_dataset_consistency():
         assert refit.intercept == fc.intercept
         np.testing.assert_array_equal(refit.residuals, fc.residuals)
     # actuals are the common-unit node values of the origin's cycle
-    for origin in ds.val_origins + ds.test_origins:
+    for origin in [*ds.val_origins, *ds.test_origins]:
         cycle = ds.bottom[origin.origin * 4 : (origin.origin + 1) * 4]
         np.testing.assert_array_equal(origin.actual, aggregate(cycle[:, None], h)[:, 0])
     # level samples carry the right shapes
@@ -168,29 +168,41 @@ def test_dataset_deterministic():
     a = build_dataset(scn, h, n_paths=8)
     b = build_dataset(scn, h, n_paths=8)
     np.testing.assert_array_equal(a.bottom, b.bottom)
-    for oa, ob in zip(a.val_origins + a.test_origins, b.val_origins + b.test_origins):
+    for oa, ob in zip([*a.val_origins, *a.test_origins], [*b.val_origins, *b.test_origins]):
         np.testing.assert_array_equal(oa.actual, ob.actual)
         for la, lb in zip(oa.levels, ob.levels):
             np.testing.assert_array_equal(la.matrix, lb.matrix)
 
 
 def test_dataset_splits_do_not_depend_on_build_order():
-    # each origin is seeded by cycle and level, so a split built first or
-    # second holds the same samples, bit for bit, and is built once
+    # each origin is seeded by cycle and level, so a split drawn first or
+    # second, and an origin read again, hold the same samples, bit for bit
     h = build_hierarchy([4, 2, 1])
     scn = SyntheticScenario(phi=0.6, sigma=1.0, mu=1.0, cycle_length=4,
                             train_cycles=12, val_cycles=3, test_cycles=4, seed=5)
     a = build_dataset(scn, h, n_paths=8)
     b = build_dataset(scn, h, n_paths=8)
-    a_val, a_test = a.val_origins, a.test_origins
-    b_test, b_val = b.test_origins, b.val_origins
+    a_val, a_test = [*a.val_origins], [*a.test_origins]
+    b_test, b_val = [*b.test_origins], [*b.val_origins]
     assert [o.origin for o in a_val + a_test] == list(a.val_range) + list(a.test_range)
-    for oa, ob in zip(a_val + a_test, b_val + b_test):
+
+    def assert_same(oa, ob):
         assert oa.origin == ob.origin
         assert oa.actual.tobytes() == ob.actual.tobytes()
         for la, lb in zip(oa.levels, ob.levels):
             assert la.matrix.tobytes() == lb.matrix.tobytes()
-    assert a.val_origins is a_val and b.test_origins is b_test
+
+    for oa, ob in zip(a_val + a_test, b_val + b_test):
+        assert_same(oa, ob)
+    # two reads of one origin draw it twice, bit-identical
+    assert a.test_origins[1] is not a.test_origins[1]
+    assert_same(a.test_origins[1], a_test[1])
+    assert_same(a.val_origins[-1], b_val[-1])
+    # a slice is the split of the sliced cycles
+    part = a.test_origins[1:3]
+    assert len(part) == 2
+    for oa, ob in zip(part, a_test[1:3]):
+        assert_same(oa, ob)
 
 
 def test_dataset_checks_paths_before_any_split():
