@@ -29,9 +29,12 @@ through its dual by a revised simplex (``_master_lp``), and stops once the
 best objective is within ``CUT_GAP`` of the LP lower bound, also relative;
 the result carries that gap as a certificate of optimality. Its
 oracle, ``_criterion``, builds its maps with ``weights_from_levels`` and
-also returns a subgradient. Either search reports the best value it
-evaluated; no criterion runs after it. Both solvers are numpy code, so the
-package needs no scipy at run time.
+also returns a subgradient. Both objectives reconcile, score and (the
+oracle) pull back one validation origin at a time, so a search holds the
+validation tensor and a few (M, N) buffers, never a second (T, M, N)
+array. Either search reports the best value it evaluated; no criterion
+runs after it. Both solvers are numpy code, so the package needs no scipy
+at run time.
 """
 
 from __future__ import annotations
@@ -242,9 +245,12 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     Precondition: every input row is nondecreasing and v lies on the
     simplex, so the reconciled rows are sorted already and are scored as
     they are; the objective is convex and piecewise linear in v and equals
-    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. The kernel
-    scores a copy of that map's output; the buffer then carries the
-    pull-back, the map of unit level weights, on the CRPS derivative.
+    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. Like
+    ``cv_criterion`` it works one (M, N) origin at a time: the kernel
+    scores a copy of the map's output for that origin, and the buffer then
+    carries the pull-back, the map of unit level weights, on the CRPS
+    derivative, whose per-level products with the origin's sample are added
+    into the gradient.
     """
     T, _, n = joint_tensor.shape
     rank = _rank_weights(n)
@@ -252,27 +258,28 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     pull_back = weights_from_levels(np.ones(h.L), h)
 
     def evaluate(v: np.ndarray):
-        x = weights_from_levels(v, h).apply(joint_tensor)
-        crps, _ = _sorted_scores(x.copy(), actuals)
-        value = float((crps * node_weight).sum())
-        # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
-        # buffer of x, which is not read again
-        dev = x
-        dev -= actuals[..., None]
-        np.sign(dev, out=dev)
-        dev /= n
-        dev -= rank
-        dev *= node_weight[:, None]
-        # S^T d: the unit-weight map of d / f_l leaves it in the bottom
-        # rows; their window means over a level-l node, times f_l, are the
-        # window sums that v_l pairs with Y_l
-        dev /= h.node_windows[:, None]
-        dev = pull_back.apply(dev)
-        grad = np.array([
-            fl * np.einsum("tkn,tkn->", dev[:, rows], joint_tensor[:, rows])
-            for fl, rows in h.levels
-        ])
-        return value, grad
+        P = weights_from_levels(v, h)
+        crps = np.empty_like(actuals)
+        grad = np.zeros(h.L)
+        for t, (sample, actual) in enumerate(zip(joint_tensor, actuals)):
+            x = P.apply(sample)
+            crps[t], _ = _sorted_scores(x.copy(), actual)
+            # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
+            # buffer of x, which is not read again
+            dev = x
+            dev -= actual[:, None]
+            np.sign(dev, out=dev)
+            dev /= n
+            dev -= rank
+            dev *= node_weight[:, None]
+            # S^T d: the unit-weight map of d / f_l leaves it in the bottom
+            # rows; their window means over a level-l node, times f_l, are
+            # the window sums that v_l pairs with Y_l
+            dev /= h.node_windows[:, None]
+            dev = pull_back.apply(dev)
+            grad += [np.einsum("kn,kn->", dev[rows], sample[rows]) for _, rows in h.levels]
+        grad *= h.f
+        return float((crps * node_weight).sum()), grad
 
     return evaluate
 

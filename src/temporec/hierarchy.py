@@ -181,7 +181,8 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
     The bottom rows are copied in and ``_fill_means`` fills every coarser
     level from its child, so the rows of level l are means over consecutive
     windows of f_l bottom rows, in common units: S @ bottom up to rounding,
-    with the dense S never formed. Leading axes are batch axes.
+    with the dense S never formed. Leading axes are batch axes, and an
+    empty batch or a sample without columns gives an empty result.
     """
     values = np.asarray(bottom, dtype=float)
     if values.ndim < 2 or values.shape[-2] != h.m:
@@ -195,7 +196,7 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
 def _windows(buf: np.ndarray, rows: slice, k: int) -> np.ndarray:
     """A level's rows of a (..., M, N) buffer as a writable view of windows of k rows."""
     part = buf[..., rows, :]
-    return part.reshape(part.shape[:-2] + (-1, k, part.shape[-1]))
+    return part.reshape(part.shape[:-2] + (part.shape[-2] // k, k, part.shape[-1]))
 
 
 def _fill_means(buf: np.ndarray, h: HierarchySpec) -> None:
@@ -215,7 +216,7 @@ def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
     so that ``check_coherence`` stays independent of the walks it checks."""
     out = np.empty((h.M - h.m, bottom.shape[1]))
     for fl, rows in h.levels[:-1]:
-        np.add.reduce(bottom.reshape(-1, fl, bottom.shape[1]), axis=1, out=out[rows])
+        np.add.reduce(bottom.reshape(h.m // fl, fl, bottom.shape[1]), axis=1, out=out[rows])
         out[rows] /= fl
     return out
 

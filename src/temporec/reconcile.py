@@ -222,7 +222,8 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
     with the mean of its window of f_l bottom rows (``_window_means``); the
     dense S is not formed. A non-finite entry in the bottom block gives
     ``(False, nan)``; a NaN above it gives a NaN violation and an infinite
-    one an infinite violation.
+    one an infinite violation. A sample without columns has nothing to
+    violate and gives ``(True, 0.0)``.
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy

@@ -12,16 +12,17 @@ of the central pair for even N. One private kernel, ``_sorted_scores``,
 computes both from sorted rows, and every score in the package comes from
 it. It scores in the buffer it is handed, so no score allocates a
 sample-sized temporary: ``score_origin`` sorts one copy of one origin's
-(M, N) sample, ``cv_criterion`` sorts its reconciled sample in place, and
-the cutting-plane oracle in ``cvopt`` hands it a copy of rows that are
-sorted already. Scores for a hierarchy are averaged per node over
-forecast origins, then per level over nodes, then over levels; that
-triple average is both the reported table layout (``score_tables``) and
-the objective the cross-validated weights minimize. ``score_hierarchy``
-chains the two steps over a (T, M, N) stack or any iterable of origins,
-read one at a time; the experiment driver calls them itself, so that it
-scores each test origin under every scheme and method before it draws the
-next. Evaluation tables report each node in its level's native units, its
+(M, N) sample, ``cv_criterion`` reconciles one origin at a time and sorts
+that new (M, N) array in place, and the cutting-plane oracle in ``cvopt``
+hands it a copy of one origin's rows, which are sorted already. Scores
+for a hierarchy are averaged per node over forecast origins, then per
+level over nodes, then over levels; that triple average is both the
+reported table layout (``score_tables``) and the objective the
+cross-validated weights minimize. ``score_hierarchy`` chains the two steps
+over a (T, M, N) stack or any iterable of origins, read one at a time;
+the experiment driver calls them itself, so that it scores each test
+origin under every scheme and method before it draws the next.
+Evaluation tables report each node in its level's native units, its
 common-unit score times the window f_l; the cross-validation criterion
 stays in common units and weighs each node's CRPS by its share of that
 average, ``_node_weights``, the one definition that ``cv_criterion`` and
@@ -254,18 +255,30 @@ def cv_criterion(
 ) -> float:
     """Level-averaged CRPS of the reconciled samples in common units.
 
-    Every origin's joint sample is projected through S @ P by
-    ``reconcile_tensor``; the rows of that new array are sorted and scored
-    in its own buffer, and each node's CRPS against its realized value is
-    weighted by ``_node_weights``: the average over origins, then over
-    nodes within a level, then over levels, in one weighted sum. Origin
-    averaging (in place of summing) is a monotone rescaling that keeps
-    objective values comparable across validation lengths without moving
-    the minimizer. Raises as ``score_hierarchy`` on misaligned or empty input.
+    The shapes are checked first. Then each origin's (M, N) joint sample in
+    turn is projected through S @ P by ``reconcile_tensor`` into a new
+    array, whose rows are sorted and scored in that buffer, so one call
+    holds one sample-sized buffer whatever the number of origins. Each
+    node's CRPS against its realized value is weighted by
+    ``_node_weights``: the average over origins, then over nodes within a
+    level, then over levels, in one weighted sum. Origin averaging (in
+    place of summing) is a monotone rescaling that keeps objective values
+    comparable across validation lengths without moving the minimizer.
+
+    Raises:
+        AlignmentError: the samples are not (T, M, N) with T > 0, or the
+            actuals are not (T, M).
+        EmptySample: the samples have no paths.
     """
-    tensor, acts = _aligned(reconcile_tensor(P, joint_tensor), actuals, h)
-    tensor.sort(axis=-1)
-    crps, _ = _sorted_scores(tensor, acts)
+    tensor, acts = _aligned(joint_tensor, actuals, h)
+    crps = np.empty_like(acts)
+    for t, sample in enumerate(tensor):
+        reconciled = reconcile_tensor(P, sample)
+        reconciled.sort(axis=-1)
+        crps[t], _ = _sorted_scores(reconciled, acts[t])
+        # freed before the next origin's buffer is allocated, so the
+        # allocator hands the same memory back instead of fresh pages
+        del reconciled
     return float((crps * _node_weights(h, len(tensor))).sum())
 
 

@@ -431,23 +431,44 @@ def test_search_is_invariant_to_the_units_of_the_data(frequencies, scheme, regim
         assert b.gap == a.gap * 2.0**20
 
 
-def test_search_holds_one_validation_tensor_and_no_split():
-    # a dataset draws its validation origins on access and keeps none, so a
-    # search draws them straight into its one tensor; a kept split is one
-    # tensor's worth more, and the Nelder-Mead search reconciles into one
-    # more tensor per evaluation
+def _validation_search_peak(scheme, regime):
+    """tracemalloc's peak over one capped search of a daily dataset's 6
+    validation origins of 400 paths, the search's result, and the bytes of
+    the validation tensor and of one origin's (M, N) sample."""
     h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
     scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=24, train_cycles=10,
                             val_cycles=6, test_cycles=1, seed=3)
     ds = build_dataset(scn, h, n_paths=400)
-    tensor_bytes = len(ds.val_range) * h.M * 400 * 8
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DidNotConverge)
-            optimize_weights(ds.val_origins, "stacked", "affine", h, seed=3, n_starts=3, maxiter=5)
+            result = optimize_weights(ds.val_origins, scheme, regime, h, seed=3, n_starts=3,
+                                      maxiter=5)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    sample_bytes = h.M * 400 * 8
+    return peak, result, len(ds.val_range) * sample_bytes, sample_bytes
+
+
+def test_search_holds_one_validation_tensor_and_no_split():
+    # a dataset draws its validation origins on access and keeps none, so a
+    # search draws them straight into its one tensor; a kept split is one
+    # tensor's worth more
+    peak, _, tensor_bytes, _ = _validation_search_peak("stacked", "affine")
     assert peak < 2.5 * tensor_bytes, (peak / tensor_bytes, "validation tensors")
+
+
+@pytest.mark.parametrize("scheme, regime", [("stacked", "affine"), ("ranked", "simplex")])
+def test_search_holds_the_validation_tensor_and_a_few_origin_samples(scheme, regime):
+    # both objectives reconcile, score and (the cutting-plane oracle) pull
+    # back one validation origin at a time, so besides the validation tensor
+    # a search holds a few (M, N) buffers, where a whole-tensor evaluation
+    # holds one (Nelder-Mead) or three (the oracle) more tensors
+    peak, result, tensor_bytes, sample_bytes = _validation_search_peak(scheme, regime)
+    assert (result.gap is not None) == (scheme == "ranked")
+    assert peak < tensor_bytes + 4 * sample_bytes, (
+        (peak - tensor_bytes) / sample_bytes, "origin samples besides the tensor"
+    )

@@ -514,3 +514,19 @@ def test_reconcile_tensor_rejects_a_map_with_the_wrong_rows(small_hierarchy):
     short = WeightMatrix(partial(np.matmul, np.ones((h.m - 1, h.M))), "short", h)
     with pytest.raises(DimensionMismatch, match=r"short map took shape \(2, 7, 3\) to \(2, 3, 3\)"):
         reconcile_tensor(short, np.zeros((2, h.M, 3)))
+
+
+def test_empty_samples_give_empty_results(daily_hierarchy):
+    # the window walks pass explicit window counts, so an empty batch or a
+    # sample without columns reshapes like any other
+    h = daily_hierarchy
+    S = build_summing_matrix(h)
+    assert aggregate(np.zeros((h.m, 0)), h).shape == (h.M, 0)
+    assert aggregate(np.zeros((0, h.m, 3)), h).shape == (0, h.M, 3)
+    assert check_coherence(np.zeros((h.M, 0)), S) == (True, 0.0)
+    maps = [fixed_weights(method, h) for method in FIXED_METHODS]
+    maps += [weights_from_levels(np.full(h.L, 1.0 / h.L), h), wls_weights(h)]
+    for P in maps:
+        for shape in [(h.M, 0), (0, h.M, 5), (2, h.M, 0)]:
+            out = reconcile_tensor(P, np.zeros(shape))
+            assert out.shape == shape, (P.method, shape)

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from temporec.errors import AlignmentError, EmptySample
 from temporec.hierarchy import build_hierarchy, build_summing_matrix
-from temporec.reconcile import fixed_weights, reconcile, weights_from_levels
-from temporec.sampling import LevelSample, OriginData, assemble, assemble_origins
+from temporec.reconcile import (
+    fixed_weights,
+    reconcile,
+    reconcile_tensor,
+    weights_from_levels,
+    wls_weights,
+)
+from temporec.sampling import SCHEMES, LevelSample, OriginData, assemble, assemble_origins
 from temporec.scoring import (
+    _node_weights,
     _sorted_scores,
     crps_sample,
     cv_criterion,
@@ -438,6 +445,70 @@ def test_scores_allocate_one_sample_sized_buffer(daily_hierarchy):
     P = weights_from_levels(np.full(h.L, 1.0 / h.L), h)
     assert _peak_in_samples(lambda: cv_criterion(P, tensor, actuals, h), tensor.nbytes) < 1.5
     assert _peak_in_samples(lambda: score_hierarchy(tensor, actuals, h), tensor[0].nbytes) < 2.0
+
+
+@pytest.mark.parametrize("method", ["CVR", "GA", "WLS"])
+def test_cv_criterion_holds_a_few_origin_samples(daily_hierarchy, method):
+    # each origin is reconciled into its own (M, N) array, sorted and scored
+    # in it before the next, so no buffer the size of the stack is built;
+    # the bound covers that array, numpy's 64 KB broadcast buffer and the
+    # sort's scratch, and does not grow with the number of origins
+    h = daily_hierarchy
+    tensor, actuals = _scoring_instance(h)
+    P = {
+        "CVR": weights_from_levels(np.full(h.L, 1.0 / h.L), h),
+        "GA": fixed_weights("GA", h),
+        "WLS": wls_weights(h),
+    }[method]
+    peak = _peak_in_samples(lambda: cv_criterion(P, tensor, actuals, h), tensor[0].nbytes)
+    assert peak < 3.0, (peak, "origin samples")
+
+
+def _whole_tensor_criterion(P, tensor, actuals, h):
+    """The criterion reconciling the whole (T, M, N) stack in one call, then
+    sorting and scoring it: the reference the per-origin loop must equal."""
+    reconciled = reconcile_tensor(P, tensor)
+    reconciled.sort(axis=-1)
+    crps, _ = _sorted_scores(reconciled, actuals)
+    return float((crps * _node_weights(h, len(reconciled))).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SCHEMES))
+def test_cv_criterion_equals_the_whole_tensor_evaluation(seed, scheme):
+    # scoring one origin at a time changes no rounding: every map acts on
+    # each origin's columns alone and the kernel reduces along the paths
+    rng = np.random.default_rng(seed)
+    h = random_hierarchy(rng)
+    origins = _make_origins(h, rng, n_origins=int(rng.integers(1, 5)),
+                            n_paths=int(rng.integers(2, 30)))
+    tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
+    before = tensor.copy(), actuals.copy()
+    maps = [fixed_weights(method, h) for method in ("BU", "LA", "BA", "GA")]
+    maps += [weights_from_levels(rng.normal(size=h.L), h), wls_weights(h)]
+    for P in maps:
+        assert cv_criterion(P, tensor, actuals, h) == _whole_tensor_criterion(
+            P, tensor, actuals, h
+        ), P.method
+    np.testing.assert_array_equal(tensor, before[0])
+    np.testing.assert_array_equal(actuals, before[1])
+
+
+@pytest.mark.parametrize("method", ["LA", "GA"])
+def test_cv_criterion_error_contract(daily_hierarchy, method):
+    # the shapes are checked before any origin is reconciled, so a lineage
+    # map and a broadcast map raise the same scoring errors
+    h = daily_hierarchy
+    P = fixed_weights(method, h)
+    tensor, actuals = _scoring_instance(h, shape=(3, 41))
+    with pytest.raises(AlignmentError, match=r"samples shape \(3, 59, 41\) is not \(T, 60, N\)"):
+        cv_criterion(P, tensor[:, 1:], actuals[:, 1:], h)
+    with pytest.raises(AlignmentError, match="^no forecast origins to score$"):
+        cv_criterion(P, tensor[:0], actuals[:0], h)
+    with pytest.raises(EmptySample):
+        cv_criterion(P, tensor[..., :0], actuals, h)
+    with pytest.raises(AlignmentError, match=r"actuals shape \(2, 60\) is not \(3, 60\)"):
+        cv_criterion(P, tensor, actuals[:2], h)
 
 
 def test_score_hierarchy_reads_any_iterable_of_origins(daily_hierarchy):
