@@ -465,7 +465,8 @@ def run_experiment(cfg: RunConfig):
         logs: list[list] = [[] for _ in pairs]  # each pair's diagnostics rows
 
         def reconciled_scores(k, label, sample, actual):
-            """Pair k's map applied to one origin's sample, checked, logged and scored."""
+            """Pair k's map applied to one origin's sample, checked, logged and
+            scored; the reconciled buffer dies with this call's scope."""
             scheme, lab, P = pairs[k]
             mat = reconcile_tensor(P, sample)
             ok, violation = check_coherence(mat, S, tol=cfg.coherence_tol)
@@ -480,31 +481,27 @@ def run_experiment(cfg: RunConfig):
                 )
             return score_origin(mat, actual, overwrite=True)
 
-        # common-unit node scores per origin: the baseline, then each pair
-        node_crps = np.empty((1 + len(pairs), len(origins), h.M))
-        node_errors = np.empty_like(node_crps)
+        # common-unit node CRPS and errors per origin: the baseline, then each pair
+        scores = np.empty((1 + len(pairs), 2, len(origins), h.M))
         live, failure = len(pairs), None  # pairs[live:] stopped at failure
         for t, origin in enumerate(dataset.test_origins):
             for s, scheme in enumerate(cfg.schemes):
-                tensor, actual = assemble_origins([origin], h, scheme, seed=cfg.seed)
-                sample, actual = tensor[0], actual[0]
+                (sample,), (actual,) = assemble_origins([origin], h, scheme, seed=cfg.seed)
                 if not s:
                     # no-reconciliation baseline, scored on the first scheme's raw
                     # sample: a scheme only reorders each row's paths
-                    node_crps[0, t], node_errors[0, t] = score_origin(sample, actual)
+                    scores[0, :, t] = score_origin(sample, actual)
                 for k in range(s * len(labels), min((s + 1) * len(labels), live)):
                     try:
-                        node_crps[k + 1, t], node_errors[k + 1, t] = reconciled_scores(
-                            k, origin.origin, sample, actual
-                        )
+                        scores[k + 1, :, t] = reconciled_scores(k, origin.origin, sample, actual)
                     except (TemporecError, np.linalg.LinAlgError) as exc:
                         # this pair and the ones after it stop; the earlier ones
                         # finish, as in a pass that ran each pair in turn
                         live, failure = k, exc
                         break
-        results = [("none", "none", *score_tables(node_crps[0], node_errors[0], h))] + [
-            (scheme, lab, *score_tables(node_crps[k + 1], node_errors[k + 1], h))
-            for k, (scheme, lab, _) in enumerate(pairs[:live])
+        results = [
+            (scheme, lab, *score_tables(*scores[k], h))
+            for k, (scheme, lab, _) in enumerate([("none", "none", None), *pairs[:live]])
         ]
         diagnostics = [row for log in logs[: live + 1] for row in log]
         if failure is not None:

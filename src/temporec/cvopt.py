@@ -59,7 +59,7 @@ FATOL = 1e-7  # Nelder-Mead tolerance on the objective, relative to max(1, |firs
 CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvResult:
     """Optimized weights and the objective they achieve.
 
@@ -76,7 +76,7 @@ class CvResult:
     gap: float | None = None
 
     def __post_init__(self):
-        vec = np.asarray(self.v, dtype=float)
+        vec = np.asarray(self.v, dtype=float).view()
         vec.setflags(write=False)
         object.__setattr__(self, "v", vec)
 

@@ -42,7 +42,7 @@ __all__ = [
 SCHEMES = ("stacked", "ranked", "permuted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSample:
     """Sample paths for one hierarchy level at one forecast origin.
 
@@ -54,7 +54,7 @@ class LevelSample:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float).view()
         if mat.ndim != 2:
             raise SamplingError(f"level {self.level} sample must be 2-D")
         if mat.shape[1] < 2:
@@ -71,7 +71,7 @@ class LevelSample:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSample:
     """M x N joint sample over all nodes, tagged with its assembly scheme."""
 
@@ -80,7 +80,7 @@ class JointSample:
     hierarchy: HierarchySpec
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.asarray(self.matrix, dtype=float).view()
         if mat.shape[0] != self.hierarchy.M:
             raise SamplingError(
                 f"joint sample has {mat.shape[0]} rows, hierarchy has "
@@ -90,7 +90,7 @@ class JointSample:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OriginData:
     """Everything one forecast origin contributes to evaluation: the
     per-level base samples and the realized node values in common units.
@@ -104,7 +104,7 @@ class OriginData:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        actual = np.asarray(self.actual, dtype=float)
+        actual = np.asarray(self.actual, dtype=float).view()
         actual.setflags(write=False)
         object.__setattr__(self, "actual", actual)
 

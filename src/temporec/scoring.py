@@ -9,20 +9,21 @@ On a row sorted ascending the double sum telescopes into the single sum
 ``xs @ rank`` with ``rank_i = (2i - N + 1) / N^2``, and the median (the
 point forecast the MAE scores) is the middle order statistic, or the mean
 of the central pair for even N. One private kernel, ``_sorted_scores``,
-computes both from sorted rows, and every score in the package comes from
-it. It scores in the buffer it is handed, so no score allocates a
-sample-sized temporary: ``score_origin`` sorts one copy of one origin's
-(M, N) sample, ``cv_criterion`` reconciles one origin at a time and sorts
-that new (M, N) array in place, and the cutting-plane oracle in ``cvopt``
-hands it a copy of one origin's rows, which are sorted already. Scores
-for a hierarchy are averaged per node over forecast origins, then per
-level over nodes, then over levels; that triple average is both the
-reported table layout (``score_tables``) and the objective the
-cross-validated weights minimize. ``score_hierarchy`` chains the two steps
-over a (T, M, N) stack or any iterable of origins, read one at a time;
-the experiment driver calls them itself, so that it scores each test
-origin under every scheme and method before it draws the next.
-Evaluation tables report each node in its level's native units, its
+computes both from sorted rows, in the buffer it is handed, and every score
+in the package comes from it through one of three callers. ``score_origin``
+sorts one origin's (M, N) sample, a copy or with ``overwrite`` the sample
+itself, and scores ``crps_sample``, ``score_hierarchy``, ``cv_criterion``
+(which reconciles one origin at a time into a new array and hands it over)
+and the experiment driver's test pass; ``median_point`` reads the median;
+and the cutting-plane oracle in ``cvopt`` hands it a copy of one origin's
+rows, which are sorted already. Scores for a hierarchy are averaged per
+node over forecast origins, then per level over nodes, then over levels;
+that triple average is both the reported table layout (``score_tables``)
+and the objective the cross-validated weights minimize. ``score_hierarchy``
+chains the two steps over a (T, M, N) stack or any iterable of origins,
+read one at a time; the experiment driver calls them itself, so that it
+scores each test origin under every scheme and method before it draws the
+next. Evaluation tables report each node in its level's native units, its
 common-unit score times the window f_l; the cross-validation criterion
 stays in common units and weighs each node's CRPS by its share of that
 average, ``_node_weights``, the one definition that ``cv_criterion`` and
@@ -71,10 +72,7 @@ class ScoreTable:
 
 def crps_sample(sample, z: float) -> float:
     """CRPS of one ensemble against one realization (energy form)."""
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
-    if x.size == 0:
-        raise EmptySample("cannot score an empty sample")
-    crps, _ = _sorted_scores(x[None, :], np.array([float(z)]))
+    crps, _ = score_origin(np.ravel(sample)[None, :], [float(z)])
     return float(crps[0])
 
 
@@ -214,20 +212,6 @@ def _regular(values) -> np.ndarray:
         raise AlignmentError(f"samples and actuals must be regular arrays: {exc}") from exc
 
 
-def _aligned(samples, actuals, h: HierarchySpec) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, M, N) samples and (T, M) actuals as float arrays, shapes checked."""
-    tensor, acts = _regular(samples), _regular(actuals)
-    if tensor.ndim != 3 or tensor.shape[1] != h.M:
-        raise AlignmentError(f"samples shape {tensor.shape} is not (T, {h.M}, N)")
-    if acts.shape != tensor.shape[:2]:
-        raise AlignmentError(f"actuals shape {acts.shape} is not {tensor.shape[:2]}")
-    if not len(tensor):
-        raise AlignmentError("no forecast origins to score")
-    if not tensor.shape[2]:
-        raise EmptySample("cannot score samples without paths")
-    return tensor, acts
-
-
 def _node_weights(h: HierarchySpec, T: int) -> np.ndarray:
     """Each node's share of the level-averaged objective over T origins:
     one of m / f_l nodes in one of L levels, so f_l / (L * m * T)."""
@@ -257,7 +241,7 @@ def cv_criterion(
 
     The shapes are checked first. Then each origin's (M, N) joint sample in
     turn is projected through S @ P by ``reconcile_tensor`` into a new
-    array, whose rows are sorted and scored in that buffer, so one call
+    array, which ``score_origin`` sorts and scores in place, so one call
     holds one sample-sized buffer whatever the number of origins. Each
     node's CRPS against its realized value is weighted by
     ``_node_weights``: the average over origins, then over nodes within a
@@ -270,15 +254,19 @@ def cv_criterion(
             actuals are not (T, M).
         EmptySample: the samples have no paths.
     """
-    tensor, acts = _aligned(joint_tensor, actuals, h)
+    tensor, acts = _regular(joint_tensor), _regular(actuals)
+    if tensor.ndim != 3 or tensor.shape[1] != h.M:
+        raise AlignmentError(f"samples shape {tensor.shape} is not (T, {h.M}, N)")
+    if acts.shape != tensor.shape[:2]:
+        raise AlignmentError(f"actuals shape {acts.shape} is not {tensor.shape[:2]}")
+    if not len(tensor):
+        raise AlignmentError("no forecast origins to score")
+    if not tensor.shape[2]:
+        raise EmptySample("cannot score samples without paths")
     crps = np.empty_like(acts)
     for t, sample in enumerate(tensor):
-        reconciled = reconcile_tensor(P, sample)
-        reconciled.sort(axis=-1)
-        crps[t], _ = _sorted_scores(reconciled, acts[t])
-        # freed before the next origin's buffer is allocated, so the
-        # allocator hands the same memory back instead of fresh pages
-        del reconciled
+        # one expression, so each reconciled buffer is freed before the next
+        crps[t], _ = score_origin(reconcile_tensor(P, sample), acts[t], overwrite=True)
     return float((crps * _node_weights(h, len(tensor))).sum())
 
 

@@ -84,7 +84,7 @@ class SyntheticScenario:
         return self.mu / (1.0 - self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelForecaster:
     """AR(1)+intercept fit for one level, with its residual pool."""
 
@@ -94,7 +94,7 @@ class LevelForecaster:
     residuals: np.ndarray
 
     def __post_init__(self):
-        res = np.asarray(self.residuals, dtype=float)
+        res = np.asarray(self.residuals, dtype=float).view()
         if res.size == 0:
             raise SimkitError("residual pool must be nonempty")
         res.setflags(write=False)
@@ -204,7 +204,7 @@ class _Split(Sequence):
         return map(self.make_origin, self.cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Fitted forecasters plus the validation and test origins. Each split
     is a sequence over the cycles that label its origins, ``val_range`` or

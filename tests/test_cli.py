@@ -690,7 +690,39 @@ def test_test_pass_holds_a_few_origin_samples(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 10 * sample, (peak / sample, "origin samples")
+    assert peak < 6.5 * sample, (peak / sample, "origin samples")
+
+
+def test_run_rows_equal_the_library_scores(tmp_path):
+    # the driver scores origin by origin, under every scheme and method in
+    # turn; its rows equal those of the public API run split-wide:
+    # score_hierarchy over assemble_origins of the test split, raw for the
+    # baseline and through reconcile_tensor for each pair, bit for bit
+    cfg = _quick_config(tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
+                        methods=cli.FIXED_METHOD_TOKENS, seed=5)
+    rows = run_experiment(cfg)
+    h = build_hierarchy(cfg.frequencies)
+    scn = temporec.SyntheticScenario(
+        phi=cfg.phi, sigma=cfg.sigma, mu=cfg.mu, cycle_length=h.cycle_length,
+        train_cycles=cfg.train_cycles, val_cycles=cfg.val_cycles,
+        test_cycles=cfg.test_cycles, seed=cfg.seed, clip_at_zero=cfg.clip_at_zero,
+    )
+    origins = [*temporec.build_dataset(scn, h, cfg.n_paths).test_origins]
+
+    def row(scheme, method, samples, actuals):
+        crps, _ = temporec.score_hierarchy(samples, actuals, h)
+        return cli.ReportRow(scheme, method, crps.level_scores, crps.overall)
+
+    expected = []
+    for scheme in cfg.schemes:
+        tensor, actuals = temporec.assemble_origins(origins, h, scheme, seed=cfg.seed)
+        if not expected:
+            expected.append(row("none", "none", tensor, actuals))
+        for lab in cfg.method_labels():
+            P = temporec.wls_weights(h) if lab == "wls" else temporec.fixed_weights(lab.upper(), h)
+            expected.append(row(scheme, lab, temporec.reconcile_tensor(P, tensor), actuals))
+    assert len(rows) == 1 + 3 * 5
+    assert rows == expected
 
 
 def _counted_sample_paths(monkeypatch):

@@ -66,6 +66,20 @@ def test_no_module_imports_scipy():
     assert importers == set()
 
 
+def test_only_three_functions_call_the_sorted_rows_kernel():
+    # every sample score reaches the kernel through score_origin, except the
+    # median and the cutting-plane oracle, whose rows are sorted already
+    package = Path(temporec.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_scores":
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"scoring.score_origin", "scoring.median_point", "cvopt._criterion"}
+
+
 def test_a_run_never_loads_scipy(tmp_path):
     # a run that takes both search paths, the certified one (ranked,
     # simplex) and Nelder-Mead (stacked, affine), in a fresh interpreter

@@ -6,7 +6,9 @@ import pytest
 
 from temporec.errors import ColumnMismatch, MissingLevel, RowCountMismatch, SamplingError
 from temporec.hierarchy import build_hierarchy
-from temporec.sampling import SCHEMES, JointSample, LevelSample, assemble, assemble_origins
+from temporec.cvopt import CvResult
+from temporec.sampling import SCHEMES, JointSample, LevelSample, OriginData, assemble, assemble_origins
+from temporec.simkit import Dataset, LevelForecaster
 
 from conftest import random_hierarchy
 from test_scoring import _make_origins
@@ -215,3 +217,50 @@ def test_assemble_origins_reads_each_origin_once(daily_hierarchy):
         expected, expected_actuals = assemble_origins(origins, h, scheme, seed=2)
         np.testing.assert_array_equal(tensor, expected)
         np.testing.assert_array_equal(actuals, expected_actuals)
+
+
+# each record that stores an array, built on a caller's (3, 4) array, and
+# the field that stores it
+ARRAY_RECORDS = {
+    "LevelSample": (lambda a: LevelSample(level=1, matrix=a), "matrix"),
+    "JointSample": (
+        lambda a: JointSample(matrix=a, scheme="stacked", hierarchy=build_hierarchy([2, 1])),
+        "matrix",
+    ),
+    "OriginData": (lambda a: OriginData(levels=(), actual=a), "actual"),
+    "LevelForecaster": (
+        lambda a: LevelForecaster(level=1, phi=0.5, intercept=0.0, residuals=a), "residuals",
+    ),
+    "CvResult": (
+        lambda a: CvResult(v=a, objective=0.0, iterations=0, regime="simplex", scheme="stacked"),
+        "v",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_freeze_a_view_and_leave_the_callers_array_writable(name):
+    make, field = ARRAY_RECORDS[name]
+    a = np.zeros((3, 4))
+    stored = getattr(make(a), field)
+    assert not stored.flags.writeable
+    assert a.flags.writeable and np.shares_memory(stored, a)  # a view, not a copy
+    a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        stored[0, 0] = 2.0
+
+
+# the records above and the dataset, each built on a caller's array
+RECORD_MAKERS = {
+    **{name: make for name, (make, _) in ARRAY_RECORDS.items()},
+    "Dataset": lambda a: Dataset(bottom=a, forecasters=(), val_range=range(1),
+                                 test_range=range(1), make_origin=lambda cycle: None),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_MAKERS)
+def test_records_compare_and_hash_by_identity(name):
+    make = RECORD_MAKERS[name]
+    first, second = make(np.zeros((3, 4))), make(np.zeros((3, 4)))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
