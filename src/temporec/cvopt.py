@@ -27,14 +27,16 @@ piecewise linear in v. Kelley's cutting-plane method (``_cutting_planes``)
 then minimizes it with one small linear program per iteration, solved
 through its dual by a revised simplex (``_master_lp``), and stops once the
 best objective is within ``CUT_GAP`` of the LP lower bound, also relative;
-the result carries that gap as a certificate of optimality. Its
+the result carries that gap as a certificate of optimality, 0 when it is
+within the LP's own tolerance ``LP_TOL``. A new cut only appends a column
+to the dual, so each LP solve starts from the previous optimal basis. Its
 oracle, ``_criterion``, builds its maps with ``weights_from_levels`` and
-also returns a subgradient. Both objectives reconcile, score and (the
-oracle) pull back one validation origin at a time, so a search holds the
-validation tensor and a few (M, N) buffers, never a second (T, M, N)
-array. Either search reports the best value it evaluated; no criterion
-runs after it. Both solvers are numpy code, so the package needs no scipy
-at run time.
+also returns a subgradient, summed per level in one pass. Both objectives
+reconcile, score and (the oracle) pull back one validation origin at a
+time, so a search holds the validation tensor and a few (M, N) buffers,
+never a second (T, M, N) array. Either search reports the best value it
+evaluated; no criterion runs after it. Both solvers are numpy code, so the
+package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ REGIMES = ("simplex", "affine", "free")
 XATOL = 1e-4  # Nelder-Mead tolerance on the search point
 FATOL = 1e-7  # Nelder-Mead tolerance on the objective, relative to max(1, |first value|)
 CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
+LP_TOL = 1e-12  # the master LP's pivot tolerance, relative to its data
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,13 +251,18 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. Like
     ``cv_criterion`` it works one (M, N) origin at a time: the kernel
     scores a copy of the map's output for that origin, and the buffer then
-    carries the pull-back, the map of unit level weights, on the CRPS
-    derivative, whose per-level products with the origin's sample are added
-    into the gradient.
+    carries the CRPS derivative, divided by each node's window, through the
+    pull-back, the map of unit level weights. Its products with the
+    origin's sample, summed over each level's rows, are added into the
+    gradient, which is scaled by the windows f_l once at the end.
     """
     T, _, n = joint_tensor.shape
-    rank = _rank_weights(n)
     node_weight = _node_weights(h, T)
+    n_rank = n * _rank_weights(n)
+    # node_weight / node_windows is 1 / (L m T) at every node, so the
+    # derivative's weighting and the pull-back's 1 / f_l are one scalar
+    unit = 1.0 / (h.L * h.m * T * n)
+    level_starts = [rows.start for _, rows in h.levels]
     pull_back = weights_from_levels(np.ones(h.L), h)
 
     def evaluate(v: np.ndarray):
@@ -264,36 +272,40 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
         for t, (sample, actual) in enumerate(zip(joint_tensor, actuals)):
             x = P.apply(sample)
             crps[t], _ = _sorted_scores(x.copy(), actual)
-            # d crps / dx = sign(x - z) / N - rank, weighted per node, in the
-            # buffer of x, which is not read again
+            # d crps / dx = (sign(x - z) - N rank) / N, weighted per node and
+            # divided by f_l, in the buffer of x, which is not read again
             dev = x
             dev -= actual[:, None]
             np.sign(dev, out=dev)
-            dev /= n
-            dev -= rank
-            dev *= node_weight[:, None]
-            # S^T d: the unit-weight map of d / f_l leaves it in the bottom
-            # rows; their window means over a level-l node, times f_l, are
-            # the window sums that v_l pairs with Y_l
-            dev /= h.node_windows[:, None]
+            dev -= n_rank
+            dev *= unit
+            # S^T d: the unit-weight map leaves it in the bottom rows; their
+            # window means over a level-l node, times f_l, are the window
+            # sums that v_l pairs with Y_l
             dev = pull_back.apply(dev)
-            grad += [np.einsum("kn,kn->", dev[rows], sample[rows]) for _, rows in h.levels]
+            dev *= sample
+            grad += np.add.reduceat(dev.sum(axis=1), level_starts)
         grad *= h.f
         return float((crps * node_weight).sum()), grad
 
     return evaluate
 
 
-def _master_lp(A: np.ndarray, b: np.ndarray):
+def _master_lp(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None):
     """Kelley's master LP: min t over v on the simplex subject to A v - t <= b.
 
     Solves the dual, max -b·λ + ν over λ on the K-simplex subject to
     Aᵀλ >= ν·1, by a revised simplex with Bland's rule: L+1 rows however
-    many cuts there are. The basis of the cut k minimizing b_k - min_j A_kj,
-    ν = A_kj at its least entry j and every slack but j's is feasible, and
-    the free ν never leaves. The simplex multipliers y give the primal
-    solution, v = y[1:] and t = -y[0]. Returns (v, t), or None when the dual
-    is unbounded or the pivot cap is reached.
+    many cuts there are. A cold start takes the basis of the cut k
+    minimizing b_k - min_j A_kj, ν = A_kj at its least entry j and every
+    slack but j's, which is feasible. ``basis`` warm-starts the solve: it
+    is the optimal basis this function returned for the first K-1 cuts,
+    whose rows of A and b are unchanged, so with the new cut's λ at zero
+    it stays feasible, and only its ν and slack indices move one place,
+    past the new column. The free ν never leaves. The simplex multipliers
+    y give the primal solution, v = y[1:] and t = -y[0]. Returns (v, t,
+    optimal basis), or None when the dual is unbounded or the pivot cap is
+    reached.
     """
     K, L = A.shape
     # columns λ_1..λ_K, ν, slacks σ_1..σ_L; rows Σλ = 1 and Aᵀλ - ν·1 - σ = 0;
@@ -301,10 +313,13 @@ def _master_lp(A: np.ndarray, b: np.ndarray):
     cols = np.block([[np.ones((1, K)), np.zeros((1, L + 1))],
                      [A.T, -np.ones((L, 1)), -np.eye(L)]])
     cost = np.concatenate([b, [-1.0], np.zeros(L)])
-    tol = 1e-12 * (1.0 + np.abs(A).max() + np.abs(b).max())
-    k = int(np.argmin(b - A.min(1)))
-    j = int(np.argmin(A[k]))
-    basis = np.array([k, K] + [K + 1 + i for i in range(L) if i != j])
+    tol = LP_TOL * (1.0 + np.abs(A).max() + np.abs(b).max())
+    if basis is None:
+        k = int(np.argmin(b - A.min(1)))
+        j = int(np.argmin(A[k]))
+        basis = np.array([k, K] + [K + 1 + i for i in range(L) if i != j])
+    else:
+        basis = np.where(basis >= K - 1, basis + 1, basis)
     for _ in range(10 * (K + L + 1)):
         inverse = np.linalg.inv(cols[:, basis])
         y = cost[basis] @ inverse
@@ -312,7 +327,7 @@ def _master_lp(A: np.ndarray, b: np.ndarray):
         reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -tol)
         if not entering.size:
-            return y[1:], -y[0]
+            return y[1:], -y[0], basis
         direction = inverse @ cols[:, entering[0]]
         rows = np.flatnonzero((direction > tol) & (basis != K))
         if not rows.size:
@@ -329,11 +344,14 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     Cuts start at the bottom-up and equal-weight vectors. Each iteration
     minimizes the epigraph variable t over the simplex subject to every
     cut ``t >= f_k + g_k (v - v_k)``; the LP optimum is a lower bound on
-    the objective, and its point is evaluated for the next cut. The search
-    stops when the best objective is within ``CUT_GAP * max(1, |best|)`` of
-    the bound or after ``maxiter`` LP solves (``None``: 80 per level).
-    The LP reads the cuts in units of max(1, |f|) at the better start.
-    Returns (best evaluated v, its objective, LP solves, gap).
+    the objective, and its point is evaluated for the next cut. Each LP
+    solve starts from the previous one's optimal basis. The search stops
+    when the best objective is within ``CUT_GAP * max(1, |best|)`` of the
+    bound or after ``maxiter`` LP solves (``None``: 80 per level). The LP
+    reads the cuts in units of max(1, |f|) at the better start. Returns
+    (best evaluated v, its objective, LP solves, gap). A gap within
+    ``LP_TOL * max(1, |best|)``, the LP's own resolution, is rounding and
+    is reported as 0.
 
     Raises:
         NonFinite: the objective is NaN or infinite at both starting cuts.
@@ -352,16 +370,17 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
         raise NonFinite("objective was NaN or infinite at the bottom-up and equal-weight vectors")
     best_v, best_f, _ = min(cuts, key=lambda cut: cut[1])
     scale = max(1.0, abs(best_f))
-    lower, solves = -np.inf, 0
+    lower, solves, basis = -np.inf, 0, None
     while best_f - lower > CUT_GAP * max(1.0, abs(best_f)) and solves < maxiter:
         lp = _master_lp(
             np.array([g / scale for _, _, g in cuts]),
             np.array([(g @ v - f) / scale for v, f, g in cuts]),
+            basis,
         )
         solves += 1
         if lp is None:
             break
-        v, t = lp
+        v, t, basis = lp
         lower = t * scale
         v = np.clip(v, 0.0, None)
         v /= v.sum()
@@ -371,7 +390,9 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
         if f < best_f:
             best_v, best_f = v, f
         cuts.append((v, f, g))
-    gap = max(best_f - lower, 0.0)  # a negative difference is rounding
+    gap = best_f - lower
+    if gap <= LP_TOL * max(1.0, abs(best_f)):
+        gap = 0.0
     if gap > CUT_GAP * max(1.0, abs(best_f)):
         warnings.warn(
             f"cutting-plane search stopped after {solves} LP solves with optimality "

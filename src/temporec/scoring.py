@@ -35,6 +35,7 @@ only chains it with ``cv_criterion``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,13 +73,13 @@ class ScoreTable:
 
 def crps_sample(sample, z: float) -> float:
     """CRPS of one ensemble against one realization (energy form)."""
-    crps, _ = score_origin(np.ravel(sample)[None, :], [float(z)])
+    crps, _ = score_origin(np.ravel(_regular(sample))[None, :], [float(z)])
     return float(crps[0])
 
 
 def median_point(sample) -> float:
     """Empirical median; for even sizes the mean of the central pair."""
-    x = np.sort(np.asarray(sample, dtype=float).ravel())
+    x = np.sort(_regular(sample).ravel())
     if x.size == 0:
         raise EmptySample("cannot take the median of an empty sample")
     # scored against its own middle value, the discarded CRPS stays finite
@@ -86,9 +87,14 @@ def median_point(sample) -> float:
     return float(median[0])
 
 
+@lru_cache(maxsize=16)
 def _rank_weights(n: int) -> np.ndarray:
-    """Weights of the N order statistics in the pair term: (2i - N + 1) / N^2."""
-    return (2.0 * np.arange(n) - n + 1.0) / (n * n)
+    """Weights of the N order statistics in the pair term: (2i - N + 1) / N^2,
+    read-only and kept for the 16 sample sizes used last (a run scores a
+    few), so a search builds its one vector once."""
+    rank = (2.0 * np.arange(n) - n + 1.0) / (n * n)
+    rank.setflags(write=False)
+    return rank
 
 
 def _sorted_scores(xs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

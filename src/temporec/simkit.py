@@ -178,9 +178,12 @@ def sample_paths(
     draws = rng.choice(fc.residuals, size=(horizon, n_paths), replace=True)
     paths = np.empty((horizon, n_paths))
     prev = np.full(n_paths, float(origin_state))
+    # intercept + phi * prev + draws[t], the same operations, in row t
     for t in range(horizon):
-        prev = fc.intercept + fc.phi * prev + draws[t]
-        paths[t] = prev
+        np.multiply(prev, fc.phi, out=paths[t])
+        paths[t] += fc.intercept
+        paths[t] += draws[t]
+        prev = paths[t]
     return LevelSample(level=fc.level, matrix=paths)
 
 

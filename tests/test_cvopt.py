@@ -378,7 +378,7 @@ def test_cutting_planes_non_finite_start_cuts_raise():
 
 
 def test_cutting_planes_stops_on_a_failed_lp(monkeypatch):
-    monkeypatch.setattr(cvopt, "_master_lp", lambda A, b: None)
+    monkeypatch.setattr(cvopt, "_master_lp", lambda A, b, basis: None)
     with pytest.warns(DidNotConverge, match="after 1 LP solves"):
         v, best_f, solves, gap = _cutting_planes(_linear_cuts([0.0, 1.0, 2.0]), 3, None)
     np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))  # the better start
@@ -394,6 +394,53 @@ def test_cutting_planes_stops_on_a_non_finite_lp_point():
     np.testing.assert_array_equal(v, np.full(3, 1.0 / 3.0))
     assert best_f == evaluate(v)[0]
     assert solves == 1 and gap == pytest.approx(1.0)
+
+
+def _noisy_linear_cuts(noise):
+    """``_linear_cuts([0, 1, 2])`` whose value at the LP's optimum, the first
+    vertex, exceeds its cuts by ``noise``."""
+    c = np.array([0.0, 1.0, 2.0])
+    return lambda v: (float(c @ v) + (noise if v[0] == 1.0 else 0.0), c)
+
+
+def test_cutting_planes_reports_a_gap_within_the_lp_resolution_as_zero():
+    # the LP bound is 0 and the best value is the noise; below the LP's own
+    # tolerance that difference is rounding, above it a gap to report
+    for noise, reported in [(1e-13, 0.0), (-1e-13, 0.0), (1e-9, 1e-9)]:
+        v, best_f, solves, gap = _cutting_planes(_noisy_linear_cuts(noise), 3, None)
+        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0])
+        assert (best_f, solves, gap) == (noise, 1, reported)
+
+
+def test_cutting_planes_keeps_the_gap_of_a_capped_search():
+    def evaluate(v):  # a smooth convex bowl, which one cut per point never closes
+        d = v - np.array([0.2, 0.3, 0.5])
+        return float(d @ d), 2.0 * d
+
+    with pytest.warns(DidNotConverge, match="after 2 LP solves"):
+        _, best_f, solves, gap = _cutting_planes(evaluate, 3, 2)
+    assert solves == 2 and gap > CUT_GAP * max(1.0, abs(best_f))
+
+
+def test_certified_search_warm_starts_its_lp_solves(daily_hierarchy, monkeypatch):
+    # each master LP starts from the last optimal basis, so the inverses,
+    # one per pivot, stay near the number of solves: 72 over 29 solves on
+    # the default daily run's validation split, where cold starts made 408
+    calls = []
+    inverse = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape)
+        return inverse(a)
+
+    h = daily_hierarchy
+    scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=24, train_cycles=30,
+                            val_cycles=10, test_cycles=1, seed=0)
+    origins = build_dataset(scn, h, n_paths=200).val_origins
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    res = optimize_weights(origins, "ranked", "simplex", h, seed=0, maxiter=50)
+    assert res.gap is not None and res.iterations >= 10
+    assert len(calls) < 100, (len(calls), res.iterations)
 
 
 def _scaled(origins, factor):

@@ -17,6 +17,7 @@ from temporec.reconcile import (
 from temporec.sampling import SCHEMES, LevelSample, OriginData, assemble, assemble_origins
 from temporec.scoring import (
     _node_weights,
+    _rank_weights,
     _sorted_scores,
     crps_sample,
     cv_criterion,
@@ -544,3 +545,17 @@ def test_score_hierarchy_is_its_two_steps(daily_hierarchy):
         score_origin(tensor[0], actuals[0, :-1])
     with pytest.raises(EmptySample):
         score_origin(tensor[0, :, :0], actuals[0])
+
+
+def test_ragged_samples_raise_alignment_error():
+    # the samples are made regular before they are flattened or sorted
+    with pytest.raises(AlignmentError, match="regular arrays"):
+        crps_sample([[1.0, 2.0], [3.0]], 0.0)
+    with pytest.raises(AlignmentError, match="regular arrays"):
+        median_point([[1.0, 2.0], [3.0]])
+
+
+def test_rank_weights_are_built_once_per_size_and_read_only():
+    rank = _rank_weights(7)
+    assert _rank_weights(7) is rank and not rank.flags.writeable
+    np.testing.assert_array_equal(rank, (2.0 * np.arange(7) - 6.0) / 49.0)

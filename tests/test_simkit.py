@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temporec.errors import SimkitError, TooShort
 from temporec.hierarchy import aggregate, build_hierarchy
@@ -125,6 +127,24 @@ def test_paths_lag_one_autocorrelation():
     x = ls.matrix[10:]  # drop the start-up transient
     rho = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
     assert abs(rho - fc.phi) <= 0.1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_paths_step_the_recursion_bit_for_bit(seed):
+    # the in-place step makes the operations of intercept + phi * prev + e_t
+    rng = np.random.default_rng(seed)
+    fc = LevelForecaster(level=1, phi=float(rng.uniform(-1.5, 1.5)),
+                         intercept=float(rng.normal(scale=10.0)),
+                         residuals=rng.normal(size=int(rng.integers(1, 40))))
+    origin_state, horizon, n_paths = float(rng.normal(scale=5.0)), int(rng.integers(1, 30)), 7
+    draws = np.random.default_rng(seed).choice(fc.residuals, size=(horizon, n_paths), replace=True)
+    expected, prev = [], np.full(n_paths, origin_state)
+    for t in range(horizon):
+        prev = fc.intercept + fc.phi * prev + draws[t]
+        expected.append(prev)
+    paths = sample_paths(fc, origin_state, horizon, n_paths, seed)
+    np.testing.assert_array_equal(paths.matrix, np.array(expected))
 
 
 def test_paths_scale_equivariant():

@@ -135,7 +135,12 @@ def test_master_lp_matches_highs(seed, L, K, kind):
     A, b = _convex_cuts(np.random.default_rng(seed), L, K, kind)
     solved = _master_lp(A, b)
     assert solved is not None
-    v, t = solved
+    v, t, _ = solved
+    _assert_reaches_highs(A, b, v, t)
+
+
+def _assert_reaches_highs(A, b, v, t):
+    """The LP solution (v, t) is optimal and feasible, within rounding."""
     t_ref = _highs_bound(A, b)
     assert abs(t - t_ref) <= 1e-9 * max(1.0, abs(t_ref))
     tiny = 1e-12 * max(1.0, np.abs(A).max())
@@ -143,10 +148,28 @@ def test_master_lp_matches_highs(seed, L, K, kind):
     assert abs((A @ v - b).max() - t) <= 1e-12 * max(1.0, np.abs(A).max(), np.abs(b).max())
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 900),
+    st.sampled_from(["random", "duplicated", "equal", "vertex"]),
+)
+def test_master_lp_warm_started_from_one_cut_fewer_matches_highs(seed, L, K, kind):
+    # the optimal basis of the first K-1 cuts stays feasible with the K-th
+    # cut's column appended, and the solve from it reaches the same bound
+    A, b = _convex_cuts(np.random.default_rng(seed), L, K, kind)
+    first = _master_lp(A[:-1], b[:-1])
+    assert first is not None
+    solved = _master_lp(A, b, first[2])
+    assert solved is not None
+    v, t, basis = solved
+    _assert_reaches_highs(A, b, v, t)
+    assert basis.shape == (L + 1,) and K in basis  # the free ν stays basic
+
+
 def test_master_lp_on_a_single_repeated_cut():
     # every cut identical: the optimum is the least entry of the gradient
     A, b = np.tile([3.0, -1.0, 2.0], (5, 1)), np.full(5, 0.5)
-    v, t = _master_lp(A, b)
+    v, t, _ = _master_lp(A, b)
     np.testing.assert_array_equal(v, [0.0, 1.0, 0.0])
     assert t == -1.5
 
