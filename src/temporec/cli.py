@@ -10,11 +10,12 @@ and couples, reconciles, checks and scores it under every scheme and method
 before it draws the next, so it holds a few single-origin samples at a
 time. Everything up to scoring is in common units (window means); the
 reported scores are in each level's native units (window sums). Outputs
-are plain CSV files plus a manifest of the resolved configuration;
-identical configurations produce byte-identical files.
+are plain CSV files plus ``manifest.txt``, a config file that reproduces
+the run; identical configurations produce byte-identical files.
 
-Configuration is a flat ``key = value`` UTF-8 text file ('#' starts a comment).
-Keys, with defaults:
+Configuration is a flat ``key = value`` UTF-8 text file ('#' starts a comment
+and values are stripped, so a data or out path with a '#' or with leading or
+trailing spaces cannot be written in it). Keys, with defaults:
 
     frequencies     = 24,12,8,6,4,3,2,1   sampling intervals, coarse to fine
     data            =                     CSV path; empty means synthetic
@@ -97,6 +98,7 @@ import contextlib
 import csv
 import io
 import math
+import numbers
 import os
 import sys
 import typing
@@ -218,8 +220,11 @@ class RunConfig:
         if "cv" in self.methods and not self.cv_regimes:
             raise ConfigError("method 'cv' requested but no cv_regimes configured")
         for name, kind in typing.get_type_hints(RunConfig).items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if kind is int and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name, low in MINIMA.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -246,6 +251,13 @@ class ReportRow:
     method: str
     level_scores: tuple[float, ...]
     overall: float
+
+
+def _text(value) -> str:
+    """A setting's text form, as the config file and the manifest write it."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def _parse_value(name: str, raw: str, kind):
@@ -295,7 +307,8 @@ def load_config(
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Resolve a run configuration from file, environment, and overrides."""
+    """Resolve a run configuration from file, environment, and overrides; an
+    override is parsed from its ``_text`` form, and a ``None`` one is unset."""
     env = os.environ if env is None else env
     kinds = typing.get_type_hints(RunConfig)
 
@@ -306,17 +319,14 @@ def load_config(
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
             raw[name] = env[env_key]
-    given = {name: value for name, value in (overrides or {}).items() if value is not None}
-    unknown = (set(raw) | set(given)) - set(kinds)
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            raw[name] = _text(value)
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    resolved = {name: _parse_value(name, value, kinds[name]) for name, value in raw.items()}
-    for name, value in given.items():
-        resolved[name] = (
-            _parse_value(name, value, kinds[name]) if isinstance(value, str) else value
-        )
-    cfg = RunConfig(**resolved)
+    cfg = RunConfig(**{name: _parse_value(name, value, kinds[name]) for name, value in raw.items()})
     cfg.validate()
     return cfg
 
@@ -541,7 +551,7 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
         "origin_scores.csv": ["scheme,method,origin,level,crps,mae"],
         "diagnostics.csv": ["scheme,method,origin,coherence_violation"],
         "cv_weights.csv": [",".join(["scheme", "regime", *levels, "sum,gap,objective,iterations"])],
-        "manifest.txt": [],
+        "manifest.txt": [f"{f.name} = {_text(getattr(cfg, f.name))}" for f in fields(cfg)],
     }
     for scheme, method, crps, mae in results:
         for name, table in (("crps.csv", crps), ("mae.csv", mae)):
@@ -561,11 +571,6 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
             f"{scheme},{regime},{weights},{res.v.sum():.4f},{gap},{res.objective:.6f},"
             f"{res.iterations}"
         )
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        reports["manifest.txt"].append(f"{f.name} = {value}")
     for name, lines in reports.items():
         tmp = outdir / (name + ".tmp")
         try:
@@ -600,20 +605,12 @@ def main(argv=None) -> int:
     parser.add_argument("--methods", help="comma-separated method list")
     parser.add_argument("--schemes", help="comma-separated scheme list")
     parser.add_argument("--cv-regime", dest="cv_regimes", help="comma-separated regime list")
-    args = parser.parse_args(argv)
+    # every flag's dest is its config key
+    overrides = vars(parser.parse_args(argv))
+    config = overrides.pop("config")
 
     try:
-        cfg = load_config(
-            args.config,
-            overrides={
-                "seed": args.seed,
-                "out": args.out,
-                "synthetic": args.synthetic,
-                "methods": args.methods,
-                "schemes": args.schemes,
-                "cv_regimes": args.cv_regimes,
-            },
-        )
+        cfg = load_config(config, overrides=overrides)
         rows = run_experiment(cfg)
     except (TemporecError, np.linalg.LinAlgError) as exc:
         code = exit_code(exc)

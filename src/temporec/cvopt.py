@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
 from .reconcile import weights_from_levels
-from .sampling import OriginData, assemble_origins
+from .sampling import OriginData, _freeze, assemble_origins
 from .scoring import _node_weights, _rank_weights, _sorted_scores, cv_criterion
 
 __all__ = ["REGIMES", "CvResult", "optimize_weights"]
@@ -79,9 +79,7 @@ class CvResult:
     gap: float | None = None
 
     def __post_init__(self):
-        vec = np.asarray(self.v, dtype=float).view()
-        vec.setflags(write=False)
-        object.__setattr__(self, "v", vec)
+        _freeze(self, "v")
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:

@@ -42,6 +42,15 @@ __all__ = [
 SCHEMES = ("stacked", "ranked", "permuted")
 
 
+def _freeze(record, name: str) -> np.ndarray:
+    """Store a read-only float view of ``record.name`` in a frozen record's
+    field and return it; the caller's array stays writable."""
+    arr = np.asarray(getattr(record, name), dtype=float).view()
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSample:
     """Sample paths for one hierarchy level at one forecast origin.
@@ -54,7 +63,7 @@ class LevelSample:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float).view()
+        mat = _freeze(self, "matrix")
         if mat.ndim != 2:
             raise SamplingError(f"level {self.level} sample must be 2-D")
         if mat.shape[1] < 2:
@@ -63,8 +72,6 @@ class LevelSample:
             )
         if not np.isfinite(mat).all():
             raise SamplingError(f"level {self.level} sample has non-finite entries")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def n_paths(self) -> int:
@@ -80,14 +87,12 @@ class JointSample:
     hierarchy: HierarchySpec
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float).view()
+        mat = _freeze(self, "matrix")
         if mat.shape[0] != self.hierarchy.M:
             raise SamplingError(
                 f"joint sample has {mat.shape[0]} rows, hierarchy has "
                 f"{self.hierarchy.M} nodes"
             )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +109,7 @@ class OriginData:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        actual = np.asarray(self.actual, dtype=float).view()
-        actual.setflags(write=False)
-        object.__setattr__(self, "actual", actual)
+        _freeze(self, "actual")
 
 
 def assemble(

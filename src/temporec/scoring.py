@@ -256,10 +256,12 @@ def cv_criterion(
     comparable across validation lengths without moving the minimizer.
 
     Raises:
-        AlignmentError: the samples are not (T, M, N) with T > 0, or the
-            actuals are not (T, M).
+        AlignmentError: ``P`` was built for another hierarchy than ``h``, the
+            samples are not (T, M, N) with T > 0, or the actuals are not (T, M).
         EmptySample: the samples have no paths.
     """
+    if P.hierarchy != h:
+        raise AlignmentError(f"map built for frequencies {P.hierarchy.f}, not {h.f}")
     tensor, acts = _regular(joint_tensor), _regular(actuals)
     if tensor.ndim != 3 or tensor.shape[1] != h.M:
         raise AlignmentError(f"samples shape {tensor.shape} is not (T, {h.M}, N)")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, SimkitError, TooShort
 from .hierarchy import HierarchySpec, aggregate
-from .sampling import LevelSample, OriginData
+from .sampling import LevelSample, OriginData, _freeze
 
 __all__ = [
     "SyntheticScenario",
@@ -94,11 +94,8 @@ class LevelForecaster:
     residuals: np.ndarray
 
     def __post_init__(self):
-        res = np.asarray(self.residuals, dtype=float).view()
-        if res.size == 0:
+        if _freeze(self, "residuals").size == 0:
             raise SimkitError("residual pool must be nonempty")
-        res.setflags(write=False)
-        object.__setattr__(self, "residuals", res)
 
 
 def simulate_truth(scn: SyntheticScenario) -> np.ndarray:

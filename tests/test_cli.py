@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import typing
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -130,6 +132,73 @@ def test_config_validation():
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} lists '{token}' more than once"):
             RunConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [("n_paths", 20.0), ("seed", 1.5)])
+def test_int_settings_reject_non_integral_values(tmp_path, key, value):
+    # a float passes the minimum check, so without this it fails in numpy's allocation
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {value!r}"):
+        run_experiment(RunConfig(**{key: value}, out=str(tmp_path / "run")))
+    with pytest.raises(ConfigError, match=rf"^bad value for {key}: '{value!r}'"):
+        load_config(overrides={key: value}, env={})
+
+
+def _key_table(text, first_line):
+    """The (key, default) pairs of a documented key table, its value column
+    read as 20 characters after '= ' (data's default is empty)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith(first_line))
+    rows = []
+    for line in lines[start:]:
+        if not line.strip() or line.startswith("```"):
+            break
+        key, _, rest = line.partition("=")
+        rows.append((key.strip(), rest[1:21].strip()))
+    return rows
+
+
+@pytest.mark.parametrize("source", ["docstring", "README"])
+def test_documented_key_tables_match_run_config(source):
+    if source == "docstring":
+        text = cli.__doc__
+    else:
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("## Command line", 1)[1]
+    rows = _key_table(text, "frequencies")
+    kinds = typing.get_type_hints(RunConfig)
+    assert [key for key, _ in rows] == [f.name for f in fields(RunConfig)]
+    default = RunConfig()
+    for key, value in rows:
+        assert cli._parse_value(key, value, kinds[key]) == getattr(default, key), key
+
+
+def test_every_flag_reaches_its_key(tmp_path):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "frequencies = 4,2,1\ntrain_cycles = 12\nval_cycles = 2\ntest_cycles = 2\n"
+        "n_paths = 8\n"
+    )
+    assert main(["--config", str(cfg_file), "--seed", "4", "--out", str(out), "--synthetic",
+                 "--methods", "bu,cv", "--schemes", "stacked,permuted",
+                 "--cv-regime", "affine"]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert dict(line.split(" = ", 1) for line in lines).items() >= {
+        "seed": "4", "out": str(out), "synthetic": "True", "methods": "bu,cv",
+        "schemes": "stacked,permuted", "cv_regimes": "affine",
+    }.items()
+
+
+def test_manifest_reproduces_a_run_configured_with_typed_overrides(tmp_path):
+    out = tmp_path / "run"
+    cfg = load_config(overrides={
+        "schemes": ["ranked", "stacked"], "frequencies": (4, 2, 1), "seed": 3,
+        "synthetic": True, "out": out, "methods": "bu,la", "train_cycles": 12,
+        "val_cycles": 2, "test_cycles": 2, "n_paths": 8,
+    }, env={})
+    assert cfg.schemes == ("ranked", "stacked") and cfg.out == str(out)
+    run_experiment(cfg)
+    assert load_config(str(out / "manifest.txt"), env={}) == cfg
 
 
 def _quick_config(out, **kw):

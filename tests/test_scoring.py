@@ -512,6 +512,15 @@ def test_cv_criterion_error_contract(daily_hierarchy, method):
         cv_criterion(P, tensor, actuals[:2], h)
 
 
+def test_cv_criterion_rejects_a_map_of_another_hierarchy():
+    # (6, 1) and (4, 2, 1) both have M = 7 nodes, so the shapes alone agree
+    h, other = build_hierarchy((4, 2, 1)), build_hierarchy((6, 1))
+    P = weights_from_levels(np.full(other.L, 1.0 / other.L), other)
+    tensor, actuals = _scoring_instance(h, shape=(3, 41))
+    with pytest.raises(AlignmentError, match=r"frequencies \(6, 1\), not \(4, 2, 1\)"):
+        cv_criterion(P, tensor, actuals, h)
+
+
 def test_score_hierarchy_reads_any_iterable_of_origins(daily_hierarchy):
     h = daily_hierarchy
     tensor, actuals = _scoring_instance(h, shape=(4, 41))
