@@ -14,8 +14,7 @@ are plain CSV files plus ``manifest.txt``, a config file that reproduces
 the run; identical configurations produce byte-identical files.
 
 Configuration is a flat ``key = value`` UTF-8 text file ('#' starts a comment
-and values are stripped, so a data or out path with a '#' or with leading or
-trailing spaces cannot be written in it). Keys, with defaults:
+and values are stripped). Keys, with defaults:
 
     frequencies     = 24,12,8,6,4,3,2,1   sampling intervals, coarse to fine
     data            =                     CSV path; empty means synthetic
@@ -42,9 +41,13 @@ least 2, train_cycles at least 10 (a fit needs 10 observations, and level 1
 has one per cycle), the other cycle counts at least 1, cv_starts at least 3
 (a search never runs fewer starts) and cv_maxiter nonnegative. An empty out
 (``out =`` or ``TEMPOREC_OUT=``) would write the reports into the current
-directory, so it is rejected. A value out of bounds, a key set twice in
-the config file, or a token repeated in schemes, methods or cv_regimes, is
-a configuration error that names the key.
+directory, so it is rejected. A data or out value that holds a '#' or a
+line break could not be written in the file, so it is rejected too. A
+value out of bounds, a key set twice in the config file, or a token
+repeated in schemes, methods or cv_regimes, is a configuration error that
+names the key. A ``RunConfig`` checks itself on construction: each value,
+typed or text, is parsed from its text form, so one that exists is valid
+and reads back equal from its manifest.
 
 coherence_tol is relative: a reconciled sample passes the coherence check
 when its worst absolute violation (reported in ``diagnostics.csv``) is at
@@ -72,7 +75,7 @@ plus the mean), ``cv_weights.csv`` (weights, row sum, optimality ``gap``
 of a certified search or empty, objective, iterations),
 ``origin_scores.csv`` (tidy per-origin per-level scores),
 ``diagnostics.csv`` (per-origin coherence violations), and
-``manifest.txt``. Every run whose configuration validates rewrites all
+``manifest.txt``. Every run that can make its out directory rewrites all
 six with the rows it finished; a failed run also writes ``failure.txt``
 naming the error, which the next successful run removes.
 
@@ -98,7 +101,6 @@ import contextlib
 import csv
 import io
 import math
-import numbers
 import os
 import sys
 import typing
@@ -171,6 +173,8 @@ MINIMA = {
     "n_paths": 2, "train_cycles": 10, "val_cycles": 1, "test_cycles": 1,
     "cv_starts": 3, "cv_maxiter": 0, "seed": 0,
 }
+# Tokens each list setting may hold, each at most once; only cv_regimes may be empty.
+CHOICES = {"schemes": SCHEMES, "methods": (*FIXED_METHOD_TOKENS, "cv"), "cv_regimes": REGIMES}
 
 
 @dataclass(frozen=True)
@@ -197,34 +201,28 @@ class RunConfig:
     out: str = "temporec-out"
     coherence_tol: float = 1e-9
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # a typed value is parsed from its text form, so it takes the config file's path
+        for name, kind in KINDS.items():
+            value = _parse_value(name, _text(getattr(self, name)), kind)
+            object.__setattr__(self, name, value)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if kind is str and ("#" in value or "".join(value.splitlines()) != value):
+                raise ConfigError(f"{name} must hold no '#' and no line break, got {value!r}")
         try:
             build_hierarchy(self.frequencies)
         except TemporecError as exc:
             raise ConfigError(f"invalid frequencies: {exc}") from exc
-        bad = [s for s in self.schemes if s not in SCHEMES]
-        if bad or not self.schemes:
-            raise ConfigError(f"schemes must be drawn from {SCHEMES}, got {self.schemes}")
-        allowed = set(FIXED_METHOD_TOKENS) | {"cv"}
-        bad = [m for m in self.methods if m not in allowed]
-        if bad or not self.methods:
-            raise ConfigError(f"unknown methods {bad}, allowed: {sorted(allowed)}")
-        bad = [r for r in self.cv_regimes if r not in REGIMES]
-        if bad:
-            raise ConfigError(f"cv_regimes must be drawn from {REGIMES}, got {self.cv_regimes}")
-        for name in ("schemes", "methods", "cv_regimes"):
+        for name, allowed in CHOICES.items():
             tokens = getattr(self, name)
+            if not set(tokens) <= set(allowed) or (not tokens and name != "cv_regimes"):
+                raise ConfigError(f"{name} must be drawn from {allowed}, got {tokens}")
             repeated = next((t for i, t in enumerate(tokens) if t in tokens[:i]), None)
             if repeated is not None:
                 raise ConfigError(f"{name} lists {repeated!r} more than once")
         if "cv" in self.methods and not self.cv_regimes:
             raise ConfigError("method 'cv' requested but no cv_regimes configured")
-        for name, kind in typing.get_type_hints(RunConfig).items():
-            value = getattr(self, name)
-            if kind is int and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
         for name, low in MINIMA.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -243,6 +241,9 @@ class RunConfig:
         return tuple(labels)
 
 
+KINDS = typing.get_type_hints(RunConfig)  # each setting's type, which its text parses to
+
+
 @dataclass(frozen=True)
 class ReportRow:
     """One line of the CRPS or MAE report."""
@@ -254,7 +255,10 @@ class ReportRow:
 
 
 def _text(value) -> str:
-    """A setting's text form, as the config file and the manifest write it."""
+    """A setting's text form, as the config file and the manifest write it;
+    ``None`` is the empty value."""
+    if value is None:
+        return ""
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -278,7 +282,7 @@ def _parse_value(name: str, raw: str, kind):
         # tuple-valued fields: comma separated, items of the annotated type
         item = typing.get_args(kind)[0]
         return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from exc
 
 
@@ -307,28 +311,19 @@ def load_config(
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Resolve a run configuration from file, environment, and overrides; an
-    override is parsed from its ``_text`` form, and a ``None`` one is unset."""
+    """Resolve a run configuration from file, environment, and overrides; a
+    ``None`` override is unset. ``RunConfig`` parses and checks every value."""
     env = os.environ if env is None else env
-    kinds = typing.get_type_hints(RunConfig)
-
-    raw: dict = {}
-    if config_path:
-        raw.update(_read_config_file(config_path))
-    for name in kinds:
+    raw: dict = _read_config_file(config_path) if config_path else {}
+    for name in KINDS:
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
             raw[name] = env[env_key]
-    for name, value in (overrides or {}).items():
-        if value is not None:
-            raw[name] = _text(value)
-    unknown = set(raw) - set(kinds)
+    raw.update((name, value) for name, value in (overrides or {}).items() if value is not None)
+    unknown = set(raw) - set(KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    cfg = RunConfig(**{name: _parse_value(name, value, kinds[name]) for name, value in raw.items()})
-    cfg.validate()
-    return cfg
+    return RunConfig(**raw)
 
 
 def ingest_csv(path: str) -> np.ndarray:
@@ -410,11 +405,10 @@ def run_experiment(cfg: RunConfig):
     """Run the full pipeline and write all artifacts under ``cfg.out``.
 
     Returns the CRPS report rows, the no-reconciliation baseline first (the
-    MAE rows are written to disk alongside). Every run that passes
-    validation rewrites all six report files with the rows it finished; a
+    MAE rows are written to disk alongside). Every run that can make
+    ``cfg.out`` rewrites all six report files with the rows it finished; a
     run that fails after that also writes a ``failure.txt`` naming the error.
     """
-    cfg.validate()
     h = build_hierarchy(cfg.frequencies)
     S = build_summing_matrix(h)
     outdir = Path(cfg.out)
@@ -521,7 +515,7 @@ def run_experiment(cfg: RunConfig):
         with contextlib.suppress(ConfigError):
             _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
         with contextlib.suppress(OSError):
-            (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n")
+            (outdir / "failure.txt").write_text(f"{type(exc).__name__}: {exc}\n", encoding="utf-8")
         raise
 
     _write_reports(outdir, cfg, results, origins, diagnostics, cv_results)
@@ -574,7 +568,7 @@ def _write_reports(outdir: Path, cfg: RunConfig, results, origins, diagnostics, 
     for name, lines in reports.items():
         tmp = outdir / (name + ".tmp")
         try:
-            tmp.write_text("\n".join(lines) + "\n", newline="")
+            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
             os.replace(tmp, outdir / name)
         except OSError as exc:
             with contextlib.suppress(OSError):

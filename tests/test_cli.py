@@ -106,14 +106,15 @@ def test_load_config_rejects_unknown_override_keys(value):
 
 
 def test_config_validation():
+    # a RunConfig checks itself on construction
     with pytest.raises(ConfigError):
-        RunConfig(schemes=("bogus",)).validate()
+        RunConfig(schemes=("bogus",))
     with pytest.raises(ConfigError):
-        RunConfig(methods=("nope",)).validate()
+        RunConfig(methods=("nope",))
     with pytest.raises(ConfigError):
-        RunConfig(n_paths=1).validate()
+        RunConfig(n_paths=1)
     with pytest.raises(ConfigError):
-        RunConfig(frequencies=(4, 3, 1)).validate()
+        RunConfig(frequencies=(4, 3, 1))
     # out-of-bounds run settings name their key
     for key, value in [
         ("seed", -1), ("cv_starts", -5), ("cv_starts", 0), ("cv_starts", 2), ("cv_maxiter", -3),
@@ -121,9 +122,9 @@ def test_config_validation():
         ("sigma", float("nan")), ("mu", float("inf")), ("phi", float("-inf")), ("out", ""),
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
-            RunConfig(**{key: value}).validate()
+            RunConfig(**{key: value})
     # the bounds are inclusive
-    RunConfig(seed=0, cv_starts=3, cv_maxiter=0, n_paths=2, train_cycles=10).validate()
+    RunConfig(seed=0, cv_starts=3, cv_maxiter=0, n_paths=2, train_cycles=10)
     # a repeated token would duplicate report rows; the error names key and token
     for key, value, token in [
         ("schemes", ("ranked", "stacked", "ranked"), "ranked"),
@@ -131,16 +132,77 @@ def test_config_validation():
         ("cv_regimes", ("simplex", "simplex"), "simplex"),
     ]:
         with pytest.raises(ConfigError, match=rf"^{key} lists '{token}' more than once"):
-            RunConfig(**{key: value}).validate()
+            RunConfig(**{key: value})
 
 
 @pytest.mark.parametrize("key, value", [("n_paths", 20.0), ("seed", 1.5)])
-def test_int_settings_reject_non_integral_values(tmp_path, key, value):
-    # a float passes the minimum check, so without this it fails in numpy's allocation
-    with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {value!r}"):
-        run_experiment(RunConfig(**{key: value}, out=str(tmp_path / "run")))
+def test_int_settings_reject_non_integral_values(key, value):
+    # a float passes the minimum check, so without this it fails in numpy's allocation;
+    # a direct RunConfig and a load_config override take the same parse
+    with pytest.raises(ConfigError, match=rf"^bad value for {key}: '{value!r}'"):
+        RunConfig(**{key: value})
     with pytest.raises(ConfigError, match=rf"^bad value for {key}: '{value!r}'"):
         load_config(overrides={key: value}, env={})
+
+
+def test_typed_and_text_values_of_a_setting_agree():
+    assert RunConfig(phi="0.7").phi == 0.7
+    assert RunConfig(synthetic="false").synthetic is False
+    assert RunConfig(schemes="ranked").schemes == ("ranked",)
+    assert RunConfig(phi="0.7") == RunConfig(phi=0.7) == RunConfig()
+    # None is the empty value, as an empty file value is
+    assert RunConfig(data=None).data == ""
+    with pytest.raises(ConfigError, match="^out must be a directory path"):
+        RunConfig(out=None)
+    for key, value in [("phi", "abc"), ("frequencies", (4.0, 2, 1)), ("synthetic", 2)]:
+        with pytest.raises(ConfigError, match=rf"^bad value for {key}: "):
+            RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("text", ["run#1", "a\nb", "a\r\nb", "a\rb", "a\x1cb", "a\u2028b"])
+@pytest.mark.parametrize("key", ["out", "data"])
+def test_a_path_the_config_file_cannot_hold_is_rejected(key, text):
+    with pytest.raises(ConfigError, match=rf"^{key} must hold no '#' and no line break"):
+        load_config(overrides={key: text}, env={})
+    with pytest.raises(ConfigError, match=rf"^{key} must hold no '#' and no line break"):
+        RunConfig(**{key: text})
+
+
+def test_main_rejects_an_out_the_manifest_cannot_hold(tmp_path, capfd):
+    out = tmp_path / "run#1"
+    assert main(["--synthetic", "--out", str(out)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: out must hold no '#'") and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "run").exists()
+
+
+# paths the config file can hold, and short ones with the characters it cannot
+_PATH_TEXT = (st.text(st.sampled_from(["a", "/", " ", "\t", "\u00e9", "="]), min_size=1, max_size=8)
+              | st.text(st.sampled_from(["a", " ", "#", "\n", "\r", "\x85", "\u2028"]), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=_PATH_TEXT,
+    out=_PATH_TEXT,
+    phi=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(["1e-3", " 2 "]),
+    coherence_tol=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    frequencies=st.sampled_from([[4, 2, 1], (12, 6, 3, 1), "6, 3, 1", (8, 4, 2, 1), [2.0, 1]]),
+    schemes=st.lists(st.sampled_from(["ranked", "stacked", "permuted"]), min_size=1,
+                     max_size=3, unique=True),
+    methods=st.sampled_from([["bu"], ("wls", "cv"), "cv,la"]),
+    cv_regimes=st.sampled_from([["affine"], ("simplex", "free"), "free", []]),
+    synthetic=st.sampled_from([True, False, "on", "No"]),
+    n_paths=st.integers(2, 10**6) | st.just(" 7"),
+)
+def test_every_constructed_config_reads_back_from_its_manifest(tmp_path_factory, **values):
+    try:
+        cfg = RunConfig(**values)
+    except ConfigError:
+        return
+    folder = tmp_path_factory.mktemp("manifest")
+    cli._write_reports(folder, cfg, [], (), [], {})
+    assert load_config(str(folder / "manifest.txt"), env={}) == cfg
 
 
 def _key_table(text, first_line):
@@ -481,6 +543,7 @@ def test_main_byte_order_mark_is_ignored(tmp_path, capfd):
     ("coherence_tol = 0\n", None, EXIT_CONFIG, "coherence_tol must be positive"),
     ("synthetic = maybe\n", None, EXIT_CONFIG, "bad value for synthetic: 'maybe'"),
     ("phi = abc\n", None, EXIT_CONFIG, "bad value for phi: 'abc'"),
+    ("frequencies = 4.0,2,1\n", None, EXIT_CONFIG, "bad value for frequencies: '4.0,2,1'"),
     (None, None, EXIT_CONFIG, "cannot read config file {cfg}"),
     ("seed = 1\nn_paths 8\n", None, EXIT_CONFIG, "{cfg}:2: expected 'key = value'"),
     ("", "timestamp,value\n2026-01-01T00:00:00Z,1.0,2.0\n", EXIT_DATA,

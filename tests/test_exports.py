@@ -80,6 +80,31 @@ def test_only_three_functions_call_the_sorted_rows_kernel():
     assert callers == {"scoring.score_origin", "scoring.median_point", "cvopt._criterion"}
 
 
+def test_run_config_construction_is_the_one_parse_path():
+    # a typed value, a flag, an environment value and a file value of a
+    # setting all reach their type through RunConfig.__post_init__, and no
+    # second check exists to drift from it
+    package = Path(temporec.__file__).resolve().parent
+    callers, config_methods = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if scope == "cli.RunConfig":
+                    config_methods.add(child.name)
+                visit(child, f"{scope}.{child.name}")
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "_parse_value":
+                callers.add(scope)
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {"cli.RunConfig.__post_init__"}
+    assert "__post_init__" in config_methods and "validate" not in config_methods
+
+
 def test_a_run_never_loads_scipy(tmp_path):
     # a run that takes both search paths, the certified one (ranked,
     # simplex) and Nelder-Mead (stacked, affine), in a fresh interpreter
