@@ -42,7 +42,8 @@ has one per cycle), the other cycle counts at least 1, cv_starts at least 3
 (a search never runs fewer starts) and cv_maxiter nonnegative. An empty out
 (``out =`` or ``TEMPOREC_OUT=``) would write the reports into the current
 directory, so it is rejected. A data or out value that holds a '#' or a
-line break could not be written in the file, so it is rejected too. A
+line break could not be written in the file, so it is rejected too, as is
+one with a NUL (no file has that name) or one that is not UTF-8 text. A
 value out of bounds, a key set twice in the config file, or a token
 repeated in schemes, methods or cv_regimes, is a configuration error that
 names the key. A ``RunConfig`` checks itself on construction: each value,
@@ -210,6 +211,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
             if kind is str and ("#" in value or "".join(value.splitlines()) != value):
                 raise ConfigError(f"{name} must hold no '#' and no line break, got {value!r}")
+            # a NUL names no file; a lone surrogate (a non-UTF-8 argument) writes no manifest
+            if kind is str and ("\0" in value or value.encode("utf-8", "ignore").decode() != value):
+                raise ConfigError(f"{name} must be UTF-8 text without NUL, got {value!r}")
         try:
             build_hierarchy(self.frequencies)
         except TemporecError as exc:

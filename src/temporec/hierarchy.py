@@ -154,24 +154,14 @@ class SummingMatrix:
     Row k of S holds 1/f_l on each of the f_l bottom periods that node k
     covers, so every row sums to one and the bottom block is the identity:
     S @ bottom is the full vector of node values in common (bottom-level)
-    units. ``entries``, the dense matrix, is a read-only reference built on
-    first access from ``_window_means`` applied to I_m; a run never builds
-    it (``aggregate`` applies S, and ``check_coherence`` reads window means
-    of the bottom rows).
+    units. ``aggregate`` applies S; the dense S is ``aggregate(np.eye(h.m), h)``.
     """
 
     hierarchy: HierarchySpec
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        eye = np.eye(self.hierarchy.m)
-        mat = np.vstack([_window_means(eye, self.hierarchy), eye])
-        mat.setflags(write=False)
-        return mat
-
 
 def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
-    """The summing matrix of a hierarchy; its dense entries are built on request."""
+    """The summing matrix of a hierarchy, applied by ``aggregate``."""
     return SummingMatrix(hierarchy=h)
 
 

@@ -4,7 +4,7 @@ A reconciliation method is a linear map P from base forecasts of all M
 nodes to the m bottom-level values; premultiplying a joint sample by S @ P
 yields a sample whose every column satisfies the aggregation constraints.
 A ``WeightMatrix`` holds S @ P as ``apply``, which returns the coherent
-sample; its dense m x M matrix P is a reference derived on request.
+sample; a map's dense P is the bottom rows of ``P.apply(np.eye(h.M))``.
 ``reconcile_tensor`` is the one application path, ``P.apply(Y)``.
 Fixed methods (bottom-up, bottom average, global average, lineal average,
 weighted least squares) are built here alongside the cross-validated one.
@@ -21,14 +21,13 @@ cutting-plane oracle's forward pass and pull-back. Bottom
 average and global average repeat one mean in every row, and only weighted
 least squares applies a dense P (followed by ``aggregate``): it is the one
 dense matrix a run forms. ``check_coherence`` compares the upper rows with
-window means of the bottom rows, so the dense S, like P, is a reference
-built only on request.
+window means of the bottom rows, so a run forms no dense S either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,8 +57,7 @@ FIXED_METHODS = ("BU", "BA", "GA", "LA")
 class WeightMatrix:
     """The combination map of one reconciliation method: ``apply(Y)`` is the
     coherent sample S @ P @ Y, (..., M, N) -> (..., M, N), as a new array
-    the caller may overwrite. ``entries``, the dense m x M matrix P, the
-    bottom rows of ``apply(I_M)``, is a read-only reference built on first access.
+    the caller may overwrite.
 
     Maps compare and hash by identity: two builds of one method are not
     equal, since their ``apply`` functions are distinct objects."""
@@ -67,13 +65,6 @@ class WeightMatrix:
     apply: Callable[[np.ndarray], np.ndarray]
     method: str
     hierarchy: HierarchySpec
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        h = self.hierarchy
-        mat = self.apply(np.eye(h.M))[h.levels[-1][1]].copy()
-        mat.setflags(write=False)
-        return mat
 
 
 class CoherenceCheck(NamedTuple):

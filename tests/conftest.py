@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from temporec.hierarchy import HierarchySpec, build_hierarchy
+from temporec.reconcile import WeightMatrix
 
 
 def random_hierarchy(rng: np.random.Generator, max_cycle: int = 24) -> HierarchySpec:
@@ -22,6 +23,12 @@ def oracle_summing_matrix(h: HierarchySpec) -> np.ndarray:
                 out[row, j * fl + k] = 1.0 / fl
             row += 1
     return out
+
+
+def dense_map(P: WeightMatrix) -> np.ndarray:
+    """The dense m x M matrix of a map: the bottom rows of ``P.apply(I_M)``."""
+    h = P.hierarchy
+    return P.apply(np.eye(h.M))[h.levels[-1][1]]
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from temporec.cvopt import optimize_weights
-from temporec.hierarchy import build_hierarchy, build_summing_matrix
+from temporec.hierarchy import aggregate, build_hierarchy, build_summing_matrix
 from temporec.reconcile import (
     WeightMatrix,
     _lineage,
@@ -26,7 +26,7 @@ from temporec.scoring import crps_sample, cv_objective, score_hierarchy
 from temporec.simkit import SyntheticScenario, build_dataset
 from temporec.cli import main
 
-from conftest import random_hierarchy
+from conftest import dense_map, oracle_summing_matrix, random_hierarchy
 from test_cvopt import bottom_only_instance
 from test_reconcile import _wls_oracle
 from test_scoring import crps_brute_force
@@ -77,7 +77,7 @@ def test_coherence_suite():
 def test_matrix_fixtures():
     with criterion("matrix-fixtures"):
         h = build_hierarchy([4, 2, 1])
-        S = build_summing_matrix(h).entries
+        S = aggregate(np.eye(h.m), h)
         expected_S = np.array(
             [
                 [0.25, 0.25, 0.25, 0.25],
@@ -92,10 +92,10 @@ def test_matrix_fixtures():
         assert np.abs(S - expected_S).max() <= 1e-12
 
         expected_bu = np.hstack([np.zeros((4, 3)), np.eye(4)])
-        assert np.abs(fixed_weights("BU", h).entries - expected_bu).max() <= 1e-12
+        assert np.abs(dense_map(fixed_weights("BU", h)) - expected_bu).max() <= 1e-12
 
         expected_ba = np.hstack([np.zeros((4, 3)), np.full((4, 4), 0.25)])
-        assert np.abs(fixed_weights("BA", h).entries - expected_ba).max() <= 1e-12
+        assert np.abs(dense_map(fixed_weights("BA", h)) - expected_ba).max() <= 1e-12
 
         third = 1.0 / 3.0
         expected_la = np.array(
@@ -106,7 +106,7 @@ def test_matrix_fixtures():
                 [third, 0, third, 0, 0, 0, third],
             ]
         )
-        assert np.abs(fixed_weights("LA", h).entries - expected_la).max() <= 1e-12
+        assert np.abs(dense_map(fixed_weights("LA", h)) - expected_la).max() <= 1e-12
 
         # daily hierarchy against a literal Kronecker expansion
         daily = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
@@ -116,7 +116,7 @@ def test_matrix_fixtures():
                 for fl in daily.f
             ]
         )
-        built = build_summing_matrix(daily).entries
+        built = aggregate(np.eye(daily.m), daily)
         assert built.shape == (60, 24)
         assert np.abs(built - oracle).max() <= 1e-12
 
@@ -128,8 +128,8 @@ def test_wls_identity():
         hierarchies.append(build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1]))
         hierarchies.append(build_hierarchy([288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1]))
         for h in hierarchies:
-            P = wls_weights(h).entries
-            S = build_summing_matrix(h).entries
+            P = dense_map(wls_weights(h))
+            S = oracle_summing_matrix(h)
             assert np.abs(P @ S - np.eye(h.m)).max() <= 1e-10
 
         h2 = build_hierarchy([2, 1])
@@ -139,7 +139,7 @@ def test_wls_identity():
                 [float(Fraction(1, 9)), float(Fraction(-1, 18)), float(Fraction(17, 18))],
             ]
         )
-        P2 = wls_weights(h2).entries
+        P2 = dense_map(wls_weights(h2))
         assert np.abs(P2 - expected).max() <= 1e-12
         assert np.abs(P2 - _wls_oracle(h2)).max() <= 1e-12
 
@@ -166,14 +166,14 @@ def test_cv_special_cases():
                                 train_cycles=25, val_cycles=8, test_cycles=2, seed=13)
         ds = build_dataset(scn, h, n_paths=60)
         origins = ds.val_origins
-        S = build_summing_matrix(h)
+        S = oracle_summing_matrix(h)
 
         bu_vec = np.array([0.0, 0.0, 1.0])
         la_vec = np.full(3, 1.0 / 3.0)
         for scheme in ("stacked", "ranked", "permuted"):
             tensor, actuals = assemble_origins(origins, h, scheme, seed=0)
             bu = fixed_weights("BU", h)
-            reconciled = np.stack([S.entries @ (bu.entries @ mat) for mat in tensor])
+            reconciled = np.stack([S @ (dense_map(bu) @ mat) for mat in tensor])
             direct, _ = score_hierarchy(reconciled, actuals, h)
             common = np.mean(np.array(direct.level_scores) / h.f)  # the criterion's units
             assert abs(cv_objective(bu_vec, scheme, origins, h) - common) <= 1e-10

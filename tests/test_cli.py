@@ -28,8 +28,7 @@ from temporec.cli import (
     run_experiment,
 )
 from temporec.errors import ConfigError, GapError, NonMonotoneTimestamps, SchemaError
-from temporec.hierarchy import SummingMatrix, build_hierarchy
-from temporec.reconcile import WeightMatrix
+from temporec.hierarchy import build_hierarchy
 
 
 def write_csv(path, values, start="2026-01-01T00:00:00+00:00", stamps=None):
@@ -176,9 +175,31 @@ def test_main_rejects_an_out_the_manifest_cannot_hold(tmp_path, capfd):
     assert not out.exists() and not (tmp_path / "run").exists()
 
 
-# paths the config file can hold, and short ones with the characters it cannot
+# "\udcff" is how Python reads the byte 0xff of an argument or a variable
+@pytest.mark.parametrize("text", ["nul\0x", "\0", "sg\udcff", "\ud800"])
+@pytest.mark.parametrize("key", ["out", "data"])
+def test_a_path_no_file_or_manifest_can_hold_is_rejected(key, text):
+    with pytest.raises(ConfigError, match=rf"^{key} must be UTF-8 text without NUL, got "):
+        load_config(overrides={key: text}, env={})
+    with pytest.raises(ConfigError, match=rf"^{key} must be UTF-8 text without NUL, got "):
+        load_config(env={f"TEMPOREC_{key.upper()}": text})
+
+
+@pytest.mark.parametrize("name", ["sg\udcff", "nul\0x"])
+def test_main_rejects_an_out_no_file_or_manifest_can_hold(tmp_path, capfd, name):
+    # each once created the directory or raised from mkdir, with a traceback
+    out = tmp_path / "runs" / name
+    assert main(["--synthetic", "--out", str(out), "--methods", "bu"]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: out must be UTF-8 text without NUL")
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
+# paths the config file can hold, and short ones with the characters it,
+# a file name or UTF-8 cannot
 _PATH_TEXT = (st.text(st.sampled_from(["a", "/", " ", "\t", "\u00e9", "="]), min_size=1, max_size=8)
-              | st.text(st.sampled_from(["a", " ", "#", "\n", "\r", "\x85", "\u2028"]), max_size=4))
+              | st.text(st.sampled_from(["a", " ", "#", "\n", "\r", "\x85", "\u2028", "\0", "\udcff"]),
+                        max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
@@ -763,22 +784,6 @@ def test_ingest_skips_blank_lines(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
     np.testing.assert_array_equal(ingest_csv(str(path)), [1.0, 2.0, 3.0])
-
-
-def test_run_never_builds_a_dense_weight_matrix(tmp_path, monkeypatch):
-    def no_dense(self):
-        raise AssertionError(f"{self.method}: dense entries built during a run")
-
-    def no_dense_s(self):
-        raise AssertionError("dense summing matrix built during a run")
-
-    monkeypatch.setattr(WeightMatrix, "entries", property(no_dense))
-    monkeypatch.setattr(SummingMatrix, "entries", property(no_dense_s))
-    cfg = _quick_config(
-        tmp_path / "run", schemes=("stacked", "ranked", "permuted"),
-        methods=("bu", "ba", "ga", "la", "wls", "cv"), cv_regimes=("simplex", "affine", "free"),
-    )
-    assert len(run_experiment(cfg)) == 1 + 3 * 8
 
 
 def test_run_builds_each_fixed_map_once(tmp_path, monkeypatch):

@@ -17,24 +17,24 @@ from temporec.cvopt import (
     optimize_weights,
 )
 from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
-from temporec.hierarchy import build_hierarchy, build_summing_matrix
+from temporec.hierarchy import build_hierarchy
 from temporec.reconcile import reconcile_tensor, weights_from_levels
 from temporec.sampling import LevelSample, OriginData, assemble_origins
 from temporec.scoring import _node_weights, _rank_weights, cv_criterion, cv_objective
 from temporec.simkit import SyntheticScenario, build_dataset
 
-from conftest import random_hierarchy
+from conftest import dense_map, oracle_summing_matrix, random_hierarchy
 
 
 def bottom_only_instance(n_origins=6, n_paths=40, seed=100):
     """Upper-level samples are pure noise; bottom samples track the truth."""
     h = build_hierarchy([2, 1])
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     rng = np.random.default_rng(seed)
     origins = []
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
-        actual = S.entries @ bottom_truth
+        actual = S @ bottom_truth
         top = LevelSample(level=1, matrix=rng.normal(5.0, 3.0, size=(1, n_paths)))
         bot = LevelSample(
             level=2,
@@ -47,12 +47,12 @@ def bottom_only_instance(n_origins=6, n_paths=40, seed=100):
 def balanced_instance(n_origins=8, n_paths=50, seed=200):
     """Both levels carry signal with different noise, giving an interior optimum."""
     h = build_hierarchy([2, 1])
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     rng = np.random.default_rng(seed)
     origins = []
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
-        actual = S.entries @ bottom_truth
+        actual = S @ bottom_truth
         top = LevelSample(level=1, matrix=actual[0] + rng.normal(0, 0.4, size=(1, n_paths)))
         bot = LevelSample(
             level=2,
@@ -246,14 +246,14 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
     # shows in that level's component
     h, tensor, actuals, rng = criterion_instance(seed)
     evaluate = _criterion(tensor, actuals, h)
-    S = build_summing_matrix(h).entries
+    S = oracle_summing_matrix(h)
     T, n = tensor.shape[0], tensor.shape[-1]
     for v in list(rng.dirichlet(np.ones(h.L), size=2)) + [np.eye(h.L)[-1]]:
         x = reconcile_tensor(weights_from_levels(v, h), tensor)  # sorted: v >= 0
         D = (np.sign(x - actuals[..., None]) / n - _rank_weights(n)) * _node_weights(h, T)[:, None]
         StD = np.matmul(S.T, D)
         expected = [
-            np.vdot(StD, np.matmul(weights_from_levels(np.eye(h.L)[lev], h).entries, tensor))
+            np.vdot(StD, np.matmul(dense_map(weights_from_levels(np.eye(h.L)[lev], h)), tensor))
             for lev in range(h.L)
         ]
         _, grad = evaluate(v)

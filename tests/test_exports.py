@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,36 @@ def test_run_config_construction_is_the_one_parse_path():
     assert "__post_init__" in config_methods and "validate" not in config_methods
 
 
+def test_no_dense_reference_in_the_library():
+    # a method is a map and S is aggregate: no class or function defines a
+    # dense ``entries`` and none reads one, and an identity the size of the
+    # hierarchy is built only by wls_weights, the one dense map a run forms
+    package = Path(temporec.__file__).resolve().parent
+    definers, readers, identities = set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name == "entries":
+                        definers.add(scope)
+                    if isinstance(node, ast.ClassDef):
+                        for stmt in node.body:
+                            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                            if any(getattr(t, "id", None) == "entries" for t in targets):
+                                definers.add(scope)
+                elif isinstance(node, ast.Attribute) and node.attr == "entries":
+                    readers.add(scope)
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in ("eye", "identity")
+                    and any(getattr(arg, "attr", None) in ("M", "m") for arg in node.args)
+                ):
+                    identities.add(scope)
+    assert definers == set() and readers == set()
+    assert identities == {"reconcile.wls_weights"}
+
+
 def test_a_run_never_loads_scipy(tmp_path):
     # a run that takes both search paths, the certified one (ranked,
     # simplex) and Nelder-Mead (stacked, affine), in a fresh interpreter
@@ -127,6 +158,20 @@ def test_a_run_never_loads_scipy(tmp_path):
     header, *rows = (tmp_path / "cv_weights.csv").read_text().splitlines()
     gaps = {tuple(r.split(",")[:2]): r.split(",")[header.split(",").index("gap")] for r in rows}
     assert gaps[("ranked", "simplex")] and not gaps[("stacked", "affine")]
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # the README's one library example, as written, in a fresh interpreter;
+    # it writes runs/demo under its working directory
+    src = Path(temporec.__file__).resolve().parents[1]
+    readme = (src.parent / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    proc = subprocess.run(
+        [sys.executable, "-c", example], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "runs" / "demo" / "crps.csv").exists()
 
 
 def _modules_naming(names: set) -> set:

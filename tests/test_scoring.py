@@ -28,7 +28,7 @@ from temporec.scoring import (
     score_tables,
 )
 
-from conftest import random_hierarchy
+from conftest import dense_map, oracle_summing_matrix, random_hierarchy
 
 
 def crps_brute_force(sample, z):
@@ -118,9 +118,9 @@ def test_median_examples():
 
 def test_score_perfect_forecasts_zero(small_hierarchy):
     h = small_hierarchy
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     rng = np.random.default_rng(10)
-    actuals = np.stack([S.entries @ rng.normal(size=h.m) for _ in range(3)])
+    actuals = np.stack([S @ rng.normal(size=h.m) for _ in range(3)])
     samples = np.repeat(actuals[..., None], 5, axis=-1)
     for table, metric in zip(score_hierarchy(samples, actuals, h), ("CRPS", "MAE")):
         assert table.metric == metric
@@ -196,7 +196,7 @@ def test_score_alignment_errors(small_hierarchy):
 
 
 def _make_origins(h, rng, n_origins=3, n_paths=6):
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     origins = []
     for t in range(n_origins):
         levels = tuple(
@@ -207,7 +207,7 @@ def _make_origins(h, rng, n_origins=3, n_paths=6):
             for lev in range(1, h.L + 1)
         )
         origins.append(
-            OriginData(levels=levels, actual=S.entries @ rng.normal(size=h.m), origin=t)
+            OriginData(levels=levels, actual=S @ rng.normal(size=h.m), origin=t)
         )
     return origins
 
@@ -250,11 +250,11 @@ def test_permuted_rejects_repeated_origin_labels(small_hierarchy):
 
 def test_cv_objective_zero_for_perfect_forecasts():
     h = build_hierarchy([2, 1])
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     rng = np.random.default_rng(3)
     origins = []
     for t in range(2):
-        actual = S.entries @ rng.normal(size=h.m)
+        actual = S @ rng.normal(size=h.m)
         levels = tuple(
             LevelSample(
                 level=lev,
@@ -290,7 +290,7 @@ def cv_objective_naive(v, scheme, origins, h):
     """Loop-and-brute-force re-implementation of the two-stage CRPS average."""
     from temporec.reconcile import weights_from_levels
 
-    S = build_summing_matrix(h)
+    S = oracle_summing_matrix(h)
     P = weights_from_levels(v, h)
     per_level = np.zeros(h.L)
     for lev in range(1, h.L + 1):
@@ -301,7 +301,7 @@ def cv_objective_naive(v, scheme, origins, h):
             total = 0.0
             for origin in origins:
                 joint = assemble(origin.levels, h, scheme)
-                rec = S.entries @ (P.entries @ joint.matrix)
+                rec = S @ (dense_map(P) @ joint.matrix)
                 total += crps_brute_force(rec[flat], origin.actual[flat])
             node_scores.append(total / len(origins))
         per_level[lev - 1] = np.mean(node_scores)
