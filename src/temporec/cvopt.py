@@ -30,13 +30,13 @@ best objective is within ``CUT_GAP`` of the LP lower bound, also relative;
 the result carries that gap as a certificate of optimality, 0 when it is
 within the LP's own tolerance ``LP_TOL``. A new cut only appends a column
 to the dual, so each LP solve starts from the previous optimal basis. Its
-oracle, ``_criterion``, builds its maps with ``weights_from_levels`` and
-also returns a subgradient, summed per level in one pass. Both objectives
-reconcile, score and (the oracle) pull back one validation origin at a
-time, so a search holds the validation tensor and a few (M, N) buffers,
-never a second (T, M, N) array. Either search reports the best value it
-evaluated; no criterion runs after it. Both solvers are numpy code, so the
-package needs no scipy at run time.
+oracle, ``_criterion``, also returns a subgradient, summed per level in
+one pass, and reuses one lineage workspace for its whole search. Both
+objectives reconcile, score and (the oracle) pull back one validation
+origin at a time, so a search holds the validation tensor and a few
+(M, N) buffers, never a second (T, M, N) array. Either search reports the
+best value it evaluated; no criterion runs after it. Both solvers are
+numpy code, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
-from .reconcile import weights_from_levels
+from .reconcile import _level_weights, _Lineage, weights_from_levels
 from .sampling import OriginData, _freeze, assemble_origins
 from .scoring import _node_weights, _rank_weights, _sorted_scores, cv_criterion
 
@@ -246,43 +246,46 @@ def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
     Precondition: every input row is nondecreasing and v lies on the
     simplex, so the reconciled rows are sorted already and are scored as
     they are; the objective is convex and piecewise linear in v and equals
-    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit. Like
-    ``cv_criterion`` it works one (M, N) origin at a time: the kernel
-    scores a copy of the map's output for that origin, and the buffer then
-    carries the CRPS derivative, divided by each node's window, through the
-    pull-back, the map of unit level weights. Its products with the
-    origin's sample, summed over each level's rows, are added into the
-    gradient, which is scaled by the windows f_l once at the end.
+    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit; v is
+    checked as ``weights_from_levels`` checks it. Like ``cv_criterion`` it
+    works one (M, N) origin at a time, in a ``_Lineage`` workspace and a
+    scoring scratch allocated once per search: the kernel scores a copy of
+    the reconciled origin, and the workspace then carries the CRPS
+    derivative, divided by each node's window, through the pull-back, the
+    map of unit level weights. Its products with the origin's sample,
+    summed over each level's rows, are added into the gradient, which is
+    scaled by the windows f_l once at the end.
     """
-    T, _, n = joint_tensor.shape
+    T, M, n = joint_tensor.shape
     node_weight = _node_weights(h, T)
     n_rank = n * _rank_weights(n)
     # node_weight / node_windows is 1 / (L m T) at every node, so the
     # derivative's weighting and the pull-back's 1 / f_l are one scalar
     unit = 1.0 / (h.L * h.m * T * n)
     level_starts = [rows.start for _, rows in h.levels]
-    pull_back = weights_from_levels(np.ones(h.L), h)
+    lineage = _Lineage(np.empty((M, n)), h)
+    scratch = np.empty((M, n))
 
     def evaluate(v: np.ndarray):
-        P = weights_from_levels(v, h)
+        w = _level_weights(v, h)
         crps = np.empty_like(actuals)
         grad = np.zeros(h.L)
         for t, (sample, actual) in enumerate(zip(joint_tensor, actuals)):
-            x = P.apply(sample)
-            crps[t], _ = _sorted_scores(x.copy(), actual)
+            x = lineage(w, sample)
+            np.copyto(scratch, x)
+            crps[t], _ = _sorted_scores(scratch, actual)
             # d crps / dx = (sign(x - z) - N rank) / N, weighted per node and
-            # divided by f_l, in the buffer of x, which is not read again
-            dev = x
-            dev -= actual[:, None]
-            np.sign(dev, out=dev)
-            dev -= n_rank
-            dev *= unit
-            # S^T d: the unit-weight map leaves it in the bottom rows; their
+            # divided by f_l, in the workspace
+            x -= actual[:, None]
+            np.sign(x, out=x)
+            x -= n_rank
+            x *= unit
+            # S^T d: the unit-weight walk leaves it in the bottom rows; their
             # window means over a level-l node, times f_l, are the window
             # sums that v_l pairs with Y_l
-            dev = pull_back.apply(dev)
-            dev *= sample
-            grad += np.add.reduceat(dev.sum(axis=1), level_starts)
+            x = lineage.in_place()
+            x *= sample
+            grad += np.add.reduceat(x.sum(axis=1), level_starts)
         grad *= h.f
         return float((crps * node_weight).sum()), grad
 
@@ -346,7 +349,9 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     solve starts from the previous one's optimal basis. The search stops
     when the best objective is within ``CUT_GAP * max(1, |best|)`` of the
     bound or after ``maxiter`` LP solves (``None``: 80 per level). The LP
-    reads the cuts in units of max(1, |f|) at the better start. Returns
+    reads the cuts in units of max(1, |f|) at the better start, each
+    gradient less its mean: the same cut on the simplex, and conditioned
+    when every level shares one large mean. Returns
     (best evaluated v, its objective, LP solves, gap). A gap within
     ``LP_TOL * max(1, |best|)``, the LP's own resolution, is rounding and
     is reported as 0.
@@ -363,7 +368,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
     for v in (np.eye(L)[-1], np.full(L, 1.0 / L)):
         f, g = evaluate(v)
         if np.isfinite(f):
-            cuts.append((v, f, g))
+            cuts.append((v, f, g - g.mean()))
     if not cuts:
         raise NonFinite("objective was NaN or infinite at the bottom-up and equal-weight vectors")
     best_v, best_f, _ = min(cuts, key=lambda cut: cut[1])
@@ -387,7 +392,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
             break
         if f < best_f:
             best_v, best_f = v, f
-        cuts.append((v, f, g))
+        cuts.append((v, f, g - g.mean()))
     gap = best_f - lower
     if gap <= LP_TOL * max(1.0, abs(best_f)):
         gap = 0.0

@@ -11,11 +11,12 @@ The levels themselves still form a tree: a non-bottom level's child is the
 coarsest finer level whose window divides f_l, so every level reaches the
 bottom along exactly one chain (in the daily example 24 -> 12 -> 6 -> 3 -> 1
 and 8 -> 4 -> 2 -> 1). ``HierarchySpec.children`` holds that map, and two
-in-place walks over one (..., M, N) buffer follow it: ``_fill_means`` fills
+in-place walks over one (..., M, N) buffer follow it: ``fill_means`` fills
 each level with window means of its child, fine to coarse, and
-``_push_down`` adds each level's rows into its child's windows, coarse to
+``push_down`` adds each level's rows into its child's windows, coarse to
 fine, so that every bottom row ends up with the sum over the nodes that
-contain it.
+contain it. Both are methods of ``_Walk``, which builds a buffer's views
+once.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
@@ -168,7 +169,7 @@ def build_summing_matrix(h: HierarchySpec) -> SummingMatrix:
 def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """Apply the summing matrix without building it: (..., m, N) -> (..., M, N).
 
-    The bottom rows are copied in and ``_fill_means`` fills every coarser
+    The bottom rows are copied in and ``fill_means`` fills every coarser
     level from its child, so the rows of level l are means over consecutive
     windows of f_l bottom rows, in common units: S @ bottom up to rounding,
     with the dense S never formed. Leading axes are batch axes, and an
@@ -179,7 +180,7 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
         raise DimensionMismatch(f"expected {h.m} bottom rows, got shape {values.shape}")
     out = np.empty(values.shape[:-2] + (h.M, values.shape[-1]))
     out[..., h.levels[-1][1], :] = values
-    _fill_means(out, h)
+    _Walk(out, h).fill_means()
     return out
 
 
@@ -189,14 +190,25 @@ def _windows(buf: np.ndarray, rows: slice, k: int) -> np.ndarray:
     return part.reshape(part.shape[:-2] + (part.shape[-2] // k, k, part.shape[-1]))
 
 
-def _fill_means(buf: np.ndarray, h: HierarchySpec) -> None:
-    """Overwrite every non-bottom level of a (..., M, N) buffer, fine to
-    coarse, with the means of its child's windows: the bottom rows,
-    aggregated."""
-    for rows, child, k in reversed(h.children):
-        level = buf[..., rows, :]
-        np.add.reduce(_windows(buf, child, k), axis=-2, out=level)
-        level /= k
+class _Walk:
+    """The child-map walks over one (..., M, N) buffer, in place, through
+    views of each non-bottom level and of its child in windows of k."""
+
+    def __init__(self, buf: np.ndarray, h: HierarchySpec):
+        steps = [(buf[..., rows, :], _windows(buf, child, k), k) for rows, child, k in h.children]
+        self._down = tuple((windows, level[..., None, :]) for level, windows, _ in steps)
+        self._up = tuple(reversed(steps))
+
+    def push_down(self) -> None:
+        """Add each level's rows into its child's windows, coarse to fine."""
+        for windows, level in self._down:
+            windows += level
+
+    def fill_means(self) -> None:
+        """Overwrite each level with its child's window means, fine to coarse."""
+        for level, windows, k in self._up:
+            np.add.reduce(windows, axis=-2, out=level)
+            level /= k
 
 
 def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -209,13 +221,3 @@ def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
         np.add.reduce(bottom.reshape(h.m // fl, fl, bottom.shape[1]), axis=1, out=out[rows])
         out[rows] /= fl
     return out
-
-
-def _push_down(buf: np.ndarray, h: HierarchySpec) -> None:
-    """Add every non-bottom level's rows of a (..., M, N) buffer into each
-    row of its child's windows, coarse to fine, in place: each bottom row
-    then holds the sum of its own row and the rows of every node that
-    contains it."""
-    for rows, child, k in h.children:
-        windows = _windows(buf, child, k)
-        windows += buf[..., rows, None, :]

@@ -16,12 +16,13 @@ of bottom node r at level l, the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
-One operator, ``_lineage``, applies these maps, forms S'W^-1, and is the
-cutting-plane oracle's forward pass and pull-back. Bottom
-average and global average repeat one mean in every row, and only weighted
-least squares applies a dense P (followed by ``aggregate``): it is the one
-dense matrix a run forms. ``check_coherence`` compares the upper rows with
-window means of the bottom rows, so a run forms no dense S either.
+One operator, ``_Lineage``, applies these maps and forms S'W^-1; the
+cutting-plane oracle keeps one per search as its forward pass and
+pull-back. Bottom average and global average repeat one mean in every row,
+and only weighted least squares applies a dense P (aggregated in place):
+it is the one dense matrix a run forms. ``check_coherence`` compares the
+upper rows with window means of the bottom rows, so a run forms no dense
+S either.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, ReconcileError
-from .hierarchy import (
-    HierarchySpec, SummingMatrix, _fill_means, _push_down, _window_means, aggregate,
-)
+from .hierarchy import HierarchySpec, SummingMatrix, _Walk, _window_means, aggregate
 from .sampling import JointSample
 
 __all__ = [
@@ -136,8 +135,12 @@ def weights_from_levels(v, h: HierarchySpec) -> WeightMatrix:
 
 
 def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """S @ P @ values for a dense P: the product's bottom level, aggregated."""
-    return aggregate(np.matmul(entries, values), h)
+    """S @ P @ values for a dense P: the product, written into the
+    output's bottom rows and aggregated there."""
+    out = np.empty(values.shape[:-2] + (h.M, values.shape[-1]))
+    np.matmul(entries, values, out=out[..., h.levels[-1][1], :])
+    _Walk(out, h).fill_means()
+    return out
 
 
 def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -147,32 +150,52 @@ def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarr
 
 
 def _level_map(v, method: str, h: HierarchySpec) -> WeightMatrix:
-    """The lineage map of an L-vector of level weights, each repeated over
-    its level's nodes and applied by ``_lineage``."""
+    """The lineage map of an L-vector of level weights, applied by ``_lineage``."""
+    return WeightMatrix(partial(_lineage, _level_weights(v, h), h=h), method, h)
+
+
+def _level_weights(v, h: HierarchySpec) -> np.ndarray:
+    """Each of the L finite weights in ``v`` repeated over its level's
+    nodes, as a new M-vector.
+
+    Raises:
+        LengthMismatch: ``v`` is not an L-vector of finite weights.
+    """
     vec = np.asarray(v, dtype=float)
     if vec.shape != (h.L,):
         raise LengthMismatch(f"need {h.L} level weights, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise LengthMismatch("weights must be finite")
-    # np.repeat copies, so the map does not see later edits of v
-    return WeightMatrix(partial(_lineage, np.repeat(vec, h.m // np.array(h.f)), h=h), method, h)
+    return np.repeat(vec, h.m // np.array(h.f))
+
+
+class _Lineage:
+    """S @ P_w @ values in one (..., M, N) buffer, ``out``, walked in place
+    through views built once. P_w holds ``w[k]`` in the row of every bottom
+    node that node k contains; neither it nor S is formed: ``push_down``
+    gives each bottom row the sum of its own weighted row and those of the
+    nodes containing it, and ``fill_means`` overwrites the levels above
+    with their window means, as ``aggregate`` does."""
+
+    def __init__(self, out: np.ndarray, h: HierarchySpec):
+        self.out = out
+        self._walk = _Walk(out, h)
+
+    def __call__(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """S @ P_w @ values, in ``out``."""
+        np.multiply(w[:, None], values, out=self.out)
+        return self.in_place()
+
+    def in_place(self) -> np.ndarray:
+        """S @ P_1 @ out, in ``out``: unit weights, so no multiply."""
+        self._walk.push_down()
+        self._walk.fill_means()
+        return self.out
 
 
 def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """S @ P_w @ values for a (..., M, N) ``values``, as a new (..., M, N) array.
-
-    P_w holds ``w[k]`` in the row of every bottom node that node k contains;
-    neither it nor S is formed. ``w[:, None] * values`` fills one buffer;
-    ``_push_down`` adds each level's accumulated rows into its child's
-    windows along the hierarchy's child map, so each bottom row sums its
-    own weighted row and those of every node that contains it, and
-    ``_fill_means`` then overwrites the coarser levels with window means of
-    those bottom rows, as ``aggregate`` does. The buffer is returned.
-    """
-    buf = w[:, None] * values
-    _push_down(buf, h)
-    _fill_means(buf, h)
-    return buf
+    """S @ P_w @ values for a (..., M, N) ``values``, as a new array."""
+    return _Lineage(w[:, None] * values, h).in_place()
 
 
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temporec import cvopt
+from temporec import cli, cvopt, hierarchy
 from temporec.cvopt import (
     CUT_GAP,
     _Regime,
@@ -16,11 +17,13 @@ from temporec.cvopt import (
     _start_vectors,
     optimize_weights,
 )
-from temporec.errors import AlignmentError, ConfigError, DidNotConverge, NonFinite
+from temporec.errors import AlignmentError, ConfigError, DidNotConverge, LengthMismatch, NonFinite
 from temporec.hierarchy import build_hierarchy
 from temporec.reconcile import reconcile_tensor, weights_from_levels
 from temporec.sampling import LevelSample, OriginData, assemble_origins
-from temporec.scoring import _node_weights, _rank_weights, cv_criterion, cv_objective
+from temporec.scoring import (
+    _node_weights, _rank_weights, _sorted_scores, cv_criterion, cv_objective,
+)
 from temporec.simkit import SyntheticScenario, build_dataset
 
 from conftest import dense_map, oracle_summing_matrix, random_hierarchy
@@ -261,6 +264,59 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
+def reference_oracle(tensor, actuals, h):
+    """The oracle's arithmetic through public maps: ``weights_from_levels``
+    forward, the unit-weight map's ``apply`` as the pull-back, each on a new
+    buffer, and the kernel on a copy, in the oracle's order of operations."""
+    T, _, n = tensor.shape
+    unit = 1.0 / (h.L * h.m * T * n)
+    level_starts = [rows.start for _, rows in h.levels]
+    pull_back = weights_from_levels(np.ones(h.L), h)
+
+    def evaluate(v):
+        P = weights_from_levels(v, h)
+        crps, grad = np.empty_like(actuals), np.zeros(h.L)
+        for t, (sample, actual) in enumerate(zip(tensor, actuals)):
+            x = P.apply(sample)
+            crps[t], _ = _sorted_scores(x.copy(), actual)
+            dev = (np.sign(x - actual[:, None]) - n * _rank_weights(n)) * unit
+            grad += np.add.reduceat((pull_back.apply(dev) * sample).sum(axis=1), level_starts)
+        return float((crps * _node_weights(h, T)).sum()), grad * h.f
+
+    return evaluate
+
+
+def _assert_oracle_equals_reference(h, tensor, actuals, rng):
+    evaluate, reference = _criterion(tensor, actuals, h), reference_oracle(tensor, actuals, h)
+    points = list(rng.dirichlet(np.ones(h.L), size=3)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
+    # evaluations reuse the workspace, so each is checked after others ran
+    for v in points + points[::-1]:
+        f, g = evaluate(v)
+        f_ref, g_ref = reference(v)
+        assert f == f_ref
+        np.testing.assert_array_equal(g, g_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_workspace_oracle_equals_the_public_map_reference(seed):
+    # random hierarchies, tied sorted rows and realizations on the paths
+    h, tensor, actuals, rng = criterion_instance(seed)
+    _assert_oracle_equals_reference(h, tensor, actuals, rng)
+
+
+@pytest.mark.parametrize("f", [
+    (24, 12, 8, 6, 4, 3, 2, 1), (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1),
+])
+def test_workspace_oracle_equals_the_public_map_reference_on_ranked_samples(f):
+    h = build_hierarchy(f)
+    scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=h.m, train_cycles=10,
+                            val_cycles=3, test_cycles=1, seed=6)
+    tensor, actuals = assemble_origins(build_dataset(scn, h, n_paths=25).val_origins, h,
+                                       "ranked", seed=6)
+    _assert_oracle_equals_reference(h, tensor, actuals, np.random.default_rng(6))
+
+
 def nelder_mead_simplex(origins, scheme, h, seed=0):
     """Uncapped Nelder-Mead over the simplex, bypassing the certified path."""
     tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
@@ -335,11 +391,10 @@ def test_reported_objective_is_the_searched_value(daily_hierarchy, monkeypatch):
             assert res.objective == cv_objective(res.v, "ranked", origins, h, seed=4)
 
 
-def test_oracle_builds_its_maps_with_weights_from_levels(monkeypatch):
-    # one map per oracle evaluation (two start cuts, then one per LP solve)
-    # and one pull-back map per search, all through the public builder
+def test_oracle_builds_no_maps_and_checks_v_as_weights_from_levels_does(monkeypatch):
+    # the oracle applies the lineage operator in its own workspace, so a
+    # search builds no map, and a bad v fails as the public builder fails
     h, origins = balanced_instance()
-    expected = optimize_weights(origins, "ranked", "simplex", h, seed=0)
     built = []
 
     def recorded(v, hierarchy):
@@ -348,11 +403,52 @@ def test_oracle_builds_its_maps_with_weights_from_levels(monkeypatch):
 
     monkeypatch.setattr(cvopt, "weights_from_levels", recorded)
     res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
-    assert res.gap is not None
-    assert len(built) == 2 + res.iterations + 1
-    np.testing.assert_array_equal(built[0], np.ones(h.L))  # the pull-back
-    np.testing.assert_array_equal(res.v, expected.v)
-    assert (res.objective, res.gap) == (expected.objective, expected.gap)
+    assert res.gap is not None and res.iterations >= 3
+    assert built == []
+    evaluate = _criterion(*assemble_origins(origins, h, "ranked", seed=0), h)
+    for bad in (np.ones(h.L + 1), np.array([0.5, np.nan]), np.ones((h.L, 1))):
+        with pytest.raises(LengthMismatch) as want:
+            weights_from_levels(bad, h)
+        with pytest.raises(LengthMismatch, match=re.escape(str(want.value))):
+            evaluate(bad)
+
+
+def test_certified_search_builds_its_walk_views_once(monkeypatch):
+    # the oracle's workspace and its child-map views are built once per
+    # search, however many origins and evaluations the search takes
+    h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
+    built = []
+    init = hierarchy._Walk.__init__
+
+    def counting(self, buf, spec):
+        built.append(buf.shape)
+        init(self, buf, spec)
+
+    for val_cycles in (2, 6):
+        scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=24, train_cycles=30,
+                                val_cycles=val_cycles, test_cycles=1, seed=1)
+        origins = list(build_dataset(scn, h, n_paths=20).val_origins)
+        with monkeypatch.context() as patch:
+            patch.setattr(hierarchy._Walk, "__init__", counting)
+            built.clear()
+            res = optimize_weights(origins, "ranked", "simplex", h, seed=1, maxiter=30)
+        assert res.gap is not None and res.iterations >= 10
+        assert built == [(h.M, 20)]
+
+
+def test_certified_search_converges_on_a_near_unit_root_series(tmp_path):
+    # with phi near 1 every level's samples share the level mu / (1 - phi),
+    # about 1e6, so each cut's gradient is that large along the ones vector,
+    # to which the simplex is blind; centred cuts keep the master LP well
+    # conditioned, where raw ones ran this search to its 240-solve cap
+    cli.run_experiment(cli.RunConfig(
+        out=str(tmp_path), frequencies=(4, 2, 1), phi=0.999999, train_cycles=12,
+        val_cycles=4, test_cycles=2, n_paths=50, methods=("cv",), seed=0,
+    ))
+    header, row = (tmp_path / "cv_weights.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert float(fields["gap"]) <= CUT_GAP * max(1.0, abs(float(fields["objective"])))
+    assert int(fields["iterations"]) < 40
 
 
 def test_misaligned_origins_raise_alignment_error():

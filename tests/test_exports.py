@@ -194,8 +194,10 @@ def _modules_naming(names: set) -> set:
 
 
 def test_only_reconcile_names_the_lineage_operator():
-    # every other module builds its level maps with weights_from_levels
+    # every other module builds its level maps with weights_from_levels,
+    # except the cutting-plane oracle, which keeps one reusable workspace
     assert _modules_naming({"_lineage"}) == {"reconcile.py"}
+    assert _modules_naming({"_Lineage"}) == {"reconcile.py", "cvopt.py"}
 
 
 def test_only_sampling_names_the_coupling_draws():
@@ -206,8 +208,10 @@ def test_only_sampling_names_the_coupling_draws():
 
 def test_only_hierarchy_and_reconcile_name_the_walks():
     # the two child-map walks have one owner and one composer: every other
-    # module reaches them through reconcile._lineage or hierarchy.aggregate
-    assert _modules_naming({"_push_down", "_fill_means"}) == {"hierarchy.py", "reconcile.py"}
+    # module reaches them through reconcile's lineage operator or
+    # hierarchy.aggregate
+    names = {"_Walk", "push_down", "fill_means"}
+    assert _modules_naming(names) == {"hierarchy.py", "reconcile.py"}
 
 
 def test_benchmark_imports_resolve():

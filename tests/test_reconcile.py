@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -145,6 +146,25 @@ def test_wls_weighting_as_documented_in_both_units():
         np.testing.assert_allclose(P @ S, np.eye(h.m), atol=1e-10)
         if h.L > 1:
             assert np.abs(P - _gls(S, np.ones(h.M))).max() > 1e-3
+
+
+def test_wls_apply_allocates_only_its_output(daily_hierarchy):
+    # the dense product is written into the output's bottom rows, so an
+    # application holds no m x N temporary beside its result; a stack is
+    # the stack of its origins' results
+    h = daily_hierarchy
+    P = wls_weights(h)
+    Y = np.random.default_rng(4).normal(size=(3, h.M, 400))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = P.apply(Y[0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * out.nbytes, peak / out.nbytes
+    np.testing.assert_array_equal(out, aggregate(out[h.levels[-1][1]], h))
+    np.testing.assert_array_equal(P.apply(Y), np.stack([P.apply(y) for y in Y]))
 
 
 def test_weights_from_levels_fixture(small_hierarchy):
