@@ -30,13 +30,12 @@ best objective is within ``CUT_GAP`` of the LP lower bound, also relative;
 the result carries that gap as a certificate of optimality, 0 when it is
 within the LP's own tolerance ``LP_TOL``. A new cut only appends a column
 to the dual, so each LP solve starts from the previous optimal basis. Its
-oracle, ``_criterion``, also returns a subgradient, summed per level in
-one pass, and reuses one lineage workspace for its whole search. Both
-objectives reconcile, score and (the oracle) pull back one validation
-origin at a time, so a search holds the validation tensor and a few
-(M, N) buffers, never a second (T, M, N) array. Either search reports the
-best value it evaluated; no criterion runs after it. Both solvers are
-numpy code, so the package needs no scipy at run time.
+oracle, ``scoring._cv_oracle``, returns ``cv_criterion``'s value and a
+subgradient. Both objectives work one validation origin at a time, so a
+search holds the validation tensor and a few (M, N) buffers, never a
+second (T, M, N) array. Either search reports the best value it
+evaluated; no criterion runs after it. Both solvers are numpy code, so
+the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ import numpy as np
 
 from .errors import ConfigError, DidNotConverge, NonFinite
 from .hierarchy import HierarchySpec
-from .reconcile import _level_weights, _Lineage, weights_from_levels
+from .reconcile import weights_from_levels
 from .sampling import OriginData, _freeze, assemble_origins
-from .scoring import _node_weights, _rank_weights, _sorted_scores, cv_criterion
+from .scoring import _cv_oracle, cv_criterion
 
 __all__ = ["REGIMES", "CvResult", "optimize_weights"]
 
@@ -240,58 +239,6 @@ def _search(
     return np.asarray(best_u, dtype=float), float(best_obj), total_iters
 
 
-def _criterion(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
-    """The cutting-plane oracle: ``evaluate(v)`` returns (objective, subgradient in v).
-
-    Precondition: every input row is nondecreasing and v lies on the
-    simplex, so the reconciled rows are sorted already and are scored as
-    they are; the objective is convex and piecewise linear in v and equals
-    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit; v is
-    checked as ``weights_from_levels`` checks it. Like ``cv_criterion`` it
-    works one (M, N) origin at a time, in a ``_Lineage`` workspace and a
-    scoring scratch allocated once per search: the kernel scores a copy of
-    the reconciled origin, and the workspace then carries the CRPS
-    derivative, divided by each node's window, through the pull-back, the
-    map of unit level weights. Its products with the origin's sample,
-    summed over each level's rows, are added into the gradient, which is
-    scaled by the windows f_l once at the end.
-    """
-    T, M, n = joint_tensor.shape
-    node_weight = _node_weights(h, T)
-    n_rank = n * _rank_weights(n)
-    # node_weight / node_windows is 1 / (L m T) at every node, so the
-    # derivative's weighting and the pull-back's 1 / f_l are one scalar
-    unit = 1.0 / (h.L * h.m * T * n)
-    level_starts = [rows.start for _, rows in h.levels]
-    lineage = _Lineage(np.empty((M, n)), h)
-    scratch = np.empty((M, n))
-
-    def evaluate(v: np.ndarray):
-        w = _level_weights(v, h)
-        crps = np.empty_like(actuals)
-        grad = np.zeros(h.L)
-        for t, (sample, actual) in enumerate(zip(joint_tensor, actuals)):
-            x = lineage(w, sample)
-            np.copyto(scratch, x)
-            crps[t], _ = _sorted_scores(scratch, actual)
-            # d crps / dx = (sign(x - z) - N rank) / N, weighted per node and
-            # divided by f_l, in the workspace
-            x -= actual[:, None]
-            np.sign(x, out=x)
-            x -= n_rank
-            x *= unit
-            # S^T d: the unit-weight walk leaves it in the bottom rows; their
-            # window means over a level-l node, times f_l, are the window
-            # sums that v_l pairs with Y_l
-            x = lineage.in_place()
-            x *= sample
-            grad += np.add.reduceat(x.sum(axis=1), level_starts)
-        grad *= h.f
-        return float((crps * node_weight).sum()), grad
-
-    return evaluate
-
-
 def _master_lp(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None):
     """Kelley's master LP: min t over v on the simplex subject to A v - t <= b.
 
@@ -452,7 +399,7 @@ def optimize_weights(
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
     certified = reg.tag == "simplex" and h.L > 1
     if certified and (joint_tensor[..., 1:] >= joint_tensor[..., :-1]).all():
-        oracle = _criterion(joint_tensor, actuals, h)
+        oracle = _cv_oracle(joint_tensor, actuals, h)
         v, objective, iterations, gap = _cutting_planes(oracle, h.L, maxiter)
     else:
         def criterion(u):

@@ -10,13 +10,12 @@ such as (24, 12, 8, 6, 4, 3, 2, 1) are supported.
 The levels themselves still form a tree: a non-bottom level's child is the
 coarsest finer level whose window divides f_l, so every level reaches the
 bottom along exactly one chain (in the daily example 24 -> 12 -> 6 -> 3 -> 1
-and 8 -> 4 -> 2 -> 1). ``HierarchySpec.children`` holds that map, and two
-in-place walks over one (..., M, N) buffer follow it: ``fill_means`` fills
-each level with window means of its child, fine to coarse, and
-``push_down`` adds each level's rows into its child's windows, coarse to
-fine, so that every bottom row ends up with the sum over the nodes that
-contain it. Both are methods of ``_Walk``, which builds a buffer's views
-once.
+and 8 -> 4 -> 2 -> 1). ``HierarchySpec.children`` holds that map, and
+``_Walk`` walks it in place over one (..., M, N) buffer, through views
+built once: ``fill_means`` fills each level with window means of its
+child, fine to coarse, and ``lineage`` first adds each level's rows into
+its child's windows, coarse to fine, so that every bottom row holds the
+sum over the nodes that contain it.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
@@ -180,35 +179,36 @@ def aggregate(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
         raise DimensionMismatch(f"expected {h.m} bottom rows, got shape {values.shape}")
     out = np.empty(values.shape[:-2] + (h.M, values.shape[-1]))
     out[..., h.levels[-1][1], :] = values
-    _Walk(out, h).fill_means()
-    return out
-
-
-def _windows(buf: np.ndarray, rows: slice, k: int) -> np.ndarray:
-    """A level's rows of a (..., M, N) buffer as a writable view of windows of k rows."""
-    part = buf[..., rows, :]
-    return part.reshape(part.shape[:-2] + (part.shape[-2] // k, k, part.shape[-1]))
+    return _Walk(out, h).fill_means()
 
 
 class _Walk:
-    """The child-map walks over one (..., M, N) buffer, in place, through
-    views of each non-bottom level and of its child in windows of k."""
+    """The child-map walks over one (..., M, N) buffer, ``buf``, in place,
+    through views of each non-bottom level and of its child in windows of k."""
 
     def __init__(self, buf: np.ndarray, h: HierarchySpec):
-        steps = [(buf[..., rows, :], _windows(buf, child, k), k) for rows, child, k in h.children]
+        self.buf = buf
+        steps = []
+        for rows, child, k in h.children:
+            part = buf[..., child, :]
+            windows = part.reshape(part.shape[:-2] + (part.shape[-2] // k, k, part.shape[-1]))
+            steps.append((buf[..., rows, :], windows, k))
         self._down = tuple((windows, level[..., None, :]) for level, windows, _ in steps)
         self._up = tuple(reversed(steps))
 
-    def push_down(self) -> None:
-        """Add each level's rows into its child's windows, coarse to fine."""
-        for windows, level in self._down:
-            windows += level
-
-    def fill_means(self) -> None:
+    def fill_means(self) -> np.ndarray:
         """Overwrite each level with its child's window means, fine to coarse."""
         for level, windows, k in self._up:
             np.add.reduce(windows, axis=-2, out=level)
             level /= k
+        return self.buf
+
+    def lineage(self) -> np.ndarray:
+        """S @ P_1 @ buf, the lineage map of unit weights: add each level's
+        rows into its child's windows, coarse to fine, then ``fill_means``."""
+        for windows, level in self._down:
+            windows += level
+        return self.fill_means()
 
 
 def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:

@@ -16,13 +16,13 @@ of bottom node r at level l, the unique level-l node whose window of f_l
 bottom periods contains r. On a tree hierarchy this is the usual lineage;
 on overlapping hierarchies it is the containment generalization, and it
 is reached along the hierarchy's child map (``HierarchySpec.children``).
-One operator, ``_Lineage``, applies these maps and forms S'W^-1; the
-cutting-plane oracle keeps one per search as its forward pass and
-pull-back. Bottom average and global average repeat one mean in every row,
-and only weighted least squares applies a dense P (aggregated in place):
-it is the one dense matrix a run forms. ``check_coherence`` compares the
-upper rows with window means of the bottom rows, so a run forms no dense
-S either.
+One function, ``_lineage``, applies these maps and forms S'W^-1 through
+``hierarchy._Walk``, whose ``lineage`` walk the cutting-plane oracle also
+runs as its forward pass and pull-back. Bottom average and global average
+repeat one mean in every row, and only weighted least squares applies a
+dense P (aggregated in place): it is the one dense matrix a run forms.
+``check_coherence`` compares the upper rows with window means of the
+bottom rows, so a run forms no dense S either.
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndar
     output's bottom rows and aggregated there."""
     out = np.empty(values.shape[:-2] + (h.M, values.shape[-1]))
     np.matmul(entries, values, out=out[..., h.levels[-1][1], :])
-    _Walk(out, h).fill_means()
-    return out
+    return _Walk(out, h).fill_means()
 
 
 def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -169,33 +168,11 @@ def _level_weights(v, h: HierarchySpec) -> np.ndarray:
     return np.repeat(vec, h.m // np.array(h.f))
 
 
-class _Lineage:
-    """S @ P_w @ values in one (..., M, N) buffer, ``out``, walked in place
-    through views built once. P_w holds ``w[k]`` in the row of every bottom
-    node that node k contains; neither it nor S is formed: ``push_down``
-    gives each bottom row the sum of its own weighted row and those of the
-    nodes containing it, and ``fill_means`` overwrites the levels above
-    with their window means, as ``aggregate`` does."""
-
-    def __init__(self, out: np.ndarray, h: HierarchySpec):
-        self.out = out
-        self._walk = _Walk(out, h)
-
-    def __call__(self, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """S @ P_w @ values, in ``out``."""
-        np.multiply(w[:, None], values, out=self.out)
-        return self.in_place()
-
-    def in_place(self) -> np.ndarray:
-        """S @ P_1 @ out, in ``out``: unit weights, so no multiply."""
-        self._walk.push_down()
-        self._walk.fill_means()
-        return self.out
-
-
 def _lineage(w: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """S @ P_w @ values for a (..., M, N) ``values``, as a new array."""
-    return _Lineage(w[:, None] * values, h).in_place()
+    """S @ P_w @ values for a (..., M, N) ``values``, as a new array. P_w
+    holds ``w[k]`` in the row of every bottom node that node k contains;
+    neither it nor S is formed."""
+    return _Walk(w[:, None] * values, h).lineage()
 
 
 def reconcile_tensor(P: WeightMatrix, tensor: np.ndarray) -> np.ndarray:

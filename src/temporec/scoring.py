@@ -15,21 +15,21 @@ sorts one origin's (M, N) sample, a copy or with ``overwrite`` the sample
 itself, and scores ``crps_sample``, ``score_hierarchy``, ``cv_criterion``
 (which reconciles one origin at a time into a new array and hands it over)
 and the experiment driver's test pass; ``median_point`` reads the median;
-and the cutting-plane oracle in ``cvopt`` hands it a copy of one origin's
-rows, which are sorted already. Scores for a hierarchy are averaged per
-node over forecast origins, then per level over nodes, then over levels;
-that triple average is both the reported table layout (``score_tables``)
-and the objective the cross-validated weights minimize. ``score_hierarchy``
-chains the two steps over a (T, M, N) stack or any iterable of origins,
-read one at a time; the experiment driver calls them itself, so that it
-scores each test origin under every scheme and method before it draws the
-next. Evaluation tables report each node in its level's native units, its
-common-unit score times the window f_l; the cross-validation criterion
-stays in common units and weighs each node's CRPS by its share of that
-average, ``_node_weights``, the one definition that ``cv_criterion`` and
-the cutting-plane oracle share. Scoring takes joint samples as given:
-``sampling.assemble_origins`` builds and seeds them, and ``cv_objective``
-only chains it with ``cv_criterion``.
+and ``_cv_oracle``, the cutting-plane search's objective, hands it a copy
+of one origin's rows, which are sorted already. Scores for a hierarchy
+are averaged per node over forecast origins, then per level over nodes,
+then over levels; that triple average is both the reported table layout
+(``score_tables``) and the objective the cross-validated weights
+minimize. ``score_hierarchy`` chains the two steps over a (T, M, N) stack
+or any iterable of origins, read one at a time; the experiment driver
+calls them itself, so that it scores each test origin under every scheme
+and method before it draws the next. Evaluation tables report each node
+in its level's native units, its common-unit score times the window f_l;
+the cross-validation criterion stays in common units and weighs each
+node's CRPS by its share of that average, ``_node_weights``, the one
+definition that ``cv_criterion`` and ``_cv_oracle`` share. Scoring takes
+joint samples as given: ``sampling.assemble_origins`` builds and seeds
+them, and ``cv_objective`` only chains it with ``cv_criterion``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, EmptySample
-from .hierarchy import HierarchySpec
-from .reconcile import WeightMatrix, reconcile_tensor, weights_from_levels
+from .hierarchy import HierarchySpec, _Walk
+from .reconcile import WeightMatrix, _level_weights, reconcile_tensor, weights_from_levels
 from .sampling import OriginData, assemble_origins
 
 __all__ = [
@@ -154,7 +154,16 @@ def score_tables(
 ) -> tuple[ScoreTable, ScoreTable]:
     """The CRPS and MAE tables of (T, M) node scores in common units, one
     ``score_origin`` result per row, each node reported in its level's
-    native units."""
+    native units.
+
+    Raises:
+        AlignmentError: the two arrays are not (T, M) with one T > 0.
+    """
+    crps, errors = _regular(crps), _regular(errors)
+    if crps.ndim != 2 or crps.shape[1] != h.M or errors.shape != crps.shape or not len(crps):
+        raise AlignmentError(
+            f"node scores of shapes {crps.shape} and {errors.shape} are not (T, {h.M}), T > 0"
+        )
     native = h.node_windows
     return _table(crps * native, h, "CRPS"), _table(errors * native, h, "MAE")
 
@@ -276,6 +285,59 @@ def cv_criterion(
         # one expression, so each reconciled buffer is freed before the next
         crps[t], _ = score_origin(reconcile_tensor(P, sample), acts[t], overwrite=True)
     return float((crps * _node_weights(h, len(tensor))).sum())
+
+
+def _cv_oracle(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
+    """The cutting-plane oracle: ``evaluate(v)`` returns (objective, subgradient in v).
+
+    Precondition: every input row is nondecreasing and v lies on the
+    simplex, so the reconciled rows are sorted already and are scored as
+    they are; the objective is convex and piecewise linear in v and equals
+    ``cv_criterion(weights_from_levels(v, h), ...)`` bit for bit; v is
+    checked as ``weights_from_levels`` checks it. Like ``cv_criterion`` it
+    works one (M, N) origin at a time, in a ``_Walk`` over a workspace and a
+    scoring scratch allocated once per search: the weighted origin takes the
+    walk's ``lineage``, the kernel scores a copy of it, and the workspace
+    then carries the CRPS derivative, divided by each node's window, through
+    ``lineage`` again, the pull-back. Its products with the origin's sample,
+    summed over each level's rows, are added into the gradient, which is
+    scaled by the windows f_l once at the end.
+    """
+    T, M, n = joint_tensor.shape
+    node_weight = _node_weights(h, T)
+    n_rank = n * _rank_weights(n)
+    # node_weight / node_windows is 1 / (L m T) at every node, so the
+    # derivative's weighting and the pull-back's 1 / f_l are one scalar
+    unit = 1.0 / (h.L * h.m * T * n)
+    level_starts = [rows.start for _, rows in h.levels]
+    walk = _Walk(np.empty((M, n)), h)
+    scratch = np.empty((M, n))
+
+    def evaluate(v: np.ndarray):
+        w = _level_weights(v, h)
+        crps = np.empty_like(actuals)
+        grad = np.zeros(h.L)
+        for t, (sample, actual) in enumerate(zip(joint_tensor, actuals)):
+            np.multiply(w[:, None], sample, out=walk.buf)
+            x = walk.lineage()
+            np.copyto(scratch, x)
+            crps[t], _ = _sorted_scores(scratch, actual)
+            # d crps / dx = (sign(x - z) - N rank) / N, weighted per node and
+            # divided by f_l, in the workspace
+            x -= actual[:, None]
+            np.sign(x, out=x)
+            x -= n_rank
+            x *= unit
+            # S^T d: the unit-weight walk leaves it in the bottom rows; their
+            # window means over a level-l node, times f_l, are the window
+            # sums that v_l pairs with Y_l
+            x = walk.lineage()
+            x *= sample
+            grad += np.add.reduceat(x.sum(axis=1), level_starts)
+        grad *= h.f
+        return float((crps * node_weight).sum()), grad
+
+    return evaluate
 
 
 def cv_objective(

@@ -107,16 +107,12 @@ def simulate_truth(scn: SyntheticScenario) -> np.ndarray:
     n = scn.cycle_length * scn.total_cycles
     rng = np.random.default_rng(scn.seed)
     mean = scn.stationary_mean
-    out = np.empty(n)
     if scn.sigma == 0.0:
-        out.fill(mean)
+        out = np.full(n, mean)
     else:
         sd_stat = scn.sigma / np.sqrt(1.0 - scn.phi**2)
-        prev = rng.normal(mean, sd_stat)
-        noise = rng.normal(0.0, scn.sigma, size=n)
-        for t in range(n):
-            prev = scn.mu + scn.phi * prev + noise[t]
-            out[t] = prev
+        start = rng.normal(mean, sd_stat)
+        out = _ar1(scn.mu, scn.phi, start, rng.normal(0.0, scn.sigma, size=n))
     if scn.clip_at_zero:
         np.clip(out, 0.0, None, out=out)
     out.setflags(write=False)
@@ -173,15 +169,18 @@ def sample_paths(
         raise SimkitError(f"need at least 2 sample paths, got {n_paths}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(fc.residuals, size=(horizon, n_paths), replace=True)
-    paths = np.empty((horizon, n_paths))
-    prev = np.full(n_paths, float(origin_state))
-    # intercept + phi * prev + draws[t], the same operations, in row t
-    for t in range(horizon):
-        np.multiply(prev, fc.phi, out=paths[t])
-        paths[t] += fc.intercept
-        paths[t] += draws[t]
-        prev = paths[t]
+    paths = _ar1(fc.intercept, fc.phi, float(origin_state), draws)
     return LevelSample(level=fc.level, matrix=paths)
+
+
+def _ar1(c: float, phi: float, start: float, shocks: np.ndarray) -> np.ndarray:
+    """The AR(1) recursion x_t = c + phi * x_{t-1} + shocks[t] from x_{-1} =
+    ``start``, one step per index of the first axis of ``shocks``, as a new array."""
+    out = np.empty(shocks.shape)
+    prev = start
+    for t, shock in enumerate(shocks):
+        prev = out[t] = c + phi * prev + shock
+    return out
 
 
 class _Split(Sequence):

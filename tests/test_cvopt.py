@@ -11,7 +11,6 @@ from temporec import cli, cvopt, hierarchy
 from temporec.cvopt import (
     CUT_GAP,
     _Regime,
-    _criterion,
     _cutting_planes,
     _search,
     _start_vectors,
@@ -22,7 +21,7 @@ from temporec.hierarchy import build_hierarchy
 from temporec.reconcile import reconcile_tensor, weights_from_levels
 from temporec.sampling import LevelSample, OriginData, assemble_origins
 from temporec.scoring import (
-    _node_weights, _rank_weights, _sorted_scores, cv_criterion, cv_objective,
+    _cv_oracle, _node_weights, _rank_weights, _sorted_scores, cv_criterion, cv_objective,
 )
 from temporec.simkit import SyntheticScenario, build_dataset
 
@@ -221,7 +220,7 @@ def test_sorted_evaluator_equals_cv_criterion(seed):
     # hands it the inputs
     h, tensor, actuals, rng = criterion_instance(seed)
     before = tensor.copy(), actuals.copy()
-    evaluate = _criterion(tensor, actuals, h)
+    evaluate = _cv_oracle(tensor, actuals, h)
     for v in list(rng.dirichlet(np.ones(h.L), size=3)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]:
         expected = cv_criterion(weights_from_levels(v, h), tensor, actuals, h)
         assert evaluate(v)[0] == expected
@@ -233,7 +232,7 @@ def test_sorted_evaluator_equals_cv_criterion(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_sorted_evaluator_subgradient_inequality(seed):
     h, tensor, actuals, rng = criterion_instance(seed)
-    evaluate = _criterion(tensor, actuals, h)
+    evaluate = _cv_oracle(tensor, actuals, h)
     points = list(rng.dirichlet(np.ones(h.L), size=4)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
     for v in points:
         fv, g = evaluate(v)
@@ -248,7 +247,7 @@ def test_sorted_evaluator_subgradient_matches_dense_pull_back(seed):
     # dense E_l Y, so a wrong window on any level, overlapping ones included,
     # shows in that level's component
     h, tensor, actuals, rng = criterion_instance(seed)
-    evaluate = _criterion(tensor, actuals, h)
+    evaluate = _cv_oracle(tensor, actuals, h)
     S = oracle_summing_matrix(h)
     T, n = tensor.shape[0], tensor.shape[-1]
     for v in list(rng.dirichlet(np.ones(h.L), size=2)) + [np.eye(h.L)[-1]]:
@@ -287,7 +286,7 @@ def reference_oracle(tensor, actuals, h):
 
 
 def _assert_oracle_equals_reference(h, tensor, actuals, rng):
-    evaluate, reference = _criterion(tensor, actuals, h), reference_oracle(tensor, actuals, h)
+    evaluate, reference = _cv_oracle(tensor, actuals, h), reference_oracle(tensor, actuals, h)
     points = list(rng.dirichlet(np.ones(h.L), size=3)) + [np.eye(h.L)[0], np.eye(h.L)[-1]]
     # evaluations reuse the workspace, so each is checked after others ran
     for v in points + points[::-1]:
@@ -377,7 +376,7 @@ def test_reported_objective_is_the_searched_value(daily_hierarchy, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(cvopt, "cv_criterion", recorded)
-    evaluate = _criterion(*assemble_origins(origins, h, "ranked", seed=4), h)
+    evaluate = _cv_oracle(*assemble_origins(origins, h, "ranked", seed=4), h)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConverge)
         res = optimize_weights(origins, "ranked", "simplex", h, seed=4, maxiter=30)
@@ -405,7 +404,7 @@ def test_oracle_builds_no_maps_and_checks_v_as_weights_from_levels_does(monkeypa
     res = optimize_weights(origins, "ranked", "simplex", h, seed=0)
     assert res.gap is not None and res.iterations >= 3
     assert built == []
-    evaluate = _criterion(*assemble_origins(origins, h, "ranked", seed=0), h)
+    evaluate = _cv_oracle(*assemble_origins(origins, h, "ranked", seed=0), h)
     for bad in (np.ones(h.L + 1), np.array([0.5, np.nan]), np.ones((h.L, 1))):
         with pytest.raises(LengthMismatch) as want:
             weights_from_levels(bad, h)

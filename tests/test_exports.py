@@ -69,7 +69,8 @@ def test_no_module_imports_scipy():
 
 def test_only_three_functions_call_the_sorted_rows_kernel():
     # every sample score reaches the kernel through score_origin, except the
-    # median and the cutting-plane oracle, whose rows are sorted already
+    # median and the cutting-plane oracle, whose rows are sorted already;
+    # all three sit in scoring, next to the kernel
     package = Path(temporec.__file__).resolve().parent
     callers = set()
     for path in sorted(package.glob("*.py")):
@@ -78,7 +79,7 @@ def test_only_three_functions_call_the_sorted_rows_kernel():
                 func = node.func if isinstance(node, ast.Call) else None
                 if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_scores":
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {"scoring.score_origin", "scoring.median_point", "cvopt._criterion"}
+    assert callers == {"scoring.score_origin", "scoring.median_point", "scoring._cv_oracle"}
 
 
 def test_run_config_construction_is_the_one_parse_path():
@@ -195,9 +196,8 @@ def _modules_naming(names: set) -> set:
 
 def test_only_reconcile_names_the_lineage_operator():
     # every other module builds its level maps with weights_from_levels,
-    # except the cutting-plane oracle, which keeps one reusable workspace
+    # except the cutting-plane oracle, which walks its own workspace
     assert _modules_naming({"_lineage"}) == {"reconcile.py"}
-    assert _modules_naming({"_Lineage"}) == {"reconcile.py", "cvopt.py"}
 
 
 def test_only_sampling_names_the_coupling_draws():
@@ -206,12 +206,65 @@ def test_only_sampling_names_the_coupling_draws():
     assert _modules_naming({"Philox", "permuted", "_origin_seed"}) == {"sampling.py"}
 
 
-def test_only_hierarchy_and_reconcile_name_the_walks():
-    # the two child-map walks have one owner and one composer: every other
-    # module reaches them through reconcile's lineage operator or
-    # hierarchy.aggregate
-    names = {"_Walk", "push_down", "fill_means"}
-    assert _modules_naming(names) == {"hierarchy.py", "reconcile.py"}
+def test_the_walks_have_one_owner_and_two_callers():
+    # hierarchy owns the child-map walks; reconcile runs them for its maps
+    # and the cutting-plane oracle in scoring runs the lineage walk in its
+    # workspace; every other module reaches them through reconcile's maps
+    # or hierarchy.aggregate
+    assert _modules_naming({"fill_means"}) == {"hierarchy.py", "reconcile.py"}
+    assert _modules_naming({"_Walk", "lineage"}) == {"hierarchy.py", "reconcile.py", "scoring.py"}
+
+
+# the private names a package module may take from another, by (importer,
+# owner); every other private name is used only inside its own module
+PRIVATE_IMPORTS = {
+    ("cli", "reconcile"): {"_coherence_bound"},
+    ("cvopt", "scoring"): {"_cv_oracle"},
+    ("cvopt", "sampling"): {"_freeze"},
+    ("simkit", "sampling"): {"_freeze"},
+    ("reconcile", "hierarchy"): {"_Walk", "_window_means"},
+    ("scoring", "hierarchy"): {"_Walk"},
+    ("scoring", "reconcile"): {"_level_weights"},
+}
+
+
+def _private_imports() -> dict:
+    """(importer, owner) -> the private names a package module takes from
+    another, by ``from .owner import _name`` or by reading ``owner._name``
+    after ``from . import owner``."""
+    package = Path(temporec.__file__).resolve().parent
+    taken = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {}  # local name -> package module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                parts = node.module.split(".") if node.module else []
+                if not node.level:
+                    if parts[:1] != ["temporec"]:
+                        continue
+                    parts = parts[1:]
+                for alias in node.names:
+                    if not parts:
+                        owners[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                        taken.setdefault((path.stem, parts[0]), set()).add(alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in owners
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                taken.setdefault((path.stem, owners[node.value.id]), set()).add(node.attr)
+    return taken
+
+
+def test_private_names_cross_modules_only_as_listed():
+    # the oracle sits with cv_criterion in scoring, so cvopt takes no
+    # scoring kernel, no reconcile weights and no walk
+    assert _private_imports() == PRIVATE_IMPORTS
 
 
 def test_benchmark_imports_resolve():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -555,6 +556,18 @@ def test_score_hierarchy_is_its_two_steps(daily_hierarchy):
     with pytest.raises(EmptySample):
         score_origin(tensor[0, :, :0], actuals[0])
 
+
+
+@pytest.mark.parametrize("crps_shape, errors_shape", [
+    ((3, 1), (3, 1)),  # one column, which would broadcast to every node
+    ((3, 7), (2, 7)),  # two arrays over different origins
+    ((0, 7), (0, 7)),  # no origins to average
+    ((3, 5), (3, 5)),  # too few nodes
+])
+def test_score_tables_rejects_misaligned_node_scores(small_hierarchy, crps_shape, errors_shape):
+    shapes = re.escape(f"shapes {crps_shape} and {errors_shape} are not (T, 7)")
+    with pytest.raises(AlignmentError, match=shapes):
+        score_tables(np.ones(crps_shape), np.ones(errors_shape), small_hierarchy)
 
 def test_ragged_samples_raise_alignment_error():
     # the samples are made regular before they are flattened or sorted
