@@ -341,8 +341,10 @@ def ingest_csv(path: str) -> np.ndarray:
         SchemaError: unreadable or non-UTF-8 file, wrong header, unparsable
             timestamp, unparsable or non-finite value, or a step that is
             not a whole number of hours (the message names the line).
-        NonMonotoneTimestamps: duplicated or out-of-order rows.
-        GapError: missing periods (the message names them).
+        NonMonotoneTimestamps: duplicated or out-of-order rows (the
+            message names the line).
+        GapError: missing periods (the message names them, each with the
+            line that follows it).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -377,7 +379,7 @@ def ingest_csv(path: str) -> np.ndarray:
     for prev, cur, lineno in zip(stamps, stamps[1:], linenos[1:]):
         if cur <= prev:
             raise NonMonotoneTimestamps(
-                f"{path}: timestamp {cur.isoformat()} does not follow {prev.isoformat()}"
+                f"{path}:{lineno}: timestamp {cur.isoformat()} does not follow {prev.isoformat()}"
             )
         if (cur - prev) % step:
             raise SchemaError(
@@ -386,7 +388,8 @@ def ingest_csv(path: str) -> np.ndarray:
             )
         missing = (cur - prev) // step - 1
         if missing:
-            gaps.append(f"{(prev + step).isoformat()} .. {(cur - step).isoformat()}" if missing > 1 else (prev + step).isoformat())
+            span = (prev + step).isoformat() + (f" .. {(cur - step).isoformat()}" if missing > 1 else "")
+            gaps.append(f"{span} before line {lineno}")
     if gaps:
         raise GapError(f"{path}: missing periods: " + "; ".join(gaps))
     return np.asarray(values, dtype=float)

@@ -16,9 +16,12 @@ itself, with tolerances ``XATOL`` on the point and ``FATOL`` on the
 objective, relative to max(1, |objective|) at the first finite start. The
 empirical-CRPS objective is piecewise smooth and has no useful gradient in
 general, so each start runs a Nelder-Mead simplex search (``_nelder_mead``,
-scipy's algorithm ported step for step); starts always include the
-bottom-up and equal-weight vectors, whose objectives the returned point
-never exceeds.
+scipy's algorithm ported step for step). The starts are the images of the
+bottom-up and equal-weight vectors and a few more, and the returned
+objective is at most the objective at every start point the search
+evaluated. Under ``simplex`` the bottom-up start is
+softmax(log(max(e_L, 1e-8))), not e_L itself, so a capped search can end
+above the objective at exact bottom-up, by a rounding-sized amount.
 
 One case is solved exactly instead. Under ``simplex`` with L > 1, when every
 row of the validation joint sample is nondecreasing (the ``ranked`` scheme),
@@ -383,7 +386,11 @@ def optimize_weights(
     cutting-plane method and the result carries its optimality ``gap``;
     otherwise it is the Nelder-Mead multi-start search and ``gap`` is None.
     Either way ``objective`` is the searched value, which equals
-    ``cv_criterion`` at the returned weights bit for bit.
+    ``cv_criterion`` at the returned weights bit for bit, and is at most
+    the objective at every start point the search evaluated: bottom-up and
+    equal weights for the cutting planes, the images of the Nelder-Mead
+    start vectors otherwise (under ``simplex``, bottom-up only to within
+    the 1e-8 floor of its zero weights).
 
     Raises:
         ConfigError: ``regime`` is not one of ``REGIMES``; raised before any

@@ -43,7 +43,7 @@ class ColumnMismatch(SamplingError):
 
 
 class RowCountMismatch(SamplingError):
-    """A sample matrix has the wrong number of rows for its level."""
+    """A sample matrix is not 2-D with its level's node count as rows."""
 
 
 # --- weight matrices and reconciliation ---

@@ -1,7 +1,9 @@
 """Assembly of the joint sample matrix from per-level sample paths.
 
 Each level contributes an (f_1/f_l) x N matrix of simulated paths in common
-units. Three schemes turn those blocks into one M x N joint sample:
+units, the levels coarse to fine as ``HierarchySpec.levels``; a matrix is
+its level by its place in that order. Three schemes turn those blocks into
+one M x N joint sample:
 
 * ``stacked``  - plain vertical concatenation; keeps the dependence within
   each level, treats levels as independent.
@@ -14,8 +16,9 @@ Sorting and shuffling act within rows only, so the marginal (per node)
 distribution of every scheme is identical; only the coupling differs.
 
 ``assemble`` builds one origin's sample, ``assemble_origins`` a (T, M, N)
-tensor of them; both write each level into its rows of the output and
-couple the rows there, so no scheme copies a sample. ``assemble`` keys the
+tensor of them; both check the level matrices, the one place they are
+checked, then write each level into its rows of the output and couple the
+rows there, so no scheme copies a sample. ``assemble`` keys the
 permuted scheme with ``seed``, ``assemble_origins`` each origin with
 ``SeedSequence([seed, label])``, so the two shuffle differently.
 """
@@ -32,7 +35,6 @@ from .hierarchy import HierarchySpec
 
 __all__ = [
     "SCHEMES",
-    "LevelSample",
     "JointSample",
     "OriginData",
     "assemble",
@@ -42,40 +44,17 @@ __all__ = [
 SCHEMES = ("stacked", "ranked", "permuted")
 
 
-def _freeze(record, name: str) -> np.ndarray:
-    """Store a read-only float view of ``record.name`` in a frozen record's
-    field and return it; the caller's array stays writable."""
-    arr = np.asarray(getattr(record, name), dtype=float).view()
+def _read_only(a) -> np.ndarray:
+    """A read-only float view of ``a``; the caller's array stays writable."""
+    arr = np.asarray(a, dtype=float).view()
     arr.setflags(write=False)
-    object.__setattr__(record, name, arr)
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class LevelSample:
-    """Sample paths for one hierarchy level at one forecast origin.
-
-    ``matrix`` has one row per node of the level (f_1/f_l rows) and one
-    column per sample path, in common (bottom-level) units.
-    """
-
-    level: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _freeze(self, "matrix")
-        if mat.ndim != 2:
-            raise SamplingError(f"level {self.level} sample must be 2-D")
-        if mat.shape[1] < 2:
-            raise SamplingError(
-                f"level {self.level} sample needs at least 2 paths, got {mat.shape[1]}"
-            )
-        if not np.isfinite(mat).all():
-            raise SamplingError(f"level {self.level} sample has non-finite entries")
-
-    @property
-    def n_paths(self) -> int:
-        return self.matrix.shape[1]
+def _freeze(record, name: str) -> np.ndarray:
+    """Store ``_read_only(record.name)`` in a frozen record's field and return it."""
+    object.__setattr__(record, name, _read_only(getattr(record, name)))
+    return getattr(record, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,40 +76,43 @@ class JointSample:
 
 @dataclass(frozen=True, eq=False)
 class OriginData:
-    """Everything one forecast origin contributes to evaluation: the
-    per-level base samples and the realized node values in common units.
-    ``origin`` labels it (its cycle index); the permuted scheme keys the
-    row permutations on it, so origins assembled together need distinct
-    labels."""
+    """Everything one forecast origin contributes to evaluation: the base
+    samples, one (f_1/f_l) x N matrix of paths per level, coarse to fine,
+    and the realized node values, both in common units. Each is stored as
+    a read-only view; assembly checks the matrices. ``origin`` labels the
+    origin (its cycle index); the permuted scheme keys the row permutations
+    on it, so origins assembled together need distinct labels."""
 
-    levels: tuple[LevelSample, ...]
+    levels: tuple[np.ndarray, ...]
     actual: np.ndarray
     origin: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "levels", tuple(map(_read_only, self.levels)))
         _freeze(self, "actual")
 
 
 def assemble(
-    levels: Sequence[LevelSample],
+    levels: Sequence[np.ndarray],
     h: HierarchySpec,
     scheme: str,
     seed: int | None = None,
 ) -> JointSample:
-    """One origin's joint sample: its level matrices stacked and coupled
-    under ``scheme``. The permuted scheme needs a ``seed``, which keys its
-    Philox generator as given.
+    """One origin's joint sample: its level matrices, coarse to fine,
+    stacked and coupled under ``scheme``. The permuted scheme needs a
+    ``seed``, which keys its Philox generator as given.
 
     Raises:
-        MissingLevel: a level is absent or duplicated.
+        MissingLevel: not exactly one matrix per level.
+        RowCountMismatch: a matrix is not 2-D with its level's node count
+            as rows, which a level out of place is not.
         ColumnMismatch: levels disagree on the number of paths.
-        RowCountMismatch: a matrix has the wrong number of rows for its level.
-        SamplingError: the scheme is unknown, or permuted without a seed.
+        SamplingError: fewer than 2 paths, a non-finite entry, an unknown
+            scheme, or permuted without a seed.
     """
-    ordered = _in_level_order(levels, h)
-    out = np.empty((h.M, ordered[0].n_paths))
-    _couple(out, ordered, h, scheme, seed)
+    levels = _checked(levels, h)
+    out = np.empty((h.M, levels[0].shape[1]))
+    _couple(out, levels, h, scheme, seed)
     return JointSample(matrix=out, scheme=scheme, hierarchy=h)
 
 
@@ -151,7 +133,8 @@ def assemble_origins(
     validation and test origins (different cycles) never share a
     permutation; a label that repeats raises ``AlignmentError``, and so do
     origins whose path counts differ or whose actuals are not M-vectors.
-    Raises as ``assemble`` on a bad level set or scheme.
+    Raises as ``assemble`` on a bad level set, with the origin's label in
+    the message, or on a bad scheme.
     """
     if not origins:
         raise AlignmentError("no forecast origins supplied")
@@ -165,8 +148,8 @@ def assemble_origins(
                     "scheme needs a distinct label per origin"
                 )
             labels.add(origin.origin)
-        ordered = _in_level_order(origin.levels, h)
-        shape = (h.M, ordered[0].n_paths)
+        levels = _checked(origin.levels, h, f"origin {origin.origin}: ")
+        shape = (h.M, levels[0].shape[1])
         if tensor is None:
             tensor = np.empty((len(origins),) + shape)
             actuals = np.empty((len(origins), h.M))
@@ -176,7 +159,7 @@ def assemble_origins(
                 f"origin {origin.origin} has a joint sample of shape {shape}, "
                 f"origin {first} one of shape {tensor.shape[1:]}"
             )
-        _couple(tensor[t], ordered, h, scheme, _origin_seed(seed, origin.origin))
+        _couple(tensor[t], levels, h, scheme, _origin_seed(seed, origin.origin))
         if origin.actual.shape != (h.M,):
             raise AlignmentError(
                 f"origin {origin.origin} has actuals of shape {origin.actual.shape}, "
@@ -190,34 +173,32 @@ def _origin_seed(base: int, label: int) -> int:
     return int(np.random.SeedSequence([base % 2**64, label % 2**64]).generate_state(1)[0])
 
 
-def _in_level_order(levels: Sequence[LevelSample], h: HierarchySpec) -> list[LevelSample]:
-    """Exactly one sample per level of ``h``, levels 1..L, checked to share
-    one path count and to have each level's node count as rows."""
-    by_level = {}
-    for ls in levels:
-        if ls.level in by_level:
-            raise MissingLevel(f"duplicate sample for level {ls.level}")
-        by_level[ls.level] = ls
-    expected = set(range(1, h.L + 1))
-    if set(by_level) != expected:
-        missing = sorted(expected - set(by_level))
-        extra = sorted(set(by_level) - expected)
-        raise MissingLevel(f"missing levels {missing}, unexpected levels {extra}")
-
-    ordered = [by_level[lev] for lev in range(1, h.L + 1)]
-    n_paths = {ls.n_paths for ls in ordered}
-    if len(n_paths) != 1:
-        raise ColumnMismatch(f"levels have differing path counts {sorted(n_paths)}")
-    for ls in ordered:
-        want = h.nodes_at(ls.level)
-        if ls.matrix.shape[0] != want:
+def _checked(levels: Sequence[np.ndarray], h: HierarchySpec, at: str = "") -> list[np.ndarray]:
+    """Exactly one float matrix per level of ``h``, coarse to fine, each with
+    its level's node count as rows and level 1's path count, at least 2, and
+    every entry finite. ``at`` prefixes each message."""
+    mats = [np.asarray(z, dtype=float) for z in levels]
+    if len(mats) != h.L:
+        raise MissingLevel(f"{at}expected {h.L} level samples, coarse to fine, got {len(mats)}")
+    for lev, mat in enumerate(mats, start=1):
+        if mat.ndim != 2 or mat.shape[0] != h.nodes_at(lev):
             raise RowCountMismatch(
-                f"level {ls.level} has {ls.matrix.shape[0]} rows, expected {want}"
+                f"{at}level {lev} sample has shape {mat.shape}, expected "
+                f"{h.nodes_at(lev)} rows by one column per path"
             )
-    return ordered
+        if mat.shape[1] != mats[0].shape[1]:
+            raise ColumnMismatch(
+                f"{at}level {lev} sample has {mat.shape[1]} paths, level 1 has {mats[0].shape[1]}"
+            )
+        if mat.shape[1] < 2:
+            raise SamplingError(f"{at}level {lev} sample needs at least 2 paths, got {mat.shape[1]}")
+        # min and max carry any NaN or infinity, without a temporary the size of the matrix
+        if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+            raise SamplingError(f"{at}level {lev} sample has non-finite entries")
+    return mats
 
 
-def _couple(out, ordered: list[LevelSample], h: HierarchySpec, scheme: str, seed) -> None:
+def _couple(out, levels: list[np.ndarray], h: HierarchySpec, scheme: str, seed) -> None:
     """Write each level's matrix into its rows of the (M, N) ``out`` and
     couple the rows there: sorted for ranked, shuffled by one Philox 4x64
     counter-based generator keyed by ``seed`` for permuted, so the result is
@@ -226,8 +207,8 @@ def _couple(out, ordered: list[LevelSample], h: HierarchySpec, scheme: str, seed
         raise SamplingError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "permuted" and seed is None:
         raise SamplingError("the permuted scheme requires a seed")
-    for ls, (_, rows) in zip(ordered, h.levels):
-        out[rows] = ls.matrix
+    for mat, (_, rows) in zip(levels, h.levels):
+        out[rows] = mat
     if scheme == "ranked":
         out.sort(axis=-1)
     elif scheme == "permuted":

@@ -7,7 +7,8 @@ innovations drawn by bootstrapping the fit residuals. That keeps the
 within-level temporal dependence of the paths while making no
 distributional assumption, and it gives the reconciliation layer the same
 shape of input a production forecasting model would: one (f_1/f_l) x N
-matrix per level per forecast origin.
+matrix per level per forecast origin, coarse to fine, which is all an
+``OriginData`` holds besides its actuals and label.
 
 Levels are fitted and simulated in common units (window means, the values
 ``aggregate`` gives), not in native window sums. The least-squares fit and
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, SimkitError, TooShort
 from .hierarchy import HierarchySpec, aggregate
-from .sampling import LevelSample, OriginData, _freeze
+from .sampling import OriginData, _freeze
 
 __all__ = [
     "SyntheticScenario",
@@ -156,8 +157,9 @@ def sample_paths(
     horizon: int,
     n_paths: int,
     seed,
-) -> LevelSample:
-    """Generate recursive multi-step sample paths from one forecast origin.
+) -> np.ndarray:
+    """Generate recursive multi-step sample paths from one forecast origin:
+    a (horizon, n_paths) matrix.
 
     Innovations are drawn by residual bootstrap, so each column is one
     dependent path of the fitted recursion started at ``origin_state`` (the
@@ -169,8 +171,7 @@ def sample_paths(
         raise SimkitError(f"need at least 2 sample paths, got {n_paths}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(fc.residuals, size=(horizon, n_paths), replace=True)
-    paths = _ar1(fc.intercept, fc.phi, float(origin_state), draws)
-    return LevelSample(level=fc.level, matrix=paths)
+    return _ar1(fc.intercept, fc.phi, float(origin_state), draws)
 
 
 def _ar1(c: float, phi: float, start: float, shocks: np.ndarray) -> np.ndarray:
@@ -281,7 +282,7 @@ def dataset_from_series(
             state = nodes[rows.stop - 1, cycle - 1]  # the level's last node one cycle back
             path_seed = np.random.SeedSequence([seed % 2**64, cycle, fc.level])
             samples.append(sample_paths(fc, state, h.nodes_at(fc.level), n_paths, path_seed))
-        return OriginData(levels=tuple(samples), actual=nodes[:, cycle], origin=cycle)
+        return OriginData(levels=samples, actual=nodes[:, cycle], origin=cycle)
 
     return Dataset(
         bottom=values,

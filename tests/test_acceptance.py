@@ -21,7 +21,7 @@ from temporec.reconcile import (
     weights_from_levels,
     wls_weights,
 )
-from temporec.sampling import SCHEMES, LevelSample, assemble, assemble_origins
+from temporec.sampling import SCHEMES, assemble, assemble_origins
 from temporec.scoring import crps_sample, cv_objective, score_hierarchy
 from temporec.simkit import SyntheticScenario, build_dataset
 from temporec.cli import main
@@ -60,10 +60,7 @@ def test_coherence_suite():
         for _ in range(100):
             h = random_hierarchy(rng, max_cycle=24)
             S = build_summing_matrix(h)
-            levels = [
-                LevelSample(level=lev, matrix=rng.normal(size=(h.nodes_at(lev), 50)))
-                for lev in range(1, h.L + 1)
-            ]
+            levels = [rng.normal(size=(h.nodes_at(lev), 50)) for lev in range(1, h.L + 1)]
             joints = [assemble(levels, h, scheme, seed=7) for scheme in SCHEMES]
             for P in _all_weight_matrices(h, rng):
                 for joint in joints:

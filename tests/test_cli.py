@@ -67,6 +67,28 @@ def test_ingest_gap_names_missing_hour(tmp_path):
     assert "2026-01-01T01:00:00" in str(err.value)
 
 
+def _hours(*offsets):
+    t0 = datetime(2024, 1, 5, tzinfo=timezone.utc)
+    return [(t0 + timedelta(hours=k)).isoformat() for k in offsets]
+
+
+@pytest.mark.parametrize("hours, error, message", [
+    # data rows 3 and 4 swapped: line 4 skips an hour, line 5 steps back
+    ((0, 1, 3, 2, 4), NonMonotoneTimestamps,
+     ":5: timestamp 2024-01-05T02:00:00+00:00 does not follow 2024-01-05T03:00:00+00:00"),
+    ((0, 1, 1, 2), NonMonotoneTimestamps,
+     ":4: timestamp 2024-01-05T01:00:00+00:00 does not follow 2024-01-05T01:00:00+00:00"),
+    ((0, 1, 4, 5, 7), GapError,
+     ": missing periods: 2024-01-05T02:00:00+00:00 .. 2024-01-05T03:00:00+00:00 before "
+     "line 4; 2024-01-05T06:00:00+00:00 before line 6"),
+])
+def test_ingest_order_and_gap_errors_name_the_line(tmp_path, hours, error, message):
+    path = write_csv(tmp_path / "bad.csv", [1.0] * len(hours), stamps=_hours(*hours))
+    with pytest.raises(error) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}{message}"
+
+
 def test_ingest_schema_errors(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("time,power\n2026-01-01T00:00:00Z,1.0\n")
@@ -619,7 +641,10 @@ def test_ingest_round_trip_and_dropped_hour(tmp_path_factory, values, forms, dat
     drop = data.draw(st.integers(1, len(values) - 2), label="dropped row")
     gapped = write_csv(folder / "gap.csv", values[:drop] + values[drop + 1 :],
                        stamps=stamps[:drop] + stamps[drop + 1 :])
-    with pytest.raises(GapError, match=f"missing periods: {re.escape(utc[drop].isoformat())}$"):
+    # the row after the dropped one is data row drop + 1, on line drop + 2
+    with pytest.raises(
+        GapError, match=f"missing periods: {re.escape(utc[drop].isoformat())} before line {drop + 2}$"
+    ):
         ingest_csv(gapped)
 
 

@@ -19,7 +19,7 @@ from temporec.cvopt import (
 from temporec.errors import AlignmentError, ConfigError, DidNotConverge, LengthMismatch, NonFinite
 from temporec.hierarchy import build_hierarchy
 from temporec.reconcile import reconcile_tensor, weights_from_levels
-from temporec.sampling import LevelSample, OriginData, assemble_origins
+from temporec.sampling import OriginData, assemble_origins
 from temporec.scoring import (
     _cv_oracle, _node_weights, _rank_weights, _sorted_scores, cv_criterion, cv_objective,
 )
@@ -37,11 +37,8 @@ def bottom_only_instance(n_origins=6, n_paths=40, seed=100):
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
         actual = S @ bottom_truth
-        top = LevelSample(level=1, matrix=rng.normal(5.0, 3.0, size=(1, n_paths)))
-        bot = LevelSample(
-            level=2,
-            matrix=bottom_truth[:, None] + rng.normal(0, 0.1, size=(2, n_paths)),
-        )
+        top = rng.normal(5.0, 3.0, size=(1, n_paths))
+        bot = bottom_truth[:, None] + rng.normal(0, 0.1, size=(2, n_paths))
         origins.append(OriginData(levels=(top, bot), actual=actual, origin=t))
     return h, origins
 
@@ -55,11 +52,8 @@ def balanced_instance(n_origins=8, n_paths=50, seed=200):
     for t in range(n_origins):
         bottom_truth = rng.normal(size=h.m)
         actual = S @ bottom_truth
-        top = LevelSample(level=1, matrix=actual[0] + rng.normal(0, 0.4, size=(1, n_paths)))
-        bot = LevelSample(
-            level=2,
-            matrix=bottom_truth[:, None] + rng.normal(0, 0.8, size=(2, n_paths)),
-        )
+        top = actual[0] + rng.normal(0, 0.4, size=(1, n_paths))
+        bot = bottom_truth[:, None] + rng.normal(0, 0.8, size=(2, n_paths))
         origins.append(OriginData(levels=(top, bot), actual=actual, origin=t))
     return h, origins
 
@@ -96,6 +90,36 @@ def test_dominates_start_vectors():
         res = optimize_weights(origins, scheme, "simplex", h, seed=0)
         assert res.objective <= cv_objective(bu, scheme, origins, h) + 1e-12
         assert res.objective <= cv_objective(la, scheme, origins, h) + 1e-12
+
+
+def test_returned_objective_is_at_most_every_evaluated_start():
+    # the bound that holds exactly: the objective at every start point the
+    # search evaluated. Under simplex Nelder-Mead the bottom-up start is
+    # softmax(log(max(e_L, 1e-8))), not e_L, so a capped search can end a
+    # rounding-sized amount above the objective at exact bottom-up
+    above_exact_bottom_up = 0
+    for frequencies in ((4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1)):
+        h = build_hierarchy(frequencies)
+        e_L, equal = np.eye(h.L)[-1], np.full(h.L, 1.0 / h.L)
+        for seed in range(3):
+            scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=frequencies[0],
+                                    train_cycles=12, val_cycles=4, test_cycles=1, seed=seed)
+            origins = list(build_dataset(scn, h, n_paths=30).val_origins)
+            for scheme, regime in (("stacked", "simplex"), ("permuted", "simplex"),
+                                   ("stacked", "affine"), ("ranked", "simplex")):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DidNotConverge)
+                    res = optimize_weights(origins, scheme, regime, h, seed=seed,
+                                           n_starts=3, maxiter=5)
+                reg = _Regime(regime)
+                starts = ([e_L, equal] if res.gap is not None
+                          else [reg.to_weights(u) for u in _start_vectors(h, reg, 3, seed)])
+                for v in starts:
+                    assert res.objective <= cv_objective(v, scheme, origins, h, seed=seed)
+                if res.gap is None and regime == "simplex":
+                    above_exact_bottom_up += res.objective > cv_objective(
+                        e_L, scheme, origins, h, seed=seed)
+    assert above_exact_bottom_up > 0
 
 
 def test_deterministic():
@@ -136,8 +160,8 @@ def test_matches_fine_grid_on_unimodal_instance():
 def test_non_finite_objective_raises():
     # an infinite realization poisons the CRPS at every start vector
     h = build_hierarchy([2, 1])
-    top = LevelSample(level=1, matrix=np.array([[0.0, 1.0]]))
-    bot = LevelSample(level=2, matrix=np.array([[0.0, 1.0], [0.0, 1.0]]))
+    top = [[0.0, 1.0]]
+    bot = [[0.0, 1.0], [0.0, 1.0]]
     origins = [OriginData(levels=(top, bot), actual=np.full(h.M, np.inf))]
     with np.errstate(all="ignore"), pytest.raises(NonFinite):
         optimize_weights(origins, "ranked", "free", h, seed=0)
@@ -158,7 +182,7 @@ def test_single_level_hierarchy():
     rng = np.random.default_rng(5)
     origins = [
         OriginData(
-            levels=(LevelSample(level=1, matrix=rng.normal(size=(1, 10))),),
+            levels=[rng.normal(size=(1, 10))],
             actual=rng.normal(size=1),
         )
         for _ in range(3)
@@ -540,7 +564,7 @@ def test_certified_search_warm_starts_its_lp_solves(daily_hierarchy, monkeypatch
 
 def _scaled(origins, factor):
     return [
-        OriginData(levels=[LevelSample(s.level, s.matrix * factor) for s in o.levels],
+        OriginData(levels=[z * factor for z in o.levels],
                    actual=o.actual * factor, origin=o.origin)
         for o in origins
     ]

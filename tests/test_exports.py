@@ -206,6 +206,15 @@ def test_only_sampling_names_the_coupling_draws():
     assert _modules_naming({"Philox", "permuted", "_origin_seed"}) == {"sampling.py"}
 
 
+def test_a_level_sample_is_a_bare_matrix_checked_only_at_assembly():
+    # a level's matrix is its level by its place, coarse to fine, so no
+    # record labels it, and only sampling raises the errors of a bad level set
+    package = Path(temporec.__file__).resolve().parent
+    assert not [p.name for p in package.glob("*.py") if "LevelSample" in p.read_text()]
+    assert "LevelSample" not in temporec.__all__ and not hasattr(temporec, "LevelSample")
+    assert _modules_naming({"MissingLevel", "RowCountMismatch", "ColumnMismatch"}) == {"sampling.py"}
+
+
 def test_the_walks_have_one_owner_and_two_callers():
     # hierarchy owns the child-map walks; reconcile runs them for its maps
     # and the cutting-plane oracle in scoring runs the lineage walk in its

@@ -21,7 +21,7 @@ from temporec.reconcile import (
     weights_from_levels,
     wls_weights,
 )
-from temporec.sampling import JointSample, LevelSample, assemble
+from temporec.sampling import JointSample, assemble
 
 from conftest import dense_map, oracle_summing_matrix, random_hierarchy
 
@@ -371,10 +371,7 @@ def test_equal_rows_for_averaging_methods():
 def test_bu_of_ranked_sorts_bottom_block():
     rng = np.random.default_rng(16)
     h = build_hierarchy([4, 2, 1])
-    levels = [
-        LevelSample(level=lev, matrix=rng.normal(size=(h.nodes_at(lev), 7)))
-        for lev in range(1, h.L + 1)
-    ]
+    levels = [rng.normal(size=(h.nodes_at(lev), 7)) for lev in range(1, h.L + 1)]
     joint = assemble(levels, h, "stacked")
     S = build_summing_matrix(h)
     rec = reconcile(S, fixed_weights("BU", h), assemble(levels, h, "ranked"))

@@ -7,7 +7,7 @@ import pytest
 from temporec.errors import ColumnMismatch, MissingLevel, RowCountMismatch, SamplingError
 from temporec.hierarchy import build_hierarchy
 from temporec.cvopt import CvResult
-from temporec.sampling import SCHEMES, JointSample, LevelSample, OriginData, assemble, assemble_origins
+from temporec.sampling import SCHEMES, JointSample, OriginData, assemble, assemble_origins
 from temporec.simkit import Dataset, LevelForecaster
 
 from conftest import random_hierarchy
@@ -16,33 +16,37 @@ from test_scoring import _make_origins
 
 def _two_level():
     h = build_hierarchy([2, 1])
-    z1 = LevelSample(level=1, matrix=[[1.0, 2.0]])
-    z2 = LevelSample(level=2, matrix=[[3.0, 4.0], [5.0, 6.0]])
+    z1 = [[1.0, 2.0]]
+    z2 = [[3.0, 4.0], [5.0, 6.0]]
     return h, z1, z2
 
 
 def _levels(h, matrix):
-    """The level samples whose stacked joint sample is ``matrix``."""
+    """The level matrices, coarse to fine, whose stacked joint sample is ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)
-    return [LevelSample(level=lev, matrix=matrix[rows]) for lev, (_, rows) in enumerate(h.levels, 1)]
+    return [matrix[rows] for _, rows in h.levels]
 
 
 def test_stack_concatenates():
     h, z1, z2 = _two_level()
-    joint = assemble([z2, z1], h, "stacked")  # order of inputs must not matter
+    joint = assemble([z1, z2], h, "stacked")
     np.testing.assert_array_equal(joint.matrix, [[1, 2], [3, 4], [5, 6]])
     assert joint.scheme == "stacked"
+    # a matrix is its level by its place, coarse to fine, so one out of
+    # place has the wrong node count for the level it stands in
+    with pytest.raises(RowCountMismatch, match=r"level 1 sample has shape \(2, 2\)"):
+        assemble([z2, z1], h, "stacked")
 
 
 def test_stack_single_level():
     h = build_hierarchy([1])
-    z = LevelSample(level=1, matrix=[[1.0, 2.0, 3.0]])
-    np.testing.assert_array_equal(assemble([z], h, "stacked").matrix, z.matrix)
+    z = [[1.0, 2.0, 3.0]]
+    np.testing.assert_array_equal(assemble([z], h, "stacked").matrix, z)
 
 
 def test_stack_column_mismatch():
     h, z1, _ = _two_level()
-    z2 = LevelSample(level=2, matrix=np.zeros((2, 3)))
+    z2 = np.zeros((2, 3))
     with pytest.raises(ColumnMismatch):
         assemble([z1, z2], h, "stacked")
 
@@ -57,16 +61,31 @@ def test_stack_missing_and_duplicate_levels():
 
 def test_stack_row_count_mismatch():
     h, z1, _ = _two_level()
-    bad = LevelSample(level=2, matrix=np.zeros((3, 2)))
-    with pytest.raises(RowCountMismatch):
+    bad = np.zeros((3, 2))
+    with pytest.raises(RowCountMismatch, match=r"level 2 sample has shape \(3, 2\), expected 2 rows"):
         assemble([z1, bad], h, "stacked")
 
 
 def test_level_sample_validation():
-    with pytest.raises(SamplingError):
-        LevelSample(level=1, matrix=[[1.0]])  # single path
-    with pytest.raises(SamplingError):
-        LevelSample(level=1, matrix=[[1.0, np.inf]])
+    h = build_hierarchy([1])
+    with pytest.raises(SamplingError, match="level 1 sample needs at least 2 paths, got 1"):
+        assemble([[[1.0]]], h, "stacked")
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(SamplingError, match="level 1 sample has non-finite entries"):
+            assemble([[[1.0, bad, 2.0]]], h, "stacked")
+
+
+def test_a_non_finite_level_names_its_origin(small_hierarchy):
+    # the check runs at assembly, so its message names the origin it read
+    h = small_hierarchy
+    first, second = _make_origins(h, np.random.default_rng(5), n_origins=2, n_paths=4)
+    levels = [*second.levels[:-1], np.where(second.levels[-1] > 0, np.inf, 0.0)]
+    broken = OriginData(levels=levels, actual=second.actual, origin=second.origin)
+    for scheme in SCHEMES:
+        with pytest.raises(
+            SamplingError, match=f"^origin {second.origin}: level 3 sample has non-finite entries$"
+        ):
+            assemble_origins([first, broken], h, scheme, seed=1)
 
 
 def test_rank_sorts_rows():
@@ -122,10 +141,7 @@ def test_schemes_share_marginals():
     # per-row empirical CDFs coincide across all three schemes
     rng = np.random.default_rng(33)
     h = random_hierarchy(rng)
-    levels = [
-        LevelSample(level=lev, matrix=rng.normal(size=(h.nodes_at(lev), 9)))
-        for lev in range(1, h.L + 1)
-    ]
+    levels = [rng.normal(size=(h.nodes_at(lev), 9)) for lev in range(1, h.L + 1)]
     outputs = [
         assemble(levels, h, "stacked"),
         assemble(levels, h, "ranked"),
@@ -146,15 +162,15 @@ def test_rank_idempotence_property():
 
 def test_assemble_rejects_unknown_scheme(small_hierarchy):
     h = small_hierarchy
-    levels = [LevelSample(level=lev, matrix=np.zeros((h.nodes_at(lev), 3))) for lev in (1, 2, 3)]
+    levels = [np.zeros((h.nodes_at(lev), 3)) for lev in (1, 2, 3)]
     with pytest.raises(SamplingError, match="unknown scheme 'bogus'"):
         assemble(levels, h, "bogus")
 
 
 def test_sample_shapes_rejected():
     h, _, _ = _two_level()
-    with pytest.raises(SamplingError, match="must be 2-D"):
-        LevelSample(level=1, matrix=[1.0, 2.0, 3.0])
+    with pytest.raises(RowCountMismatch, match=r"level 1 sample has shape \(3,\)"):
+        assemble([[1.0, 2.0, 3.0], np.zeros((2, 3))], h, "stacked")
     with pytest.raises(SamplingError, match="joint sample has 2 rows, hierarchy has 3 nodes"):
         JointSample(matrix=np.zeros((2, 4)), scheme="stacked", hierarchy=h)
 
@@ -220,29 +236,32 @@ def test_assemble_origins_reads_each_origin_once(daily_hierarchy):
 
 
 # each record that stores an array, built on a caller's (3, 4) array, and
-# the field that stores it
+# how to read the stored array back
 ARRAY_RECORDS = {
-    "LevelSample": (lambda a: LevelSample(level=1, matrix=a), "matrix"),
+    "OriginData.levels": (
+        lambda a: OriginData(levels=[a], actual=np.zeros(3)), lambda r: r.levels[0],
+    ),
     "JointSample": (
         lambda a: JointSample(matrix=a, scheme="stacked", hierarchy=build_hierarchy([2, 1])),
-        "matrix",
+        lambda r: r.matrix,
     ),
-    "OriginData": (lambda a: OriginData(levels=(), actual=a), "actual"),
+    "OriginData": (lambda a: OriginData(levels=(), actual=a), lambda r: r.actual),
     "LevelForecaster": (
-        lambda a: LevelForecaster(level=1, phi=0.5, intercept=0.0, residuals=a), "residuals",
+        lambda a: LevelForecaster(level=1, phi=0.5, intercept=0.0, residuals=a),
+        lambda r: r.residuals,
     ),
     "CvResult": (
         lambda a: CvResult(v=a, objective=0.0, iterations=0, regime="simplex", scheme="stacked"),
-        "v",
+        lambda r: r.v,
     ),
 }
 
 
 @pytest.mark.parametrize("name", ARRAY_RECORDS)
 def test_records_freeze_a_view_and_leave_the_callers_array_writable(name):
-    make, field = ARRAY_RECORDS[name]
+    make, stored_in = ARRAY_RECORDS[name]
     a = np.zeros((3, 4))
-    stored = getattr(make(a), field)
+    stored = stored_in(make(a))
     assert not stored.flags.writeable
     assert a.flags.writeable and np.shares_memory(stored, a)  # a view, not a copy
     a[0, 0] = 1.0

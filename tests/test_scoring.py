@@ -15,7 +15,7 @@ from temporec.reconcile import (
     weights_from_levels,
     wls_weights,
 )
-from temporec.sampling import SCHEMES, LevelSample, OriginData, assemble, assemble_origins
+from temporec.sampling import SCHEMES, OriginData, assemble, assemble_origins
 from temporec.scoring import (
     _node_weights,
     _rank_weights,
@@ -200,13 +200,7 @@ def _make_origins(h, rng, n_origins=3, n_paths=6):
     S = oracle_summing_matrix(h)
     origins = []
     for t in range(n_origins):
-        levels = tuple(
-            LevelSample(
-                level=lev,
-                matrix=rng.normal(size=(h.nodes_at(lev), n_paths)),
-            )
-            for lev in range(1, h.L + 1)
-        )
+        levels = [rng.normal(size=(h.nodes_at(lev), n_paths)) for lev in range(1, h.L + 1)]
         origins.append(
             OriginData(levels=levels, actual=S @ rng.normal(size=h.m), origin=t)
         )
@@ -256,13 +250,7 @@ def test_cv_objective_zero_for_perfect_forecasts():
     origins = []
     for t in range(2):
         actual = S @ rng.normal(size=h.m)
-        levels = tuple(
-            LevelSample(
-                level=lev,
-                matrix=np.repeat(actual[h.levels[lev - 1][1]][:, None], 4, axis=1),
-            )
-            for lev in range(1, h.L + 1)
-        )
+        levels = [np.repeat(actual[rows][:, None], 4, axis=1) for _, rows in h.levels]
         origins.append(OriginData(levels=levels, actual=actual, origin=t))
     # degenerate forecasts equal to a coherent truth are fixed by the
     # bottom-up projection, so the objective collapses to zero there
@@ -362,10 +350,7 @@ def test_scores_invariant_across_schemes(seed):
 
     origins = [
         OriginData(
-            levels=tuple(
-                LevelSample(level=lev, matrix=level_values(h.nodes_at(lev)))
-                for lev in range(1, h.L + 1)
-            ),
+            levels=[level_values(h.nodes_at(lev)) for lev in range(1, h.L + 1)],
             actual=rng.normal(size=h.M),
             origin=t,
         )

@@ -90,19 +90,19 @@ def test_fit_too_short():
 
 def test_paths_degenerate_when_residuals_zero():
     fc = fit_level(np.full(20, 4.0), 1)
-    ls = sample_paths(fc, origin_state=4.0, horizon=3, n_paths=5, seed=0)
+    paths = sample_paths(fc, origin_state=4.0, horizon=3, n_paths=5, seed=0)
     # intercept-only model from a constant series reproduces the constant
-    np.testing.assert_allclose(ls.matrix, 4.0)
-    assert ls.level == 1
+    np.testing.assert_allclose(paths, 4.0)
+    assert paths.shape == (3, 5)
 
 
 def test_paths_shape_and_determinism():
     rng = np.random.default_rng(1)
     fc = fit_level(rng.normal(size=100), 2)
     one = sample_paths(fc, 0.3, horizon=1, n_paths=6, seed=9)
-    assert one.matrix.shape == (1, 6)
+    assert one.shape == (1, 6)
     again = sample_paths(fc, 0.3, horizon=1, n_paths=6, seed=9)
-    np.testing.assert_array_equal(one.matrix, again.matrix)
+    np.testing.assert_array_equal(one, again)
 
 
 def test_paths_one_step_mean():
@@ -112,10 +112,10 @@ def test_paths_one_step_mean():
                                               val_cycles=1, test_cycles=1, seed=4))
     fc = fit_level(series, 1)
     state = 2.0
-    ls = sample_paths(fc, state, horizon=1, n_paths=10_000, seed=5)
+    paths = sample_paths(fc, state, horizon=1, n_paths=10_000, seed=5)
     expected = fc.intercept + fc.phi * state
     se = fc.residuals.std() / np.sqrt(10_000)
-    assert abs(ls.matrix.mean() - expected) <= 3 * se + abs(fc.residuals.mean())
+    assert abs(paths.mean() - expected) <= 3 * se + abs(fc.residuals.mean())
 
 
 def test_paths_lag_one_autocorrelation():
@@ -123,8 +123,8 @@ def test_paths_lag_one_autocorrelation():
                                               cycle_length=100, train_cycles=48,
                                               val_cycles=1, test_cycles=1, seed=6))
     fc = fit_level(series, 1)
-    ls = sample_paths(fc, series[-1], horizon=60, n_paths=1000, seed=7)
-    x = ls.matrix[10:]  # drop the start-up transient
+    paths = sample_paths(fc, series[-1], horizon=60, n_paths=1000, seed=7)
+    x = paths[10:]  # drop the start-up transient
     rho = np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1]
     assert abs(rho - fc.phi) <= 0.1
 
@@ -144,7 +144,7 @@ def test_paths_step_the_recursion_bit_for_bit(seed):
         prev = fc.intercept + fc.phi * prev + draws[t]
         expected.append(prev)
     paths = sample_paths(fc, origin_state, horizon, n_paths, seed)
-    np.testing.assert_array_equal(paths.matrix, np.array(expected))
+    np.testing.assert_array_equal(paths, np.array(expected))
 
 
 def test_paths_scale_equivariant():
@@ -155,7 +155,7 @@ def test_paths_scale_equivariant():
     native = sample_paths(fit_level(series, 1), series[-1], horizon=12, n_paths=50, seed=4)
     for f in (2, 24, 288):
         common = sample_paths(fit_level(series / f, 1), series[-1] / f, horizon=12, n_paths=50, seed=4)
-        np.testing.assert_allclose(common.matrix, native.matrix / f, rtol=1e-12)
+        np.testing.assert_allclose(common, native / f, rtol=1e-12)
 
 
 def test_dataset_consistency():
@@ -176,9 +176,8 @@ def test_dataset_consistency():
     for origin in [*ds.val_origins, *ds.test_origins]:
         cycle = ds.bottom[origin.origin * 4 : (origin.origin + 1) * 4]
         np.testing.assert_array_equal(origin.actual, aggregate(cycle[:, None], h)[:, 0])
-    # level samples carry the right shapes
-    for ls in ds.val_origins[0].levels:
-        assert ls.matrix.shape == (h.nodes_at(ls.level), 10)
+    # level samples carry the right shapes, coarse to fine
+    assert [z.shape for z in ds.val_origins[0].levels] == [(1, 10), (2, 10), (4, 10)]
 
 
 def test_dataset_deterministic():
@@ -191,7 +190,7 @@ def test_dataset_deterministic():
     for oa, ob in zip([*a.val_origins, *a.test_origins], [*b.val_origins, *b.test_origins]):
         np.testing.assert_array_equal(oa.actual, ob.actual)
         for la, lb in zip(oa.levels, ob.levels):
-            np.testing.assert_array_equal(la.matrix, lb.matrix)
+            np.testing.assert_array_equal(la, lb)
 
 
 def test_dataset_splits_do_not_depend_on_build_order():
@@ -210,7 +209,7 @@ def test_dataset_splits_do_not_depend_on_build_order():
         assert oa.origin == ob.origin
         assert oa.actual.tobytes() == ob.actual.tobytes()
         for la, lb in zip(oa.levels, ob.levels):
-            assert la.matrix.tobytes() == lb.matrix.tobytes()
+            assert la.tobytes() == lb.tobytes()
 
     for oa, ob in zip(a_val + a_test, b_val + b_test):
         assert_same(oa, ob)
