@@ -70,7 +70,10 @@ The ``cv`` method expands to one report row per configured regime, labelled
 Input CSV schema: UTF-8 text (a byte-order mark is allowed), header
 ``timestamp,value``; ISO-8601 UTC timestamps (no offset means UTC) at
 bottom-period (hourly) resolution, whole-hour steps, strictly increasing,
-gap-free; finite values in native units. Output files: ``crps.csv`` and
+gap-free; finite values in native units. Cycle 0 starts at the first row,
+whatever its hour (a series that starts at 05:00 has 05:00-to-04:00
+cycles), and the rows after the train + validation + test cycles are
+dropped. Output files: ``crps.csv`` and
 ``mae.csv`` (one row per scheme/method, per-level columns coarse to fine
 plus the mean), ``cv_weights.csv`` (weights, row sum, optimality ``gap``
 of a certified search or empty, objective, iterations),
@@ -93,6 +96,9 @@ failure. Every package error maps to one of them by its family
        gapped or too short CSV input)
     4  NumericalError, SamplingError, ReconcileError, ScoringError, and
        LAPACK failures (``numpy.linalg.LinAlgError``)
+
+The command prints each warning, such as a weight search's that stopped
+at its cap, as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -105,6 +111,7 @@ import math
 import os
 import sys
 import typing
+import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -610,15 +617,18 @@ def main(argv=None) -> int:
     overrides = vars(parser.parse_args(argv))
     config = overrides.pop("config")
 
-    try:
-        cfg = load_config(config, overrides=overrides)
-        rows = run_experiment(cfg)
-    except (TemporecError, np.linalg.LinAlgError) as exc:
-        code = exit_code(exc)
-        if code is None:
-            raise
-        print(f"{EXIT_LABELS[code]}: {exc}", file=sys.stderr)
-        return code
+    with warnings.catch_warnings():
+        # one line per warning, with no source path or line; restored on exit
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(config, overrides=overrides)
+            rows = run_experiment(cfg)
+        except (TemporecError, np.linalg.LinAlgError) as exc:
+            code = exit_code(exc)
+            if code is None:
+                raise
+            print(f"{EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+            return code
 
     print("CRPS (native units per level; lower is better)")
     print(f"{'scheme':>10} {'method':>12} " + " ".join(f"{fl:>7}h" for fl in cfg.frequencies) + f" {'mean':>8}")

@@ -196,7 +196,7 @@ def _nelder_mead(objective, x0: np.ndarray, f0: float, maxiter: int, xatol: floa
 
 
 def _search(
-    objective: Callable[[np.ndarray], float], starts: list[np.ndarray], maxiter: int | None
+    objective: Callable[[np.ndarray], float], starts: list[np.ndarray], maxiter: int | None, at=""
 ):
     """Run Nelder-Mead from every start; return (best u, its objective, iterations).
 
@@ -211,7 +211,7 @@ def _search(
         NonFinite: the objective is NaN or infinite at every start.
 
     Warns:
-        DidNotConverge: no start met the tolerances within ``maxiter``.
+        DidNotConverge: no start met the tolerances within ``maxiter``; ``at`` prefixes it.
     """
     if maxiter is None:
         maxiter = 80 * len(starts[0])
@@ -236,7 +236,7 @@ def _search(
         raise NonFinite("objective was NaN or infinite at every start vector")
     if not converged:
         warnings.warn(
-            f"no start converged within {maxiter} iterations; returning best point",
+            f"{at}no start converged within {maxiter} iterations; returning best point",
             DidNotConverge,
         )
     return np.asarray(best_u, dtype=float), float(best_obj), total_iters
@@ -289,7 +289,7 @@ def _master_lp(A: np.ndarray, b: np.ndarray, basis: np.ndarray | None = None):
     return None
 
 
-def _cutting_planes(evaluate, L: int, maxiter: int | None):
+def _cutting_planes(evaluate, L: int, maxiter: int | None, at=""):
     """Kelley's method for a convex objective over the simplex of L weights.
 
     Cuts start at the bottom-up and equal-weight vectors. Each iteration
@@ -310,7 +310,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
         NonFinite: the objective is NaN or infinite at both starting cuts.
 
     Warns:
-        DidNotConverge: the gap is still above tolerance when the search stops.
+        DidNotConverge: the gap is still above tolerance when the search stops; ``at`` prefixes it.
     """
     if maxiter is None:
         maxiter = 80 * L
@@ -348,7 +348,7 @@ def _cutting_planes(evaluate, L: int, maxiter: int | None):
         gap = 0.0
     if gap > CUT_GAP * max(1.0, abs(best_f)):
         warnings.warn(
-            f"cutting-plane search stopped after {solves} LP solves with optimality "
+            f"{at}cutting-plane search stopped after {solves} LP solves with optimality "
             f"gap {gap:.3e}; returning best point",
             DidNotConverge,
         )
@@ -399,22 +399,23 @@ def optimize_weights(
 
     Warns:
         DidNotConverge: no start met the tolerances within ``maxiter``, or
-        the cutting-plane gap is still above ``CUT_GAP``; the best point
-        found is still returned.
+        the cutting-plane gap is still above ``CUT_GAP``; the message names
+        the scheme and regime, and the best point found is still returned.
     """
     reg = _Regime(regime)  # before assembly, so a bad regime fails first
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
+    at = f"{scheme} scheme, {reg.tag} regime: "
     certified = reg.tag == "simplex" and h.L > 1
     if certified and (joint_tensor[..., 1:] >= joint_tensor[..., :-1]).all():
         oracle = _cv_oracle(joint_tensor, actuals, h)
-        v, objective, iterations, gap = _cutting_planes(oracle, h.L, maxiter)
+        v, objective, iterations, gap = _cutting_planes(oracle, h.L, maxiter, at)
     else:
         def criterion(u):
             P = weights_from_levels(reg.to_weights(u), h)
             return cv_criterion(P, joint_tensor, actuals, h)
 
         starts = _start_vectors(h, reg, n_starts, seed)
-        u, objective, iterations = _search(criterion, starts, maxiter)
+        u, objective, iterations = _search(criterion, starts, maxiter, at)
         v, gap = reg.to_weights(u), None
     return CvResult(v=v, objective=objective, iterations=iterations,
                     regime=reg.tag, scheme=scheme, gap=gap)

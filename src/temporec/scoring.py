@@ -1,4 +1,4 @@
-"""Sample-based scoring: CRPS, median point forecasts, level-wise tables.
+"""Sample-based scoring: CRPS, median errors, level-wise tables.
 
 The continuous ranked probability score of an ensemble {x_1..x_N} against a
 realization z is estimated in energy form,
@@ -6,30 +6,29 @@ realization z is estimated in energy form,
     (1/N) sum_i |x_i - z|  -  (1/(2N^2)) sum_i sum_j |x_i - x_j|.
 
 On a row sorted ascending the double sum telescopes into the single sum
-``xs @ rank`` with ``rank_i = (2i - N + 1) / N^2``, and the median (the
-point forecast the MAE scores) is the middle order statistic, or the mean
-of the central pair for even N. One private kernel, ``_sorted_scores``,
-computes both from sorted rows, in the buffer it is handed, and every score
-in the package comes from it through one of three callers. ``score_origin``
-sorts one origin's (M, N) sample, a copy or with ``overwrite`` the sample
-itself, and scores ``crps_sample``, ``score_hierarchy``, ``cv_criterion``
-(which reconciles one origin at a time into a new array and hands it over)
-and the experiment driver's test pass; ``median_point`` reads the median;
-and ``_cv_oracle``, the cutting-plane search's objective, hands it a copy
-of one origin's rows, which are sorted already. Scores for a hierarchy
-are averaged per node over forecast origins, then per level over nodes,
-then over levels; that triple average is both the reported table layout
-(``score_tables``) and the objective the cross-validated weights
-minimize. ``score_hierarchy`` chains the two steps over a (T, M, N) stack
-or any iterable of origins, read one at a time; the experiment driver
-calls them itself, so that it scores each test origin under every scheme
-and method before it draws the next. Evaluation tables report each node
-in its level's native units, its common-unit score times the window f_l;
-the cross-validation criterion stays in common units and weighs each
-node's CRPS by its share of that average, ``_node_weights``, the one
-definition that ``cv_criterion`` and ``_cv_oracle`` share. Scoring takes
-joint samples as given: ``sampling.assemble_origins`` builds and seeds
-them, and ``cv_objective`` only chains it with ``cv_criterion``.
+``xs @ rank`` with ``rank_i = (2i - N + 1) / N^2``. One private kernel,
+``_sorted_crps``, computes it from sorted rows, in the buffer it is handed,
+and every sample score comes from it through one of two callers.
+``score_origin`` sorts one origin's (M, N) sample, a copy or with
+``overwrite`` the sample itself, takes the error of each row's median (the
+point forecast the MAE scores), then hands the rows over; it scores
+``score_hierarchy``, ``cv_criterion`` (which reconciles one origin at a
+time into a new array) and the experiment driver's test pass, and one row's
+CRPS is ``score_origin(x[None, :], [z])[0][0]``. ``_cv_oracle``, the
+cutting-plane search's objective, hands it a copy of one origin's rows,
+sorted already. Scores for a hierarchy are averaged per node over forecast
+origins, then per level over nodes, then over levels; that triple average
+is both the reported table layout (``score_tables``) and the objective the
+cross-validated weights minimize. ``score_hierarchy`` chains the two steps
+over a (T, M, N) stack or any iterable of origins, read one at a time; the
+experiment driver calls them itself, so that it scores each test origin
+under every scheme and method before it draws the next. Evaluation tables
+report each node in its level's native units, its common-unit score times
+the window f_l; the cross-validation criterion stays in common units and
+weighs each node's CRPS by its share of that average, ``_node_weights``,
+the one definition that ``cv_criterion`` and ``_cv_oracle`` share. Scoring
+takes joint samples as given: ``sampling.assemble_origins`` builds and
+seeds them, and ``cv_objective`` only chains it with ``cv_criterion``.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .sampling import OriginData, assemble_origins
 
 __all__ = [
     "ScoreTable",
-    "crps_sample",
-    "median_point",
     "score_origin",
     "score_tables",
     "score_hierarchy",
@@ -71,22 +68,6 @@ class ScoreTable:
     origin_scores: tuple[tuple[float, ...], ...]
 
 
-def crps_sample(sample, z: float) -> float:
-    """CRPS of one ensemble against one realization (energy form)."""
-    crps, _ = score_origin(np.ravel(_regular(sample))[None, :], [float(z)])
-    return float(crps[0])
-
-
-def median_point(sample) -> float:
-    """Empirical median; for even sizes the mean of the central pair."""
-    x = np.sort(_regular(sample).ravel())
-    if x.size == 0:
-        raise EmptySample("cannot take the median of an empty sample")
-    # scored against its own middle value, the discarded CRPS stays finite
-    _, median = _sorted_scores(x[None, :], x[None, x.size // 2])
-    return float(median[0])
-
-
 @lru_cache(maxsize=16)
 def _rank_weights(n: int) -> np.ndarray:
     """Weights of the N order statistics in the pair term: (2i - N + 1) / N^2,
@@ -97,22 +78,16 @@ def _rank_weights(n: int) -> np.ndarray:
     return rank
 
 
-def _sorted_scores(xs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Energy-form CRPS and median of rows sorted ascending.
+def _sorted_crps(xs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Energy-form CRPS of rows sorted ascending.
 
     ``xs`` has shape (..., N), nondecreasing along the last axis, and ``z``
-    shape (...,); returns two arrays of shape (...,). The median equals
-    ``np.median`` bit for bit: the middle order statistic for odd N (read,
-    not averaged with itself), the mean of the central pair for even N,
-    and 0.0 where those are -0.0 (``np.median`` sums from +0.0). ``xs`` is
-    consumed: once the median and the pair term are read, it holds ``|xs - z|``.
+    shape (...,); returns an array of shape (...,). ``xs`` is consumed:
+    once the pair term is read, it holds ``|xs - z|``.
     """
-    n = xs.shape[-1]
-    mid = n // 2
-    median = (xs[..., mid] if n % 2 else (xs[..., mid - 1] + xs[..., mid]) / 2) + 0.0
-    pair = xs @ _rank_weights(n)
+    pair = xs @ _rank_weights(xs.shape[-1])
     xs -= z[..., None]
-    return np.abs(xs, out=xs).mean(axis=-1) - pair, median
+    return np.abs(xs, out=xs).mean(axis=-1) - pair
 
 
 def _level_means(node_scores: np.ndarray, h: HierarchySpec) -> np.ndarray:
@@ -127,7 +102,10 @@ def score_origin(sample, actual, overwrite: bool = False) -> tuple[np.ndarray, n
     the M realized values. Returns each node's CRPS and the absolute error
     of its ensemble median, two (M,) arrays, both from one sort of the
     rows: of a copy, or with ``overwrite`` of the sample itself, which is
-    then left holding scratch values.
+    then left holding scratch values. Each row's median equals ``np.median``
+    bit for bit but for the sign of a zero, which the error drops: the middle
+    value for odd N (read, not averaged with itself), the mean of the
+    central pair for even N, read before the kernel overwrites the rows.
 
     Raises:
         AlignmentError: the sample is not 2-D, or its rows do not match the
@@ -143,8 +121,10 @@ def score_origin(sample, actual, overwrite: bool = False) -> tuple[np.ndarray, n
         mat.sort(axis=-1)
     else:
         mat = np.sort(mat, axis=-1)
-    crps, median = _sorted_scores(mat, act)
-    return crps, np.abs(median - act)
+    mid = mat.shape[1] // 2
+    median = mat[:, mid] if mat.shape[1] % 2 else (mat[:, mid - 1] + mat[:, mid]) / 2
+    errors = np.abs(median - act)
+    return _sorted_crps(mat, act), errors
 
 
 def score_tables(
@@ -321,7 +301,7 @@ def _cv_oracle(joint_tensor: np.ndarray, actuals: np.ndarray, h: HierarchySpec):
             np.multiply(w[:, None], sample, out=walk.buf)
             x = walk.lineage()
             np.copyto(scratch, x)
-            crps[t], _ = _sorted_scores(scratch, actual)
+            crps[t] = _sorted_crps(scratch, actual)
             # d crps / dx = (sign(x - z) - N rank) / N, weighted per node and
             # divided by f_l, in the workspace
             x -= actual[:, None]

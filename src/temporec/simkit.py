@@ -116,6 +116,9 @@ def simulate_truth(scn: SyntheticScenario) -> np.ndarray:
         out = _ar1(scn.mu, scn.phi, start, rng.normal(0.0, scn.sigma, size=n))
     if scn.clip_at_zero:
         np.clip(out, 0.0, None, out=out)
+    if not np.isfinite(out).all():
+        raise SimkitError(f"the simulated truth path overflows: sigma = {scn.sigma:.6g}, "
+                          f"phi = {scn.phi:.6g}, mu = {scn.mu:.6g}")
     out.setflags(write=False)
     return out
 
@@ -128,7 +131,7 @@ def fit_level(series: np.ndarray, level: int) -> LevelForecaster:
 
     Raises:
         TooShort: fewer than 10 observations.
-        SimkitError: the series has a NaN or infinite value.
+        SimkitError: the series has a NaN or infinite value, or the fit overflows.
     """
     values = np.asarray(series, dtype=float).ravel()
     if values.size < 10:
@@ -139,16 +142,16 @@ def fit_level(series: np.ndarray, level: int) -> LevelForecaster:
     target = values[1:]
     design = np.column_stack([np.ones_like(lagged), lagged])
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < 2:
-        mean = float(values.mean())
-        return LevelForecaster(level=level, phi=0.0, intercept=mean, residuals=values - mean)
-    intercept, phi = coef
-    return LevelForecaster(
-        level=level,
-        phi=float(phi),
-        intercept=float(intercept),
-        residuals=target - design @ coef,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rank < 2:
+            intercept, phi = float(values.mean()), 0.0
+            residuals = values - intercept
+        else:
+            intercept, phi = (float(c) for c in coef)
+            residuals = target - design @ coef
+    if not (np.isfinite([intercept, phi]).all() and np.isfinite(residuals).all()):
+        raise SimkitError(f"level {level} fit is not finite: its training series overflows")
+    return LevelForecaster(level=level, phi=phi, intercept=intercept, residuals=residuals)
 
 
 def sample_paths(
@@ -176,11 +179,13 @@ def sample_paths(
 
 def _ar1(c: float, phi: float, start: float, shocks: np.ndarray) -> np.ndarray:
     """The AR(1) recursion x_t = c + phi * x_{t-1} + shocks[t] from x_{-1} =
-    ``start``, one step per index of the first axis of ``shocks``, as a new array."""
+    ``start``, one step per index of the first axis of ``shocks``, as a new
+    array; a step that overflows leaves inf or NaN without a warning."""
     out = np.empty(shocks.shape)
     prev = start
-    for t, shock in enumerate(shocks):
-        prev = out[t] = c + phi * prev + shock
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, shock in enumerate(shocks):
+            prev = out[t] = c + phi * prev + shock
     return out
 
 
@@ -264,6 +269,8 @@ def dataset_from_series(
         raise SimkitError(f"need at least 2 sample paths, got {n_paths}")
     values = values[: total * f1]
     largest = float(np.abs(values).max(initial=0.0))
+    if not np.isfinite(largest):
+        raise SimkitError("the series has a value that is not finite")
     if not np.isfinite(largest * f1):
         raise SimkitError(
             f"level 1 window sums are not finite: max |value| * f_1 = {largest:.6g} * {f1}"

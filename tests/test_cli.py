@@ -522,20 +522,55 @@ def test_main_overflowing_scenario_exits_2_without_lapack_noise(tmp_path, capfd)
     assert err.startswith("configuration error: ") and "stationary mean" in err
 
 
-def test_main_overflowing_window_sums_exit_2_without_runtime_warning(tmp_path):
+@pytest.mark.parametrize("case", ["window-sums", "truth-path", "level-fit"])
+def test_main_overflowing_window_sums_exit_2_without_runtime_warning(tmp_path, case):
     # a child process with default warning filters: numpy's overflow warning
-    # would reach its stderr, where an in-process run hands it to pytest
+    # would reach its stderr, where an in-process run hands it to pytest;
+    # each overflow is named in one line, and its inputs were all finite
+    config, message = {
+        "window-sums": ("frequencies = 4,2,1\nphi = 0\nmu = 1e308\nn_paths = 8\n",
+                        "level 1 window sums are not finite"),
+        "truth-path": ("sigma = 1e308\n", "the simulated truth path overflows"),
+        # hourly cycles that pass the window-sum bound, whose bottom fit overflows
+        "level-fit": ("data = big.csv\ntrain_cycles = 12\nval_cycles = 2\ntest_cycles = 2\n",
+                      "level 8 fit is not finite"),
+    }[case]
+    rng = np.random.default_rng(0)
+    write_csv(tmp_path / "big.csv", 1e306 * (1.0 + 0.5 * rng.normal(size=16 * 24)))
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("frequencies = 4,2,1\nphi = 0\nmu = 1e308\nn_paths = 8\nmethods = bu\n")
+    cfg_file.write_text(f"{config}methods = bu\n")
+    src = Path(temporec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "temporec.cli",
+         "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith(f"configuration error: {message}")
+    assert len(proc.stderr.splitlines()) == 1 and "RuntimeWarning" not in proc.stderr
+
+
+def test_main_prints_one_warning_line_per_capped_search(tmp_path):
+    # four searches stop at their cap; Python's default filter would show
+    # one message from one source line once, with its path and source line
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "frequencies = 4,2,1\ntrain_cycles = 12\nval_cycles = 3\ntest_cycles = 2\n"
+        "n_paths = 20\nschemes = stacked,permuted\nmethods = bu,cv\n"
+        "cv_regimes = affine,free\ncv_maxiter = 3\n"
+    )
     src = Path(temporec.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "temporec.cli",
          "--config", str(cfg_file), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert proc.returncode == EXIT_CONFIG
-    assert proc.stderr.startswith("configuration error: level 1 window sums are not finite")
-    assert "RuntimeWarning" not in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        f"warning: {scheme} scheme, {regime} regime: no start converged within 3 iterations; "
+        "returning best point"
+        for scheme in ("stacked", "permuted") for regime in ("affine", "free")
+    ]
 
 
 def _data_config(tmp_path, data, extra=""):

@@ -21,7 +21,7 @@ from temporec.hierarchy import build_hierarchy
 from temporec.reconcile import reconcile_tensor, weights_from_levels
 from temporec.sampling import OriginData, assemble_origins
 from temporec.scoring import (
-    _cv_oracle, _node_weights, _rank_weights, _sorted_scores, cv_criterion, cv_objective,
+    _cv_oracle, _node_weights, _rank_weights, _sorted_crps, cv_criterion, cv_objective,
 )
 from temporec.simkit import SyntheticScenario, build_dataset
 
@@ -301,7 +301,7 @@ def reference_oracle(tensor, actuals, h):
         crps, grad = np.empty_like(actuals), np.zeros(h.L)
         for t, (sample, actual) in enumerate(zip(tensor, actuals)):
             x = P.apply(sample)
-            crps[t], _ = _sorted_scores(x.copy(), actual)
+            crps[t] = _sorted_crps(x.copy(), actual)
             dev = (np.sign(x - actual[:, None]) - n * _rank_weights(n)) * unit
             grad += np.add.reduceat((pull_back.apply(dev) * sample).sum(axis=1), level_starts)
         return float((crps * _node_weights(h, T)).sum()), grad * h.f

@@ -67,19 +67,19 @@ def test_no_module_imports_scipy():
     assert importers == set()
 
 
-def test_only_three_functions_call_the_sorted_rows_kernel():
+def test_only_two_functions_call_the_sorted_rows_kernel():
     # every sample score reaches the kernel through score_origin, except the
-    # median and the cutting-plane oracle, whose rows are sorted already;
-    # all three sit in scoring, next to the kernel
+    # cutting-plane oracle, whose rows are sorted already; both sit in
+    # scoring, next to the kernel
     package = Path(temporec.__file__).resolve().parent
     callers = set()
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 func = node.func if isinstance(node, ast.Call) else None
-                if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_scores":
+                if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_crps":
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == {"scoring.score_origin", "scoring.median_point", "scoring._cv_oracle"}
+    assert callers == {"scoring.score_origin", "scoring._cv_oracle"}
 
 
 def test_run_config_construction_is_the_one_parse_path():
@@ -175,23 +175,38 @@ def test_readme_quickstart_runs(tmp_path):
     assert (tmp_path / "runs" / "demo" / "crps.csv").exists()
 
 
+def _names_read(source: str) -> set:
+    """The names that ``source`` imports, or reads as a name or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
 def _modules_naming(names: set) -> set:
     """The package files that import, read or call any of ``names``."""
     package = Path(temporec.__file__).resolve().parent
-    namers = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                found = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Name):
-                found = {node.id}
-            elif isinstance(node, ast.Attribute):
-                found = {node.attr}
-            else:
-                continue
-            if found & names:
-                namers.add(path.name)
-    return namers
+    return {
+        path.name for path in sorted(package.glob("*.py")) if _names_read(path.read_text()) & names
+    }
+
+
+def test_every_exported_name_has_a_reader():
+    # a public name that neither the package, the benchmark nor the README's
+    # library example reads is API kept for no caller; the ``__all__`` lists
+    # hold strings, so they read nothing
+    root = Path(temporec.__file__).resolve().parents[2]
+    sources = [path.read_text() for path in sorted((root / "src" / "temporec").glob("*.py"))]
+    sources += [path.read_text() for path in sorted((root / "perfbench").glob("*.py"))]
+    readme = (root / "README.md").read_text()
+    sources += re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    read = set().union(*map(_names_read, sources))
+    assert sorted(set(temporec.__all__) - read) == []
 
 
 def test_only_reconcile_names_the_lineage_operator():

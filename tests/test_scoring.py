@@ -19,11 +19,9 @@ from temporec.sampling import SCHEMES, OriginData, assemble, assemble_origins
 from temporec.scoring import (
     _node_weights,
     _rank_weights,
-    _sorted_scores,
-    crps_sample,
+    _sorted_crps,
     cv_criterion,
     cv_objective,
-    median_point,
     score_hierarchy,
     score_origin,
     score_tables,
@@ -41,12 +39,17 @@ def crps_brute_force(sample, z):
     return first - second
 
 
+def crps_row(sample, z):
+    """One row's CRPS, as the README computes it: ``score_origin`` on one node."""
+    return score_origin(np.asarray(sample, dtype=float)[None, :], [z])[0][0]
+
+
 def test_crps_examples():
-    assert crps_sample([0.0, 0.0], 0.0) == 0.0
-    assert crps_sample([1.0, 1.0], 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert crps_row([0.0, 0.0], 0.0) == 0.0
+    assert crps_row([1.0, 1.0], 0.0) == pytest.approx(1.0, abs=1e-15)
     # brute force gives 0.5 - 0.25
     assert crps_brute_force([0.0, 1.0], 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert crps_sample([0.0, 1.0], 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert crps_row([0.0, 1.0], 0.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_crps_matches_brute_force():
@@ -55,7 +58,7 @@ def test_crps_matches_brute_force():
         n = int(rng.integers(1, 201))
         sample = rng.normal(scale=rng.uniform(0.1, 5.0), size=n)
         z = rng.normal()
-        assert abs(crps_sample(sample, z) - crps_brute_force(sample, z)) <= 1e-10
+        assert abs(crps_row(sample, z) - crps_brute_force(sample, z)) <= 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -66,7 +69,7 @@ def test_crps_matches_brute_force():
 def test_crps_matches_brute_force_with_ties(sample, z):
     # small integers make tied paths, and paths tied with the realization
     expected = crps_brute_force(sample, z)
-    assert abs(crps_sample(sample, z) - expected) <= 1e-9 * max(1.0, abs(expected))
+    assert abs(crps_row(sample, z) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_crps_nonnegative_and_zero_iff_degenerate():
@@ -74,9 +77,9 @@ def test_crps_nonnegative_and_zero_iff_degenerate():
     for _ in range(100):
         sample = rng.normal(size=int(rng.integers(1, 30)))
         z = rng.normal()
-        assert crps_sample(sample, z) >= 0.0
-    assert crps_sample([2.0, 2.0, 2.0], 2.0) == 0.0
-    assert crps_sample([2.0, 2.0, 2.1], 2.0) > 0.0
+        assert crps_row(sample, z) >= 0.0
+    assert crps_row([2.0, 2.0, 2.0], 2.0) == 0.0
+    assert crps_row([2.0, 2.0, 2.1], 2.0) > 0.0
 
 
 def test_crps_translation_and_scale():
@@ -86,35 +89,37 @@ def test_crps_translation_and_scale():
         z = rng.normal()
         c = rng.normal()
         a = rng.uniform(0.1, 3.0)
-        base = crps_sample(sample, z)
-        assert abs(crps_sample(sample + c, z + c) - base) <= 1e-10
-        assert abs(crps_sample(a * sample, a * z) - a * base) <= 1e-10
+        base = crps_row(sample, z)
+        assert abs(crps_row(sample + c, z + c) - base) <= 1e-10
+        assert abs(crps_row(a * sample, a * z) - a * base) <= 1e-10
 
 
 def test_crps_empty():
     with pytest.raises(EmptySample):
-        crps_sample([], 0.0)
+        crps_row([], 0.0)
 
 
 def test_median_examples():
-    assert median_point([3.0, 1.0, 2.0]) == 2.0
-    assert median_point([1.0, 3.0]) == 2.0
-    assert median_point([5.0]) == 5.0
-    with pytest.raises(EmptySample):
-        median_point([])
-    # median_point and the sorted-rows kernel equal np.median bit for bit,
-    # for odd and even N, with ties
+    # score_origin's errors are those of np.median bit for bit, for odd and
+    # even N, with ties
+    _, errors = score_origin([[3.0, 1.0, 2.0], [1.0, 3.0, 3.0], [5.0, 5.0, 5.0]], np.zeros(3))
+    assert errors.tolist() == [2.0, 3.0, 5.0]
+    _, errors = score_origin([[1.0, 3.0], [-4.0, 2.0]], np.zeros(2))
+    assert errors.tolist() == [2.0, 1.0]
     rng = np.random.default_rng(2)
     for n in (1, 2, 3, 4, 7, 10, 41, 200):
         rows = rng.integers(-3, 4, size=(20, n)) * rng.normal(size=(20, 1))
-        _, median = _sorted_scores(np.sort(rows, axis=-1), np.zeros(20))
-        assert median.tobytes() == np.median(rows, axis=-1).tobytes()
-        for row in rows:
-            assert median_point(row) == np.median(row)
+        _, errors = score_origin(rows, np.zeros(20))
+        assert errors.tobytes() == np.abs(np.median(rows, -1)).tobytes()
+        z = rng.normal(size=20)
+        _, errors = score_origin(rows, z)
+        assert errors.tobytes() == np.abs(np.median(rows, -1) - z).tobytes()
     # the odd case reads the middle value: averaging it with itself overflows
     top = np.finfo(float).max
     huge = [top, np.nextafter(top, 0.0), top]
-    assert median_point(huge) == np.median(huge) == top
+    assert np.median(huge) == top
+    _, errors = score_origin([huge], [top])
+    assert errors.tolist() == [0.0]
 
 
 def test_score_perfect_forecasts_zero(small_hierarchy):
@@ -167,7 +172,7 @@ def test_native_units_scale_levels():
         actuals = rng.normal(size=(3, h.M))
         x, z = tensor * scale[:, None], actuals * scale
         node_crps = np.array(
-            [[crps_sample(x[t, k], z[t, k]) for k in range(h.M)] for t in range(3)]
+            [[crps_row(x[t, k], z[t, k]) for k in range(h.M)] for t in range(3)]
         )
         node_mae = np.abs(np.median(x, axis=-1) - z)
         for table, node in zip(score_hierarchy(tensor, actuals, h), (node_crps, node_mae)):
@@ -395,15 +400,12 @@ def test_scores_leave_their_inputs_unchanged(daily_hierarchy):
     # public score must hand it one of its own
     h = daily_hierarchy
     tensor, actuals = _scoring_instance(h, shape=(3, 41))
-    row = tensor[0, 0].copy()
-    before = tensor.copy(), actuals.copy(), row.copy()
+    before = tensor.copy(), actuals.copy()
     score_hierarchy(tensor, actuals, h)
     score_origin(tensor[1], actuals[1])
     cv_criterion(weights_from_levels(np.full(h.L, 1.0 / h.L), h), tensor, actuals, h)
     cv_criterion(fixed_weights("GA", h), tensor, actuals, h)
-    crps_sample(row, 0.25)
-    median_point(row)
-    for now, then in zip((tensor, actuals, row), before):
+    for now, then in zip((tensor, actuals), before):
         np.testing.assert_array_equal(now, then)
 
 
@@ -456,7 +458,7 @@ def _whole_tensor_criterion(P, tensor, actuals, h):
     sorting and scoring it: the reference the per-origin loop must equal."""
     reconciled = reconcile_tensor(P, tensor)
     reconciled.sort(axis=-1)
-    crps, _ = _sorted_scores(reconciled, actuals)
+    crps = _sorted_crps(reconciled, actuals)
     return float((crps * _node_weights(h, len(reconciled))).sum())
 
 
@@ -555,11 +557,9 @@ def test_score_tables_rejects_misaligned_node_scores(small_hierarchy, crps_shape
         score_tables(np.ones(crps_shape), np.ones(errors_shape), small_hierarchy)
 
 def test_ragged_samples_raise_alignment_error():
-    # the samples are made regular before they are flattened or sorted
+    # the samples are made regular before they are sorted
     with pytest.raises(AlignmentError, match="regular arrays"):
-        crps_sample([[1.0, 2.0], [3.0]], 0.0)
-    with pytest.raises(AlignmentError, match="regular arrays"):
-        median_point([[1.0, 2.0], [3.0]])
+        score_origin([[1.0, 2.0], [3.0]], [0.0, 0.0])
 
 
 def test_rank_weights_are_built_once_per_size_and_read_only():

@@ -280,3 +280,29 @@ def test_non_finite_inputs_raise_simkit_error_without_lapack_noise(capfd):
         build_dataset(scn, h, n_paths=4)
     out, err = capfd.readouterr()
     assert "DLASCL" not in out and "DLASCL" not in err
+
+
+def test_overflowing_truth_paths_and_fits_raise_simkit_error_without_warning():
+    # the recursion and the fallback mean overflow quietly and a check then
+    # names what is not finite; under this suite's filter numpy's
+    # RuntimeWarning would be raised first
+    scn = SyntheticScenario(phi=0.7, sigma=1e308, cycle_length=4,
+                            train_cycles=12, val_cycles=1, test_cycles=1)
+    with pytest.raises(SimkitError, match="simulated truth path overflows: sigma = 1e\\+308"):
+        simulate_truth(scn)
+    rng = np.random.default_rng(0)
+    with pytest.raises(SimkitError, match="^level 8 fit is not finite"):
+        fit_level(1e306 * (1.0 + 0.5 * rng.normal(size=288)), 8)
+    # hourly cycles near the float limit pass the window-sum bound, and the
+    # bottom level's fit is the one that overflows
+    h = build_hierarchy([24, 12, 8, 6, 4, 3, 2, 1])
+    bottom = 1e306 * (1.0 + 0.5 * rng.normal(size=16 * 24))
+    with pytest.raises(SimkitError, match="^level 8 fit is not finite"):
+        dataset_from_series(bottom, h, 12, 2, 2, n_paths=8)
+    bottom[5] = np.nan
+    with pytest.raises(SimkitError, match="^the series has a value that is not finite$"):
+        dataset_from_series(bottom, h, 12, 2, 2, n_paths=8)
+    # a finite fit whose paths overflow returns them for the caller to check
+    fc = LevelForecaster(level=1, phi=0.9, intercept=1e308, residuals=[1e308, -1e307])
+    paths = sample_paths(fc, 1e308, horizon=6, n_paths=4, seed=0)
+    assert not np.isfinite(paths).all()
