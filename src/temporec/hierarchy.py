@@ -15,7 +15,11 @@ and 8 -> 4 -> 2 -> 1). ``HierarchySpec.children`` holds that map, and
 built once: ``fill_means`` fills each level with window means of its
 child, fine to coarse, and ``lineage`` first adds each level's rows into
 its child's windows, coarse to fine, so that every bottom row holds the
-sum over the nodes that contain it.
+sum over the nodes that contain it. The coherence check does not follow
+that map: ``_window_means`` derives its own divisors from the windows of
+``levels``, sums each level, fine to coarse, from the coarsest level
+already summed whose window divides its own, and divides once by the
+windows at the end.
 
 Node enumeration is fixed once and shared by every matrix in the package:
 levels top to bottom, nodes left to right within a level.
@@ -60,8 +64,9 @@ class HierarchySpec:
         m: number of bottom-level nodes, equal to the cycle length f_1.
         levels: the level layout, coarse to fine: one ``(f_l, rows)`` pair
             per level, ``rows`` the slice of the level's nodes in node
-            order. The package's per-level loops iterate it; the window
-            arithmetic follows ``children``.
+            order. The package's per-level loops iterate it; the walks'
+            window arithmetic follows ``children``, the coherence check's
+            is derived from ``levels`` alone.
         children: the child map, one ``(rows, child_rows, k)`` triple per
             non-bottom level, coarse to fine: the level's rows, the rows of
             its child (the coarsest finer level whose window divides f_l)
@@ -213,11 +218,18 @@ class _Walk:
 
 def _window_means(bottom: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """The upper M - m rows of S @ bottom for an (m, N) ``bottom``, as a new
-    array: each level's means over consecutive windows of f_l rows, taken
-    level by level from the bottom rows themselves, not along the child map,
-    so that ``check_coherence`` stays independent of the walks it checks."""
-    out = np.empty((h.M - h.m, bottom.shape[1]))
-    for fl, rows in h.levels[:-1]:
-        np.add.reduce(bottom.reshape(h.m // fl, fl, bottom.shape[1]), axis=1, out=out[rows])
+    array: each level's window sums, fine to coarse, each summed from the
+    coarsest level already summed whose window divides its own (the bottom
+    rows first), then divided once by the windows f_l. The divisors come
+    from ``levels`` alone and no level is averaged on the way, so that
+    ``check_coherence`` stays independent of the walks it checks."""
+    n = bottom.shape[1]
+    out = np.empty((h.M - h.m, n))
+    summed = [(1, bottom)]  # (window, window sums), fine to coarse
+    for fl, rows in reversed(h.levels[:-1]):
+        fc, sums = next((fc, sums) for fc, sums in reversed(summed) if fl % fc == 0)
+        np.add.reduce(sums.reshape(h.m // fl, fl // fc, n), axis=1, out=out[rows])
+        summed.append((fl, out[rows]))
+    for fl, rows in h.levels[:-1]:  # by scalars: a broadcast divisor costs a 64 KB buffer
         out[rows] /= fl
     return out

@@ -19,10 +19,12 @@ is reached along the hierarchy's child map (``HierarchySpec.children``).
 One function, ``_lineage``, applies these maps and forms S'W^-1 through
 ``hierarchy._Walk``, whose ``lineage`` walk the cutting-plane oracle also
 runs as its forward pass and pull-back. Bottom average and global average
-repeat one mean in every row, and only weighted least squares applies a
-dense P (aggregated in place): it is the one dense matrix a run forms.
-``check_coherence`` compares the upper rows with window means of the
-bottom rows, so a run forms no dense S either.
+return their one mean row broadcast to every row, a read-only view, and
+only weighted least squares applies a dense P (aggregated in place): it is
+the one dense matrix a run forms. ``check_coherence`` compares the upper
+rows with window means of the bottom rows, summed from the finest level up
+along windows derived from the level layout alone, so a run forms no
+dense S either and the check shares no arithmetic with the walks.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ FIXED_METHODS = ("BU", "BA", "GA", "LA")
 class WeightMatrix:
     """The combination map of one reconciliation method: ``apply(Y)`` is the
     coherent sample S @ P @ Y, (..., M, N) -> (..., M, N), as a new array
-    the caller may overwrite.
+    the caller may overwrite, except for ``BA`` and ``GA``: their one mean
+    row comes broadcast to all M rows, a read-only view.
 
     Maps compare and hash by identity: two builds of one method are not
     equal, since their ``apply`` functions are distinct objects."""
@@ -83,8 +86,9 @@ def fixed_weights(method: str, h: HierarchySpec) -> WeightMatrix:
 
     ``BU`` and ``LA`` are lineage maps of the level weights e_L and 1/L
     each. S @ P @ Y for ``BA`` and ``GA`` is one row repeated,
-    the mean of Y's bottom rows or of all its rows, so their maps broadcast
-    that mean and build no m x M array.
+    the mean of Y's bottom rows or of all its rows, so their maps return
+    that (..., 1, N) mean broadcast to all M rows as a read-only view, and
+    build no m x M array and no copy of it.
     """
     if method == "BU":
         return _level_map(np.eye(h.L)[-1], method, h)
@@ -144,8 +148,10 @@ def _dense(entries: np.ndarray, values: np.ndarray, h: HierarchySpec) -> np.ndar
 
 def _mean_of_rows(rows: slice, values: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """S @ P @ values for a P whose every row averages ``rows`` uniformly:
-    the mean of those rows of values, repeated in all M rows."""
-    return np.repeat(values[..., rows, :].mean(-2, keepdims=True), h.M, -2)
+    the mean of those rows of values, one (..., 1, N) row broadcast to all
+    M rows as a read-only view."""
+    mean = values[..., rows, :].mean(-2, keepdims=True)
+    return np.broadcast_to(mean, mean.shape[:-2] + (h.M, mean.shape[-1]))
 
 
 def _level_map(v, method: str, h: HierarchySpec) -> WeightMatrix:
@@ -210,11 +216,15 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
     and columns, and passes when it is at most ``_coherence_bound``: ``tol``
     relative to the largest bottom magnitude, floored at 1. The bottom block
     of S is the identity, so only the upper M - m rows are compared, each
-    with the mean of its window of f_l bottom rows (``_window_means``); the
-    dense S is not formed. A non-finite entry in the bottom block gives
-    ``(False, nan)``; a NaN above it gives a NaN violation and an infinite
-    one an infinite violation. A sample without columns has nothing to
-    violate and gives ``(True, 0.0)``.
+    with the mean of its window of f_l bottom rows (``_window_means``,
+    which sums each level from a finer one and divides once); the dense S
+    is not formed. A non-finite entry in the bottom block gives
+    ``(False, nan)`` without a numpy warning; a NaN above it gives a NaN
+    violation and an infinite one an infinite violation. Such a bottom
+    entry makes every window over it non-finite, so the bottom block is
+    scanned only for a non-finite violation or on a single-level
+    hierarchy, and a finite sample costs one (M - m, N) residual. A sample
+    without columns has nothing to violate and gives ``(True, 0.0)``.
     """
     mat = np.asarray(Y, dtype=float)
     h = S.hierarchy
@@ -226,12 +236,15 @@ def check_coherence(Y: np.ndarray, S: SummingMatrix, tol: float = 1e-9) -> Coher
         raise DimensionMismatch(f"expected {h.M} rows, got {mat.shape[0]}")
     upper = h.M - h.m
     bottom = mat[upper:, :]
-    if not np.isfinite(bottom).all():
-        return CoherenceCheck(ok=False, max_violation=np.nan)
     # window means, not aggregate: the check must not share the child-map walk it checks
-    residual = _window_means(bottom, h)
-    np.subtract(mat[:upper, :], residual, out=residual)
+    with np.errstate(invalid="ignore"):  # inf - inf in a window over a non-finite bottom
+        residual = _window_means(bottom, h)
+        np.subtract(mat[:upper, :], residual, out=residual)
     max_violation = float(np.abs(residual, out=residual).max(initial=0.0))
+    # a non-finite bottom entry makes every window over it non-finite, so
+    # the bottom is scanned only for a non-finite violation or without windows
+    if (h.L == 1 or not np.isfinite(max_violation)) and not np.isfinite(bottom).all():
+        return CoherenceCheck(ok=False, max_violation=np.nan)
     # the bound is at least tol, so the bottom rows are scanned only past tol
     ok = max_violation <= tol or max_violation <= _coherence_bound(bottom, tol)
     return CoherenceCheck(ok=ok, max_violation=max_violation)

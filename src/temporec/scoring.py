@@ -10,8 +10,9 @@ On a row sorted ascending the double sum telescopes into the single sum
 ``_sorted_crps``, computes it from sorted rows, in the buffer it is handed,
 and every sample score comes from it through one of two callers.
 ``score_origin`` sorts one origin's (M, N) sample, a copy or with
-``overwrite`` the sample itself, takes the error of each row's median (the
-point forecast the MAE scores), then hands the rows over; it scores
+``overwrite`` the sample itself, or once the one row that all rows of a
+broadcast share, takes the error of each row's median (the point forecast
+the MAE scores), then hands the rows over; it scores
 ``score_hierarchy``, ``cv_criterion`` (which reconciles one origin at a
 time into a new array) and the experiment driver's test pass, and one row's
 CRPS is ``score_origin(x[None, :], [z])[0][0]``. ``_cv_oracle``, the
@@ -101,8 +102,11 @@ def score_origin(sample, actual, overwrite: bool = False) -> tuple[np.ndarray, n
     ``sample`` is an (M, N) joint sample, reconciled or raw, and ``actual``
     the M realized values. Returns each node's CRPS and the absolute error
     of its ensemble median, two (M,) arrays, both from one sort of the
-    rows: of a copy, or with ``overwrite`` of the sample itself, which is
-    then left holding scratch values. Each row's median equals ``np.median``
+    rows: of a copy, or with ``overwrite`` of a writable sample itself,
+    which is then left holding scratch values. A sample whose rows share
+    one row (row stride 0, as the ``BA`` and ``GA`` maps return it) has that
+    row sorted once and handed to the kernel repeated M times, which scores
+    it bit for bit as its repeated copy. Each row's median equals ``np.median``
     bit for bit but for the sign of a zero, which the error drops: the middle
     value for odd N (read, not averaged with itself), the mean of the
     central pair for even N, read before the kernel overwrites the rows.
@@ -117,7 +121,9 @@ def score_origin(sample, actual, overwrite: bool = False) -> tuple[np.ndarray, n
         raise AlignmentError(f"sample shape {mat.shape} does not match actuals shape {act.shape}")
     if not mat.shape[1]:
         raise EmptySample("cannot score samples without paths")
-    if overwrite:
+    if not mat.strides[0]:  # every row is one row (a broadcast): sort it once
+        mat = np.repeat(np.sort(mat[:1], axis=-1), len(mat), axis=0)
+    elif overwrite and mat.flags.writeable:
         mat.sort(axis=-1)
     else:
         mat = np.sort(mat, axis=-1)
@@ -236,8 +242,9 @@ def cv_criterion(
 
     The shapes are checked first. Then each origin's (M, N) joint sample in
     turn is projected through S @ P by ``reconcile_tensor`` into a new
-    array, which ``score_origin`` sorts and scores in place, so one call
-    holds one sample-sized buffer whatever the number of origins. Each
+    array, which ``score_origin`` sorts and scores in place (a broadcast
+    map's one row in a repeated copy), so one call holds one sample-sized
+    buffer whatever the number of origins. Each
     node's CRPS against its realized value is weighted by
     ``_node_weights``: the average over origins, then over nodes within a
     level, then over levels, in one weighted sum. Origin averaging (in

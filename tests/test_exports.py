@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -237,6 +238,15 @@ def test_the_walks_have_one_owner_and_two_callers():
     # or hierarchy.aggregate
     assert _modules_naming({"fill_means"}) == {"hierarchy.py", "reconcile.py"}
     assert _modules_naming({"_Walk", "lineage"}) == {"hierarchy.py", "reconcile.py", "scoring.py"}
+
+
+def test_the_coherence_check_is_independent_of_the_walks():
+    # the check derives its windows from the level layout alone, so a wrong
+    # child map or a wrong walk cannot pass the check of its own output
+    walk_names = {"_Walk", "children", "fill_means", "lineage", "aggregate"}
+    for module, name in [("hierarchy", "_window_means"), ("reconcile", "check_coherence")]:
+        fn = getattr(importlib.import_module(f"temporec.{module}"), name)
+        assert _names_read(inspect.getsource(fn)) & walk_names == set(), name
 
 
 # the private names a package module may take from another, by (importer,

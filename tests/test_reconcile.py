@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -167,6 +168,54 @@ def test_wls_apply_allocates_only_its_output(daily_hierarchy):
     np.testing.assert_array_equal(P.apply(Y), np.stack([P.apply(y) for y in Y]))
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak memory it allocates, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("method", ["BA", "GA"])
+def test_averaging_maps_allocate_one_row(daily_hierarchy, method):
+    # S @ P @ Y repeats one mean row, so the map returns that row broadcast
+    # to all M rows as a read-only view, for one sample and for a stack
+    h = daily_hierarchy
+    P = fixed_weights(method, h)
+    Y = np.random.default_rng(4).normal(size=(3, h.M, 400))
+    for values in (Y[0], Y):
+        out, peak = _traced_peak(lambda: P.apply(values))
+        row_bytes = values[..., :1, :].nbytes
+        assert peak < row_bytes + 2048, (peak, row_bytes)
+        assert out.shape == values.shape and out.strides[-2] == 0 and not out.flags.writeable
+        rows = h.levels[-1][1] if method == "BA" else slice(None)
+        np.testing.assert_array_equal(out[..., :1, :], values[..., rows, :].mean(-2, keepdims=True))
+
+
+FIVE_MINUTE = (288, 144, 96, 72, 48, 36, 24, 12, 6, 3, 1)
+
+
+@pytest.mark.parametrize("f, method", [(FIVE_MINUTE, "LA"), (FIVE_MINUTE, "BA"), ((288, 1), "LA")])
+def test_check_coherence_allocates_only_its_residual(f, method):
+    # the windows are summed into the residual's rows, and a finite sample's
+    # bottom block is never scanned for non-finite entries: with one day
+    # total over 288 periods, a scan's (m, N) mask outweighs the residual;
+    # numpy's ufuncs add their fixed 64 KB buffer for BA's operand
+    # broadcast along the rows
+    h = build_hierarchy(f)
+    S = build_summing_matrix(h)
+    Y = fixed_weights(method, h).apply(np.random.default_rng(6).normal(size=(h.M, 500)))
+    check, peak = _traced_peak(lambda: check_coherence(Y, S))
+    assert check.ok
+    residual_bytes = (h.M - h.m) * Y.shape[1] * Y.itemsize
+    slack = 4096 + (2**16 if method == "BA" else 0)
+    assert peak < residual_bytes + slack, (peak, residual_bytes)
+
+
 def test_weights_from_levels_fixture(small_hierarchy):
     v = np.array([0.2, 0.3, 0.5])
     expected = np.array(
@@ -279,44 +328,77 @@ def test_reconcile_dimension_mismatch(small_hierarchy):
         reconcile(S, fixed_weights("BU", small_hierarchy), joint)
 
 
-def test_check_coherence_reconciled_and_raw(small_hierarchy):
-    h = small_hierarchy
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_coherence_reconciled_and_raw():
+    # on a tree and on the overlapping daily hierarchy, for a lineage map and
+    # for BA, whose rows share one row; numpy warnings are errors here
     rng = np.random.default_rng(9)
-    S = build_summing_matrix(h)
-    joint = _random_joint(h, rng)
-    rec = reconcile(S, fixed_weights("LA", h), joint)
-    ok, violation = check_coherence(rec.matrix, S, tol=1e-9)
-    assert ok and violation <= 1e-9
-    # independently simulated levels are generically incoherent
-    ok, violation = check_coherence(joint.matrix, S, tol=1e-9)
-    assert not ok and violation > 1e-3
-    # and the zero matrix is trivially coherent
-    assert check_coherence(np.zeros((h.M, 3)), S).ok
-    # a non-finite entry fails the check, in the bottom block or above it
-    bad = rec.matrix.copy()
-    bad[h.M - 1, 2] = np.nan
-    assert not check_coherence(bad, S).ok
-    bad = rec.matrix.copy()
-    bad[1, 0] = np.inf
-    ok, violation = check_coherence(bad, S)
-    assert not ok and violation == np.inf
-    # an infinite bottom entry gives NaN, without a numpy warning
-    bad = rec.matrix.copy()
-    bad[6, 1] = np.inf
-    ok, violation = check_coherence(bad, S)
-    assert not ok and np.isnan(violation)
-    # NaN in a level below the first propagates through the maximum
-    for row in (1, 2):
-        bad = rec.matrix.copy()
-        bad[row, 3] = np.nan
-        ok, violation = check_coherence(bad, S)
-        assert not ok and np.isnan(violation)
+    for f, method in itertools.product([(4, 2, 1), (24, 12, 8, 6, 4, 3, 2, 1)], ["LA", "BA"]):
+        h = build_hierarchy(f)
+        S = build_summing_matrix(h)
+        joint = _random_joint(h, rng)
+        rec = reconcile(S, fixed_weights(method, h), joint).matrix
+        ok, violation = check_coherence(rec, S, tol=1e-9)
+        assert ok and violation <= 1e-9
+        # independently simulated levels are generically incoherent
+        ok, violation = check_coherence(joint.matrix, S, tol=1e-9)
+        assert not ok and violation > 1e-3
+        # and the zero matrix is trivially coherent
+        assert check_coherence(np.zeros((h.M, 3)), S).ok
+
+        def planted(row, col, value):
+            bad = rec.copy()
+            bad[row, col] = value
+            return bad
+
+        upper = h.M - h.m
+        # a non-finite bottom entry gives (False, nan), without a numpy warning
+        for row, value in [(h.M - 1, np.nan), (upper, np.inf), (h.M - 1, -np.inf)]:
+            ok, violation = check_coherence(planted(row, 1, value), S)
+            assert not ok and np.isnan(violation), (f, method, row, value)
+        # NaN above the bottom propagates through the maximum, at any level
+        for row in (0, 1, upper - 1):
+            ok, violation = check_coherence(planted(row, 3, np.nan), S)
+            assert not ok and np.isnan(violation), (f, method, row)
+        # an infinite entry above the bottom gives an infinite violation
+        for row, value in [(0, np.inf), (upper - 1, -np.inf)]:
+            ok, violation = check_coherence(planted(row, 0, value), S)
+            assert not ok and violation == np.inf, (f, method, row, value)
+        # a broadcast sample with one non-finite entry in its shared row is
+        # non-finite in every row, bottom included
+        for value in (np.nan, np.inf):
+            row = rec[0].copy()
+            row[2] = value
+            ok, violation = check_coherence(np.broadcast_to(row, rec.shape), S)
+            assert not ok and np.isnan(violation), (f, method, value)
     # a single level has no upper rows: only non-finite entries can fail
     flat = build_hierarchy([1])
     S1 = build_summing_matrix(flat)
     assert check_coherence(rng.normal(size=(1, 4)), S1) == (True, 0.0)
-    ok, violation = check_coherence(np.array([[0.0, np.nan, 1.0]]), S1)
+    for value in (np.nan, np.inf):
+        ok, violation = check_coherence(np.array([[0.0, value, 1.0]]), S1)
+        assert not ok and np.isnan(violation)
+    ok, violation = check_coherence(np.broadcast_to([0.0, np.inf], (1, 2)), S1)
     assert not ok and np.isnan(violation)
+
+
+def test_check_coherence_finds_a_wrong_child_map():
+    # the check derives its windows from the level layout alone: a BU map
+    # walking a child map that pairs a level with windows that do not
+    # divide its own fills the upper rows wrongly, and the check sees it
+    h = build_hierarchy([6, 3, 2, 1])
+    correct = h.children
+    assert correct[1] == (slice(1, 3), slice(6, 12), 3)
+    # level 3's two nodes read the first two nodes of level 2, windows [0, 2) and [2, 4)
+    object.__setattr__(h, "children", (correct[0], (slice(1, 3), slice(3, 5), 1), correct[2]))
+    S = build_summing_matrix(h)
+    rng = np.random.default_rng(23)
+    out = fixed_weights("BU", h).apply(rng.normal(size=(h.M, 50)))
+    upper = h.M - h.m
+    planted = np.abs(out[:upper] - oracle_summing_matrix(h)[:upper] @ out[upper:]).max()
+    assert planted > 1e-2
+    ok, violation = check_coherence(out, S)
+    assert not ok and violation >= planted * (1 - 1e-12)
 
 
 def test_check_coherence_tolerance_is_relative_to_the_bottom_scale(small_hierarchy):
@@ -327,8 +409,12 @@ def test_check_coherence_tolerance_is_relative_to_the_bottom_scale(small_hierarc
     rng = np.random.default_rng(21)
     Y = rng.uniform(0.5e9, 1.5e9, size=(h.M, 200))
     coherent = reconcile_tensor(fixed_weights("BU", h), Y)
-    ok, violation = check_coherence(coherent, S)
-    assert ok and violation > 1e-9  # the absolute violation is reported as is
+    # a violation above the absolute 1e-9 but below tol * max |bottom| passes,
+    # and is reported as is
+    off = coherent.copy()
+    off[0, 3] += 1e-3
+    ok, violation = check_coherence(off, S)
+    assert ok and violation == pytest.approx(1e-3, rel=1e-3)
     off = coherent.copy()
     off[0, 3] += 1e-6 * np.abs(coherent[h.M - h.m:]).max()
     ok, violation = check_coherence(off, S)

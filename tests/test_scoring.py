@@ -122,6 +122,35 @@ def test_median_examples():
     assert errors.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("n", [7, 8, 41, 200])
+@pytest.mark.parametrize("method", ["BA", "GA"])
+def test_score_origin_sorts_a_broadcast_row_once(daily_hierarchy, method, n):
+    # BA and GA hand over their one mean row broadcast to all M rows;
+    # score_origin sorts it once and scores it repeated, bit for bit as it
+    # scores the repeated copy, with ties, and leaves the read-only sample as
+    # it is under overwrite; a read-only sample of distinct rows is sorted
+    # in a copy under overwrite too
+    h = daily_hierarchy
+    rng = np.random.default_rng(n)
+    Y = rng.normal(size=(h.M, 5))[:, rng.integers(0, 5, n)]  # repeated columns tie
+    actual = rng.normal(size=h.M)
+    sample = fixed_weights(method, h).apply(Y)
+    assert sample.strides[0] == 0
+    copy = np.repeat(sample[:1], h.M, axis=0)
+    want = score_origin(copy, actual)
+    for overwrite in (False, True):
+        got = score_origin(sample, actual, overwrite=overwrite)
+        for now, then in zip(got, want):
+            assert now.tobytes() == then.tobytes()
+    np.testing.assert_array_equal(sample, copy)
+    got = score_origin(Y, actual)
+    Y.setflags(write=False)
+    before = Y.copy()
+    for now, then in zip(score_origin(Y, actual, overwrite=True), got):
+        assert now.tobytes() == then.tobytes()
+    np.testing.assert_array_equal(Y, before)
+
+
 def test_score_perfect_forecasts_zero(small_hierarchy):
     h = small_hierarchy
     S = oracle_summing_matrix(h)
@@ -456,7 +485,8 @@ def test_cv_criterion_holds_a_few_origin_samples(daily_hierarchy, method):
 def _whole_tensor_criterion(P, tensor, actuals, h):
     """The criterion reconciling the whole (T, M, N) stack in one call, then
     sorting and scoring it: the reference the per-origin loop must equal."""
-    reconciled = reconcile_tensor(P, tensor)
+    # BA and GA return a read-only broadcast: sort a C-ordered copy of it
+    reconciled = reconcile_tensor(P, tensor).copy()
     reconciled.sort(axis=-1)
     crps = _sorted_crps(reconciled, actuals)
     return float((crps * _node_weights(h, len(reconciled))).sum())
