@@ -2,8 +2,8 @@
 
 The level-constrained weight matrix has one free weight per level; those L
 weights are tuned to minimize the level-averaged CRPS over a held-out set
-of forecast origins. Three constraint regimes are supported and each is
-folded into an unconstrained search by reparameterization:
+of forecast origins. Three constraint regimes, the names in ``REGIMES``,
+are each folded into an unconstrained search by ``_to_weights``:
 
 * ``simplex`` - weights sum to one and are nonnegative; searched through a
   softmax of L free variables (none when L = 1: the only weight is 1).
@@ -12,7 +12,8 @@ folded into an unconstrained search by reparameterization:
 * ``free``    - unconstrained.
 
 The multi-start search (``_search``) minimizes the public ``cv_criterion``
-itself, with tolerances ``XATOL`` on the point and ``FATOL`` on the
+itself, with tolerances ``XATOL`` on the point, absolute in search-space
+units (under ``simplex``, the softmax's inputs), and ``FATOL`` on the
 objective, relative to max(1, |objective|) at the first finite start. The
 empirical-CRPS objective is piecewise smooth and has no useful gradient in
 general, so each start runs a Nelder-Mead simplex search (``_nelder_mead``,
@@ -37,8 +38,9 @@ oracle, ``scoring._cv_oracle``, returns ``cv_criterion``'s value and a
 subgradient. Both objectives work one validation origin at a time, so a
 search holds the validation tensor and a few (M, N) buffers, never a
 second (T, M, N) array. Either search reports the best value it
-evaluated; no criterion runs after it. Both solvers are numpy code, so
-the package needs no scipy at run time.
+evaluated; no criterion runs after it, and ``CvResult`` holds only what
+it computed. Both solvers are numpy code, so the package needs no scipy
+at run time.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .scoring import _cv_oracle, cv_criterion
 __all__ = ["REGIMES", "CvResult", "optimize_weights"]
 
 REGIMES = ("simplex", "affine", "free")
-XATOL = 1e-4  # Nelder-Mead tolerance on the search point
+XATOL = 1e-4  # Nelder-Mead tolerance on the search point, absolute, in search-space units
 FATOL = 1e-7  # Nelder-Mead tolerance on the objective, relative to max(1, |first value|)
 CUT_GAP = 1e-7  # cutting-plane optimality gap, relative to max(1, |objective|)
 LP_TOL = 1e-12  # the master LP's pivot tolerance, relative to its data
@@ -70,50 +72,40 @@ class CvResult:
 
     ``v`` holds one weight per level, coarse to fine. ``gap`` is the
     certified optimality gap (best objective minus the LP lower bound) of a
-    cutting-plane search, and None after Nelder-Mead.
+    cutting-plane search, and None after Nelder-Mead. The caller keys it by
+    its scheme and regime.
     """
 
     v: np.ndarray
     objective: float
     iterations: int
-    regime: str
-    scheme: str
     gap: float | None = None
 
     def __post_init__(self):
         _freeze(self, "v")
 
 
-def _softmax(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - u.max())
-    return e / e.sum()
+def _to_weights(regime: str, u: np.ndarray) -> np.ndarray:
+    """The L-vector of level weights at search point ``u`` under ``regime``."""
+    if regime == "simplex":  # a softmax; a single level has one feasible weight
+        e = np.exp(u - u.max()) if len(u) else np.ones(1)
+        return e / e.sum()
+    if regime == "affine":
+        return np.append(u, 1.0 - u.sum())
+    return np.asarray(u, dtype=float)
 
 
-class _Regime:
-    """Maps between the L-vector of level weights and the unconstrained search space."""
-
-    def __init__(self, tag: str):
-        if tag not in REGIMES:
-            raise ConfigError(f"unknown regime {tag!r}, expected one of {REGIMES}")
-        self.tag = tag
-
-    def to_weights(self, u: np.ndarray) -> np.ndarray:
-        if self.tag == "simplex":
-            return _softmax(u) if len(u) else np.ones(1)
-        if self.tag == "affine":
-            return np.append(u, 1.0 - u.sum())
-        return np.asarray(u, dtype=float)
-
-    def from_weights(self, v: np.ndarray) -> np.ndarray:
-        if self.tag == "simplex":
-            # a single level has one feasible weight, so nothing to search
-            return np.log(np.clip(v, 1e-8, None)) if len(v) > 1 else np.empty(0)
-        if self.tag == "affine":
-            return np.asarray(v[:-1], dtype=float)
-        return np.asarray(v, dtype=float)
+def _from_weights(regime: str, v: np.ndarray) -> np.ndarray:
+    """The search point of the L-vector ``v`` under ``regime``."""
+    if regime == "simplex":
+        # a single level has one feasible weight, so nothing to search
+        return np.log(np.clip(v, 1e-8, None)) if len(v) > 1 else np.empty(0)
+    if regime == "affine":
+        return np.asarray(v[:-1], dtype=float)
+    return np.asarray(v, dtype=float)
 
 
-def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
+def _start_vectors(h: HierarchySpec, regime: str, n_starts: int, seed: int):
     """Search-space start points: bottom-up, equal weights, 1/M, then random.
 
     ``max(n_starts, 3)`` images of L-vectors of level weights are returned.
@@ -124,15 +116,15 @@ def _start_vectors(h: HierarchySpec, regime: _Regime, n_starts: int, seed: int):
         np.eye(h.L)[-1],          # bottom-up
         np.full(h.L, 1.0 / h.L),  # lineal-average / equal weights
     ]
-    if regime.tag != "simplex":
+    if regime != "simplex":
         starts.append(np.full(h.L, 1.0 / h.M))  # affine: (1/M, ..., 1 - (L-1)/M), near bottom-up
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 0xCF]))
     while len(starts) < max(n_starts, 3):
-        if regime.tag == "simplex":
+        if regime == "simplex":
             starts.append(rng.dirichlet(np.ones(h.L)))
         else:
             starts.append(rng.normal(loc=1.0 / h.L, scale=0.5, size=h.L))
-    return [regime.from_weights(v0) for v0 in starts]
+    return [_from_weights(regime, v0) for v0 in starts]
 
 
 def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
@@ -140,15 +132,16 @@ def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _nelder_mead(objective, x0: np.ndarray, f0: float, maxiter: int, xatol: float, fatol: float):
+def _nelder_mead(objective, x0: np.ndarray, f0: float, maxiter: int, fatol: float):
     """Nelder-Mead from ``x0``: scipy 1.17's ``minimize(method="Nelder-Mead")``
     without bounds or ``adaptive``, ported step for step so that it takes the
     same steps bit for bit: the 5% / 0.00025 initial simplex, reflection 1,
     expansion 2, contraction and shrink 1/2, and scipy's centroid, ordering
     and stopping tests. ``f0`` is the objective at ``x0``, which the caller
-    has already computed; the other points are evaluated on copies. The
-    iteration count starts at 1. Returns (x, least value of the final
-    simplex, iterations, whether the tolerances were met before ``maxiter``).
+    has already computed; the other points are evaluated on copies. Both
+    tolerances are absolute: ``XATOL`` in the units of ``x0``, and ``fatol``.
+    Iterations count from 1. Returns (x, least value of the final simplex,
+    iterations, whether the tolerances were met before ``maxiter``).
     """
     def f(x):
         return objective(np.copy(x))
@@ -163,7 +156,7 @@ def _nelder_mead(objective, x0: np.ndarray, f0: float, maxiter: int, xatol: floa
     sim, fsim = _sort_simplex(sim, fsim)
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+        if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / N
@@ -202,8 +195,9 @@ def _search(
 
     Each start is evaluated once, skipped if its objective is not finite
     and otherwise handed with its value to Nelder-Mead; a search whose final
-    objective is not finite falls back to its start. The objective
-    tolerance is ``FATOL * max(1, |f|)`` at the first finite start.
+    objective is not finite falls back to its start. The tolerances are
+    ``XATOL`` on the point, absolute in search-space units (under ``simplex``,
+    the softmax's inputs), and ``FATOL * max(1, |f|)`` at the first finite start.
     ``maxiter`` is the cap per start (``None``: 80 per search dimension).
     An empty search space returns the start, converged, after 0 iterations.
 
@@ -223,7 +217,7 @@ def _search(
         if fatol is None:
             fatol = FATOL * max(1.0, abs(f))
         if len(u):
-            x, fun, nit, success = _nelder_mead(objective, u, f, maxiter, XATOL, fatol)
+            x, fun, nit, success = _nelder_mead(objective, u, f, maxiter, fatol)
             total_iters += nit
             converged = converged or success
             if np.isfinite(fun):
@@ -390,7 +384,8 @@ def optimize_weights(
     the objective at every start point the search evaluated: bottom-up and
     equal weights for the cutting planes, the images of the Nelder-Mead
     start vectors otherwise (under ``simplex``, bottom-up only to within
-    the 1e-8 floor of its zero weights).
+    the 1e-8 floor of its zero weights). The result holds only what the
+    search computed, not the ``scheme`` and ``regime`` it was given.
 
     Raises:
         ConfigError: ``regime`` is not one of ``REGIMES``; raised before any
@@ -402,20 +397,20 @@ def optimize_weights(
         the cutting-plane gap is still above ``CUT_GAP``; the message names
         the scheme and regime, and the best point found is still returned.
     """
-    reg = _Regime(regime)  # before assembly, so a bad regime fails first
+    if regime not in REGIMES:  # before assembly, so a bad regime fails first
+        raise ConfigError(f"unknown regime {regime!r}, expected one of {REGIMES}")
     joint_tensor, actuals = assemble_origins(origins, h, scheme, seed=seed)
-    at = f"{scheme} scheme, {reg.tag} regime: "
-    certified = reg.tag == "simplex" and h.L > 1
+    at = f"{scheme} scheme, {regime} regime: "
+    certified = regime == "simplex" and h.L > 1
     if certified and (joint_tensor[..., 1:] >= joint_tensor[..., :-1]).all():
         oracle = _cv_oracle(joint_tensor, actuals, h)
         v, objective, iterations, gap = _cutting_planes(oracle, h.L, maxiter, at)
     else:
         def criterion(u):
-            P = weights_from_levels(reg.to_weights(u), h)
+            P = weights_from_levels(_to_weights(regime, u), h)
             return cv_criterion(P, joint_tensor, actuals, h)
 
-        starts = _start_vectors(h, reg, n_starts, seed)
+        starts = _start_vectors(h, regime, n_starts, seed)
         u, objective, iterations = _search(criterion, starts, maxiter, at)
-        v, gap = reg.to_weights(u), None
-    return CvResult(v=v, objective=objective, iterations=iterations,
-                    regime=reg.tag, scheme=scheme, gap=gap)
+        v, gap = _to_weights(regime, u), None
+    return CvResult(v=v, objective=objective, iterations=iterations, gap=gap)

@@ -60,12 +60,12 @@ class ScoreTable:
     """Per-level mean scores (coarse to fine) and their overall mean.
 
     ``origin_scores[t][l]`` is the level-l mean score of origin t alone, the
-    value ``score_hierarchy`` returns for that origin on its own.
+    value ``score_hierarchy`` returns for that origin on its own. The table
+    is named by its place: CRPS first, MAE second, in every return.
     """
 
     level_scores: tuple[float, ...]
     overall: float
-    metric: str
     origin_scores: tuple[tuple[float, ...], ...]
 
 
@@ -138,9 +138,9 @@ def score_tables(
     errors: np.ndarray,
     h: HierarchySpec,
 ) -> tuple[ScoreTable, ScoreTable]:
-    """The CRPS and MAE tables of (T, M) node scores in common units, one
-    ``score_origin`` result per row, each node reported in its level's
-    native units.
+    """The CRPS table, then the MAE table, of (T, M) node scores in common
+    units, one ``score_origin`` result per row, each node reported in its
+    level's native units. The order names the tables.
 
     Raises:
         AlignmentError: the two arrays are not (T, M) with one T > 0.
@@ -151,7 +151,7 @@ def score_tables(
             f"node scores of shapes {crps.shape} and {errors.shape} are not (T, {h.M}), T > 0"
         )
     native = h.node_windows
-    return _table(crps * native, h, "CRPS"), _table(errors * native, h, "MAE")
+    return _table(crps * native, h), _table(errors * native, h)
 
 
 def score_hierarchy(
@@ -171,8 +171,8 @@ def score_hierarchy(
 
     Returns:
         The CRPS table and the table of absolute errors of the ensemble
-        median (MAE), in that order, each node in its level's native units
-        (``score_tables``).
+        median (MAE), in that order, which is what names them; each node
+        is in its level's native units (``score_tables``).
 
     Raises:
         AlignmentError: the samples or actuals are ragged, or their origin
@@ -219,13 +219,12 @@ def _node_weights(h: HierarchySpec, T: int) -> np.ndarray:
     return h.node_windows / (h.L * h.m * T)
 
 
-def _table(node_scores: np.ndarray, h: HierarchySpec, metric: str) -> ScoreTable:
+def _table(node_scores: np.ndarray, h: HierarchySpec) -> ScoreTable:
     """Average (T, M) node scores over origins, nodes within a level, levels."""
     level_scores = tuple(float(s) for s in _level_means(node_scores.mean(axis=0), h))
     return ScoreTable(
         level_scores=level_scores,
         overall=float(np.mean(level_scores)),
-        metric=metric,
         origin_scores=tuple(
             tuple(float(s) for s in row) for row in _level_means(node_scores, h)
         ),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+import warnings
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -484,6 +485,22 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["--methods", "bu"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: out must be")
     assert sorted(p.name for p in cwd.iterdir()) == ["empty_out.cfg", "failure.txt"]
+
+
+def test_main_reraises_an_error_without_an_exit_code(tmp_path, capsys, monkeypatch):
+    # an error whose family has no exit code propagates unlabelled, and the
+    # one-line warning printer is put back on the way out
+    def fail(cfg):
+        raise errors.TemporecError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    showwarning = warnings.showwarning
+    with pytest.raises(errors.TemporecError, match="^boom$"):
+        main(["--methods", "bu", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    for label in ("configuration error", "data error", "numerical failure"):
+        assert label not in err
+    assert warnings.showwarning is showwarning
 
 
 def test_method_label_expansion():

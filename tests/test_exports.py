@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import temporec
+from temporec import cvopt, scoring
 
 # the library modules whose public names the package re-exports; the CLI
 # driver is left out so that ``import temporec`` does not import it
@@ -229,6 +231,23 @@ def test_a_level_sample_is_a_bare_matrix_checked_only_at_assembly():
     assert not [p.name for p in package.glob("*.py") if "LevelSample" in p.read_text()]
     assert "LevelSample" not in temporec.__all__ and not hasattr(temporec, "LevelSample")
     assert _modules_naming({"MissingLevel", "RowCountMismatch", "ColumnMismatch"}) == {"sampling.py"}
+
+
+def test_a_regime_is_its_name_and_a_result_holds_only_what_was_computed():
+    # a regime is a string mapped by two functions, the point tolerance is
+    # one constant, and neither result echoes its caller's inputs: the CLI
+    # keys each search by (scheme, regime), and the return order names the
+    # CRPS and MAE tables
+    package = Path(temporec.__file__).resolve().parent
+    assert not [p.name for p in package.glob("*.py")
+                if "_Regime" in p.read_text() or "_softmax" in p.read_text()]
+    classes = [name for name, obj in vars(cvopt).items()
+               if inspect.isclass(obj) and obj.__module__ == cvopt.__name__]
+    assert classes == ["CvResult"]
+    assert [f.name for f in fields(cvopt.CvResult)] == ["v", "objective", "iterations", "gap"]
+    assert [f.name for f in fields(scoring.ScoreTable)] == [
+        "level_scores", "overall", "origin_scores"]
+    assert "xatol" not in inspect.signature(cvopt._nelder_mead).parameters
 
 
 def test_the_walks_have_one_owner_and_two_callers():

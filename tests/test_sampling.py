@@ -251,7 +251,7 @@ ARRAY_RECORDS = {
         lambda r: r.residuals,
     ),
     "CvResult": (
-        lambda a: CvResult(v=a, objective=0.0, iterations=0, regime="simplex", scheme="stacked"),
+        lambda a: CvResult(v=a, objective=0.0, iterations=0),
         lambda r: r.v,
     ),
 }

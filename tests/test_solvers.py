@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from temporec.cvopt import _master_lp, _nelder_mead, _Regime
+from temporec.cvopt import XATOL, _from_weights, _master_lp, _nelder_mead, _to_weights
 from temporec.reconcile import weights_from_levels
 from temporec.sampling import assemble_origins
 from temporec.scoring import cv_criterion
@@ -31,12 +31,12 @@ def _recorded(objective):
     return wrapped, points
 
 
-def _assert_same_trajectory(objective, x0, maxiter, xatol=1e-4, fatol=1e-7):
+def _assert_same_trajectory(objective, x0, maxiter, fatol=1e-7):
     ours, our_points = _recorded(objective)
     theirs, their_points = _recorded(objective)
-    x, fun, nit, success = _nelder_mead(ours, x0, ours(x0), maxiter, xatol, fatol)
+    x, fun, nit, success = _nelder_mead(ours, x0, ours(x0), maxiter, fatol)
     res = minimize(theirs, x0, method="Nelder-Mead",
-                   options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+                   options={"maxiter": maxiter, "xatol": XATOL, "fatol": fatol})
     np.testing.assert_array_equal(x, res.x)
     np.testing.assert_array_equal(fun, res.fun)  # NaN equals NaN here
     assert (nit, success) == (res.nit, res.success)
@@ -81,12 +81,10 @@ def test_nelder_mead_follows_scipy_on_the_cv_criterion(daily_hierarchy, regime):
     scn = SyntheticScenario(phi=0.7, sigma=1.0, mu=1.0, cycle_length=h.m,
                             train_cycles=10, val_cycles=3, test_cycles=1, seed=4)
     tensor, actuals = assemble_origins(build_dataset(scn, h, n_paths=30).val_origins, h, "stacked")
-    reg = _Regime(regime)
-
     def objective(u):
-        return cv_criterion(weights_from_levels(reg.to_weights(u), h), tensor, actuals, h)
+        return cv_criterion(weights_from_levels(_to_weights(regime, u), h), tensor, actuals, h)
 
-    _assert_same_trajectory(objective, reg.from_weights(np.full(h.L, 1.0 / h.L)), 60)
+    _assert_same_trajectory(objective, _from_weights(regime, np.full(h.L, 1.0 / h.L)), 60)
 
 
 def _highs_bound(A, b):
